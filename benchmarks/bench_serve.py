@@ -23,10 +23,8 @@ via the smoke test in ``tests/serve/test_serve_bench_smoke.py``.
 ``--zipfian`` runs the *result-cache* workload instead (→
 ``results/BENCH_cache.json``): a zipfian (s≈1.1) request stream over a
 small query pool — production traffic's shape — served with the cache
-on vs off, plus a uniform stream (the cache's worst case) and a
-near-duplicate jitter stream (every request a fresh vector that hashes
-to a cached band-key tuple, so the semantic tier carries the load).
-Every stream's served rankings are asserted identical to offline
+on vs off, plus a uniform stream (the cache's worst case).  Every
+stream's served rankings are asserted identical to offline
 ``query_many`` *before* any timing is recorded.
 
 ``--prefork`` runs the *pre-fork fleet* workload instead (→
@@ -199,8 +197,8 @@ def run_cache(n_vectors: int = 20000, dim: int = 64, pool_size: int = 240,
               zipf_s: float = 1.1, cache_entries: int = 64,
               shard_counts: tuple[int, ...] = SHARD_COUNTS,
               seed: int = 0, workdir: str | Path | None = None) -> dict:
-    """The result-cache workload: zipfian vs uniform vs near-duplicate
-    request streams, cache on vs off, equivalence asserted before any
+    """The result-cache workload: zipfian vs uniform request streams,
+    cache on vs off, equivalence asserted before any
     timing (``_hammer`` refuses to return timings for a wrong server).
 
     The cache is deliberately smaller than the query pool
@@ -220,12 +218,6 @@ def run_cache(n_vectors: int = 20000, dim: int = 64, pool_size: int = 240,
         f"zipfian(s={zipf_s:g})": pool[_zipfian_stream(rng, pool_size,
                                                        n_requests, zipf_s)],
         "uniform": pool[rng.integers(0, pool_size, size=n_requests)],
-        # Near-duplicates: every request is a *fresh* vector (exact tier
-        # can never hit) one ulp-ish away from a pool query, so it
-        # hashes to the same band keys and rides the semantic tier.
-        "near-dupe": (pool[_zipfian_stream(rng, pool_size, n_requests,
-                                           zipf_s)]
-                      + rng.normal(scale=1e-9, size=(n_requests, dim))),
     }
 
     with tempfile.TemporaryDirectory() as scratch:
@@ -488,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--zipfian", action="store_true",
                         help="run the result-cache workload (zipfian/"
-                             "uniform/near-dupe streams, cache on vs off) "
+                             "uniform streams, cache on vs off) "
                              "instead of the dispatch benchmark")
     parser.add_argument("--prefork", action="store_true",
                         help="run the pre-fork fleet workload (serve "

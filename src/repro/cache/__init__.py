@@ -1,10 +1,9 @@
-"""Server-side result cache: exact + semantic tiers, generation-scoped.
+"""Server-side result cache: one exact tier, generation-scoped.
 
 See :mod:`repro.cache.engine` for the design contract; the one-line
 version is that cached answers are *bit-identical* to the uncached
-path — tier 1 replays stored rankings under a fingerprint that covers
-every answer-changing request parameter, tier 2 reuses candidate
-shortlists but rescores them through the uncached kernels.
+path — a hit replays the stored ranking under a fingerprint that covers
+every answer-changing request parameter.
 """
 
 from .engine import CacheCounters, CachedQueryEngine, QueryPlan

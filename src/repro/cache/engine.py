@@ -1,28 +1,24 @@
-"""Two-tier cached query engine over a :class:`VectorIndex`/:class:`ShardedIndex`.
+"""Exact result cache over a :class:`VectorIndex`/:class:`ShardedIndex`
+(or anything else with ``query_many``, ``kind`` and ``generation`` — a
+:class:`~repro.cluster.coordinator.RemoteShardedIndex` included).
 
-Tier 1 (exact) maps a blake2b fingerprint of (query vector bytes, k,
-kind, exclude, generation) straight to the served ``SearchHit`` list.
-Tier 2 (semantic) maps the query's packed LSH band-key tuple to the
-candidate *shortlist* the uncached path would probe: a near-duplicate
-query — one that hashes into the same buckets — skips the hash-and-
-probe step but is rescored **exactly** against the (possibly mmapped)
-vectors through the same einsum kernels, the same tie-breaking and the
-same brute-force fallback rule, so served rankings stay bit-identical
-to the uncached path.  That is not an approximation: two queries with
-equal band-key tuples probe equal buckets by construction, so the
-shortlist is a pure function of (band keys, index generation).
+One tier: a blake2b fingerprint of (query vector bytes, k, kind,
+exclude, generation) maps straight to the served ``SearchHit`` list.  A
+hit replays exactly what the uncached path returned for the identical
+request; a miss runs the plain ``index.query_many`` and stores its
+answer.
 
 Invalidation is by generation.  The engine snapshots
-``index.generation`` and clears both tiers the moment it observes a
-different value; the generation is *also* folded into every tier key,
-so even a stale entry that somehow survived a clear is structurally
-unreachable.  Rescoring additionally drops tombstoned ids
-unconditionally, a third belt on the same trousers.
+``index.generation`` and clears the cache the moment it observes a
+different value; the generation is *also* folded into every key, so
+even a stale entry that somehow survived a clear is structurally
+unreachable, and a result computed against a generation that has since
+moved is never stored.
 
 Threading contract (mirrors the serving layer's single-writer
 discipline): ``lookup``/``store``/``note_bypass`` run on the event-loop
-thread only; ``run_shortlisted``/``run_misses`` are the GEMM-heavy
-steps and run in executor threads.  :meth:`CachedQueryEngine.query_many`
+thread only; the index call for the misses is the GEMM-heavy step and
+runs in an executor thread.  :meth:`CachedQueryEngine.query_many`
 composes them synchronously in exactly the order the dispatcher does —
 it exists so equivalence tests can drive the cache without booting a
 server.
@@ -42,23 +38,20 @@ class CacheCounters:
 
     Held by the catalog slot's :class:`IndexStats` (not by the engine)
     so the counts survive LRU eviction of the index itself.  The
-    consistency invariant the soak tests pin: ``exact_hits +
-    semantic_hits + misses + bypassed == queries_total``.
+    consistency invariant the soak tests pin: ``exact_hits + misses +
+    bypassed == queries_total``.
     """
 
-    __slots__ = ("exact_hits", "semantic_hits", "misses", "bypassed")
+    __slots__ = ("exact_hits", "misses", "bypassed")
 
     def __init__(self):
         self.exact_hits = 0
-        self.semantic_hits = 0
         self.misses = 0
         self.bypassed = 0
 
     def record(self, event: str, n: int = 1) -> None:
         if event == "exact":
             self.exact_hits += n
-        elif event == "semantic":
-            self.semantic_hits += n
         elif event == "miss":
             self.misses += n
         elif event == "bypass":
@@ -67,53 +60,40 @@ class CacheCounters:
             raise ValueError(f"unknown cache event {event!r}")
 
     def snapshot(self) -> dict:
-        served = self.exact_hits + self.semantic_hits + self.misses
+        served = self.exact_hits + self.misses
         return {
             "exact_hits": self.exact_hits,
-            "semantic_hits": self.semantic_hits,
+            # Retired tier; the key stays because /stats readers sum it.
+            "semantic_hits": 0,
             "misses": self.misses,
             "bypassed": self.bypassed,
-            "hit_rate": ((self.exact_hits + self.semantic_hits) / served
-                         if served else 0.0),
+            "hit_rate": self.exact_hits / served if served else 0.0,
         }
 
 
 class QueryPlan:
-    """What :meth:`CachedQueryEngine.lookup` learned about one query:
-    its tier-1 fingerprint, its band-key tuple, the semantic-tier
-    shortlist if one was found, and the generation all of that was
-    computed at (a :meth:`~CachedQueryEngine.store` against a moved
-    generation is silently dropped)."""
+    """What :meth:`CachedQueryEngine.lookup` learned about one missed
+    query: its fingerprint and the generation it was computed at (a
+    :meth:`~CachedQueryEngine.store` against a moved generation is
+    silently dropped)."""
 
-    __slots__ = ("fingerprint", "band_key", "shortlist", "generation")
+    __slots__ = ("fingerprint", "generation")
 
-    def __init__(self, fingerprint: bytes, band_key: tuple,
-                 shortlist, generation: int):
+    def __init__(self, fingerprint: bytes, generation: int):
         self.fingerprint = fingerprint
-        self.band_key = band_key
-        self.shortlist = shortlist
         self.generation = generation
 
 
 class CachedQueryEngine:
-    """Two-tier result cache in front of one index (see module doc)."""
+    """Exact result cache in front of one index (see module doc)."""
 
     def __init__(self, index, *, max_entries: int = DEFAULT_CACHE_SIZE,
                  ttl: float | None = None, counters: CacheCounters | None = None,
                  clock=time.monotonic):
         self.index = index
         self.exact = TTLCache(max_entries, ttl, clock)
-        self.semantic = TTLCache(max_entries, ttl, clock)
         self.counters = CacheCounters() if counters is None else counters
         self._generation = index.generation
-        # The semantic tier needs the index's LSH surface (band keys +
-        # shortlist harvesting).  A remote coordinator index
-        # (RemoteShardedIndex) has neither — its hyperplanes live on
-        # the shard servers — so it gets the exact tier only: hits are
-        # still fingerprint-keyed full results, misses run the plain
-        # query path with no shortlist harvest.
-        self._semantic_capable = (hasattr(index, "band_key_tuples")
-                                  and hasattr(index, "collect_shortlists"))
 
     # -- loop-thread surface -------------------------------------------
 
@@ -126,90 +106,52 @@ class CachedQueryEngine:
         generation = self.index.generation
         if generation != self._generation:
             self.exact.clear()
-            self.semantic.clear()
             self._generation = generation
         return generation
 
     def note_bypass(self, n: int = 1) -> None:
         """Count ``n`` queries that asked for ``no_cache`` (they neither
-        read nor write either tier)."""
+        read nor write the cache)."""
         self.counters.record("bypass", n)
 
     def lookup(self, vector: np.ndarray, k: int, exclude: str | None
                ) -> tuple[list | None, QueryPlan | None]:
-        """``(hits, None)`` on an exact hit, else ``(None, plan)`` where
-        ``plan.shortlist`` is the semantic-tier shortlist or ``None`` on
-        a full miss.  Counts exactly one of exact/semantic/miss."""
+        """``(hits, None)`` on a hit, else ``(None, plan)`` — the plan
+        is what :meth:`store` files the answer under.  Counts exactly
+        one of exact/miss."""
         generation = self._sync_generation()
-        vector = np.ascontiguousarray(vector, dtype=float)
         fingerprint = exact_key(vector, k, self.index.kind,
                                 exclude, generation)
         hits = self.exact.get(fingerprint)
         if hits is not None:
             self.counters.record("exact")
             return hits, None
-        if not self._semantic_capable:
-            self.counters.record("miss")
-            return None, QueryPlan(fingerprint, None, None, generation)
-        band_key = self.index.band_key_tuples(vector[None, :])[0]
-        shortlist = self.semantic.get((generation, band_key))
-        self.counters.record("semantic" if shortlist is not None else "miss")
-        return None, QueryPlan(fingerprint, band_key, shortlist, generation)
+        self.counters.record("miss")
+        return None, QueryPlan(fingerprint, generation)
 
-    def store(self, plan: QueryPlan, hits: list, shortlist=None) -> None:
-        """Insert one query's results (and, for misses, its harvested
-        shortlist) under the plan's keys.  Dropped whole if the
-        generation moved since the lookup — results computed against an
-        old index state must never become reachable."""
+    def store(self, plan: QueryPlan, hits: list) -> None:
+        """Insert one query's results under the plan's key.  Dropped if
+        the generation moved since the lookup — results computed
+        against an old index state must never become reachable."""
         if (plan.generation != self._generation
                 or plan.generation != self.index.generation):
             return
         self.exact.put(plan.fingerprint, hits)
-        if shortlist is not None:
-            self.semantic.put((plan.generation, plan.band_key), shortlist)
 
     def clear(self) -> None:
-        """Drop both tiers (counters are untouched — they belong to the
-        stats layer)."""
+        """Drop every entry (counters are untouched — they belong to
+        the stats layer)."""
         self.exact.clear()
-        self.semantic.clear()
 
     def sizes(self) -> dict:
         """Entry counts and churn totals for ``/stats``."""
         return {
             "exact_entries": len(self.exact),
-            "semantic_entries": len(self.semantic),
-            "evictions": self.exact.evictions + self.semantic.evictions,
-            "expirations": self.exact.expirations + self.semantic.expirations,
+            # Retired tier; the key stays for /stats readers.
+            "semantic_entries": 0,
+            "evictions": self.exact.evictions,
+            "expirations": self.exact.expirations,
         }
-
-    # -- executor-thread surface ---------------------------------------
-
-    def run_shortlisted(self, matrix: np.ndarray, k: int,
-                        shortlists: list, excludes: list,
-                        jobs: int | None = None) -> list:
-        """Rescore cached shortlists exactly (semantic-tier service
-        path).  Pure index work — no cache state touched."""
-        return self.index.query_with_shortlists(matrix, k, shortlists,
-                                                excludes=excludes, jobs=jobs)
-
-    def run_misses(self, matrix: np.ndarray, k: int, excludes: list,
-                   jobs: int | None = None) -> tuple[list, list | None]:
-        """Full hash-probe-rescore for cache misses, harvesting each
-        query's shortlist for the semantic tier on the way: ``(results,
-        shortlists)``.  Identical to ``index.query_many`` because the
-        shortlist *is* the candidate set that call would probe.  For an
-        exact-only index (no shortlist surface) this is the plain query
-        path and the harvest is ``None``."""
-        if not self._semantic_capable:
-            return (self.index.query_many(matrix, k=k,
-                                          excludes=list(excludes),
-                                          jobs=jobs), None)
-        _keys, shortlists = self.index.collect_shortlists(matrix)
-        results = self.index.query_with_shortlists(matrix, k, shortlists,
-                                                   excludes=excludes,
-                                                   jobs=jobs)
-        return results, shortlists
 
     # -- synchronous driver (tests, benchmarks) ------------------------
 
@@ -217,10 +159,10 @@ class CachedQueryEngine:
                    excludes: list | None = None, jobs: int | None = None,
                    no_cache: bool = False) -> list:
         """The dispatcher's cache flow, run synchronously: per-query
-        lookup, one grouped rescore for semantic hits, one grouped full
-        query for misses, then store.  Rankings are identical to
-        ``index.query_many`` on the same inputs (the cache-equivalence
-        property ``tests/cache`` pins)."""
+        lookup, one ``index.query_many`` for all the misses, then
+        store.  Rankings are identical to ``index.query_many`` on the
+        same inputs (the cache-equivalence property ``tests/cache``
+        pins)."""
         matrix = np.asarray(vectors, float)
         if excludes is None:
             excludes = [None] * len(matrix)
@@ -229,31 +171,17 @@ class CachedQueryEngine:
             return self.index.query_many(matrix, k=k, excludes=list(excludes),
                                          jobs=jobs)
         results: list = [None] * len(matrix)
-        shortlisted: list[tuple[int, QueryPlan]] = []
         misses: list[tuple[int, QueryPlan]] = []
         for q in range(len(matrix)):
-            hits, plan = self.lookup(matrix[q], k, excludes[q])
-            if hits is not None:
-                results[q] = hits
-            elif plan.shortlist is not None:
-                shortlisted.append((q, plan))
-            else:
+            results[q], plan = self.lookup(matrix[q], k, excludes[q])
+            if plan is not None:
                 misses.append((q, plan))
-        if shortlisted:
-            rows = [q for q, _plan in shortlisted]
-            served = self.run_shortlisted(
-                matrix[rows], k, [plan.shortlist for _q, plan in shortlisted],
-                [excludes[q] for q in rows], jobs=jobs)
-            for (q, plan), hits in zip(shortlisted, served):
-                results[q] = hits
-                self.store(plan, hits)
         if misses:
             rows = [q for q, _plan in misses]
-            served, harvested = self.run_misses(
-                matrix[rows], k, [excludes[q] for q in rows], jobs=jobs)
-            if harvested is None:
-                harvested = [None] * len(served)
-            for (q, plan), hits, shortlist in zip(misses, served, harvested):
+            served = self.index.query_many(
+                matrix[rows], k=k, excludes=[excludes[q] for q in rows],
+                jobs=jobs)
+            for (q, plan), hits in zip(misses, served):
                 results[q] = hits
-                self.store(plan, hits, shortlist)
+                self.store(plan, hits)
         return results

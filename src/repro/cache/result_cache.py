@@ -1,14 +1,14 @@
 """Bounded TTL-LRU maps and query fingerprinting for the result cache.
 
-:class:`TTLCache` is the storage primitive behind both cache tiers: a
-plain ``OrderedDict`` in LRU order with an optional per-entry time-to-
+:class:`TTLCache` is the storage primitive behind the cache: a plain
+``OrderedDict`` in LRU order with an optional per-entry time-to-
 live.  It is deliberately not thread-safe — the serving layer touches
 cache structures only from the event-loop thread (the same single-
 writer discipline :class:`~repro.catalog.handles.CatalogHandle` relies
 on), and the offline driver in :mod:`repro.cache.engine` is
 synchronous.
 
-:func:`exact_key` is the tier-1 fingerprint: a blake2b digest over the
+:func:`exact_key` is the cache key: a blake2b digest over the
 query vector *bytes* plus every request parameter that changes the
 answer — ``k``, the index kind, the per-query ``exclude`` and the index
 generation.  Two requests that differ in any of those must never share
@@ -23,7 +23,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-#: Default per-tier entry bound used by the server and CLI.
+#: Default entry bound used by the server and CLI.
 DEFAULT_CACHE_SIZE = 1024
 
 
@@ -41,7 +41,7 @@ def validate_cache_params(size: int, ttl: float | None) -> None:
 
 def exact_key(vector: np.ndarray, k: int, kind: str,
               exclude: str | None, generation: int) -> bytes:
-    """Tier-1 fingerprint of one query: blake2b over the query vector's
+    """Fingerprint of one query: blake2b over the query vector's
     float64 bytes and every request parameter that can change the
     served ranking.  ``exclude=None`` and ``exclude=""`` hash
     differently (tagged, not concatenated)."""

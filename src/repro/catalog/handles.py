@@ -54,8 +54,8 @@ class IndexStats:
     it lives *here* rather than on the cache engine so hit/miss/bypass
     tallies survive eviction (the engine itself is dropped with the
     index — each reopen gets a cold cache but warm counters).  The
-    invariant the soak tests pin: ``exact_hits + semantic_hits + misses
-    + bypassed == queries_total``."""
+    invariant the soak tests pin: ``exact_hits + misses + bypassed ==
+    queries_total``."""
 
     __slots__ = ("requests_total", "queries_total", "opens", "evictions",
                  "batches_dispatched", "max_batch_size", "_batch_size_sum",
@@ -234,7 +234,7 @@ class CatalogHandle:
                            max_backlog: int | None = None) -> None:
         """Set the knobs every per-slot dispatcher (and result-cache
         engine) is created with, plus an optional server-wide
-        batch-stats sink.  ``cache_size`` is the per-tier entry bound
+        batch-stats sink.  ``cache_size`` is the entry bound
         for each index's cache — 0 disables caching entirely;
         ``cache_ttl`` expires entries after that many seconds.
         ``max_backlog`` bounds each slot's pending queue (backpressure:

@@ -1291,7 +1291,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "memory-mapping them")
     p_serve.add_argument("--cache-size", type=int, default=1024,
                          help="per-index result-cache bound: max entries "
-                              "per tier (default 1024; 0 disables caching)")
+                              "(default 1024; 0 disables caching)")
     p_serve.add_argument("--cache-ttl", type=float, default=None,
                          help="expire cache entries after this many "
                               "seconds (default: no expiry)")

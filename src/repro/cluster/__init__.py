@@ -6,17 +6,17 @@ and expose the per-shard half of the fan-out contract
 (``POST /partial_query`` / ``POST /brute_query`` — candidate counts
 plus partial rankings), and a coordinator
 (:class:`RemoteShardedIndex`, :mod:`repro.cluster.coordinator`)
-scatters each micro-batch tick to every server concurrently, decides
-the brute-force fallback on the **global** candidate total, and
-reduces through the very same
-:func:`~repro.index.sharded.merge_shard_rankings` a local
-:class:`~repro.index.sharded.ShardedIndex` uses — so distributed
-rankings are bit-identical to local ones by construction
-(property-tested in ``tests/cluster/``).
+scatters each micro-batch tick to every server concurrently and hands
+the replies to the very same
+:func:`~repro.index.sharded.gather_top_k` a local
+:class:`~repro.index.sharded.ShardedIndex` uses — the brute-force
+fallback is decided on the **global** candidate total and the merge is
+the local merge, so distributed rankings are bit-identical to local
+ones by construction (property-tested in ``tests/cluster/``).
 
 The coordinator quacks like a ``ShardedIndex``, so the serving stack
-composes unchanged: micro-batching dispatcher, result cache (exact
-tier, invalidated by generations propagated from the shard servers),
+composes unchanged: micro-batching dispatcher, result cache
+(invalidated by generations propagated from the shard servers),
 catalog wrapping, graceful drain.  Boot a cluster with ``repro
 serve-shard`` per shard box plus ``repro serve --cluster
 topology.json`` on the coordinator, or in-process with

@@ -8,7 +8,7 @@ remote.
 unchanged: the :class:`~repro.serve.dispatcher.MicroBatchDispatcher`
 micro-batches ticks into it, the result cache keys on its
 ``generation`` (propagated from the shard servers, so a shard whose
-data changed invalidates the coordinator's exact tier), and the
+data changed invalidates the coordinator's cache), and the
 catalog wraps it as a pinned entry.
 
 One query tick runs the exact algorithm the local fan-out runs, with
@@ -19,13 +19,12 @@ HTTP in place of method calls:
 2. flatten each server's per-local-shard partials in topology order
    into one global shard list — the same flat order a local
    ``ShardedIndex`` over those shards would merge;
-3. decide the brute-force fallback per query on the **global**
-   candidate total (the sum across every shard in the cluster — the
-   rule that keeps sharded results identical to a single index's);
-4. ``POST /brute_query`` for the short queries, again to every server;
-5. reduce through :func:`~repro.index.sharded.merge_shard_rankings` —
-   literally the same function the local layout uses, so distributed
-   rankings are bit-identical by construction.
+3. hand them to :func:`~repro.index.sharded.gather_top_k` — literally
+   the routine the local layout uses, so the brute-force fallback is
+   decided per query on the **global** candidate total, the short
+   queries go back out as ``POST /brute_query`` to every server, and
+   the merge is the local merge: distributed rankings are bit-identical
+   by construction.
 
 Transport: per-shard keep-alive connection pools, per-attempt
 timeouts, and capped exponential backoff retries.  Retrying is safe
@@ -51,7 +50,7 @@ import threading
 
 import numpy as np
 
-from ..index import SearchHit, merge_shard_rankings
+from ..index import SearchHit, gather_top_k
 from ..index.index import _check_jobs
 from ..serve.protocol import STREAM_LIMIT
 from .errors import ClusterError, ShardProtocolError, ShardUnavailable, TopologyError
@@ -427,24 +426,13 @@ class RemoteShardedIndex:
         if self._closed:
             raise ClusterError("coordinator is closed")
         matrix = np.asarray(vectors, float)
-        counts, rankings = self._fan_partial(matrix, k, excludes)
-        n_queries = len(matrix)
-        short = [q for q in range(n_queries)
-                 if sum(shard_counts[q] for shard_counts in counts) < k]
-        brute_by_query = {q: pos for pos, q in enumerate(short)}
-        if short:
-            brute_excludes = (None if excludes is None
-                              else [excludes[q] for q in short])
-            brute_rankings = self._fan_brute(matrix[short], k, brute_excludes)
-        results: list[list[SearchHit]] = []
-        for q in range(n_queries):
-            if q in brute_by_query:
-                per_shard = [shard_hits[brute_by_query[q]]
-                             for shard_hits in brute_rankings]
-            else:
-                per_shard = [shard_hits[q] for shard_hits in rankings]
-            results.append(merge_shard_rankings(per_shard, k))
-        return results
+
+        def brute(short: list[int]) -> list[list[list[SearchHit]]]:
+            return self._fan_brute(matrix[short], k,
+                                   None if excludes is None
+                                   else [excludes[q] for q in short])
+
+        return gather_top_k(k, self._fan_partial(matrix, k, excludes), brute)
 
     def _payload(self, matrix: np.ndarray, k: int,
                  excludes: list[str | None] | None) -> dict:
@@ -454,18 +442,17 @@ class RemoteShardedIndex:
         return payload
 
     def _fan_partial(self, matrix, k, excludes
-                     ) -> tuple[list[list[int]], list[list[list[SearchHit]]]]:
-        """Scatter ``/partial_query``; returns ``(counts, rankings)``
-        flattened to one entry per *global* shard in topology order —
-        ``counts[s][q]`` and ``rankings[s][q]`` line up with what a
-        local layout's shard ``s`` would report for query ``q``."""
+                     ) -> list[list[tuple[int, list[SearchHit]]]]:
+        """Scatter ``/partial_query``; returns ``partials[s][q] =
+        (count, hits)`` flattened to one entry per *global* shard in
+        topology order — what a local layout's shard ``s`` would report
+        for query ``q``."""
         payload = self._payload(matrix, k, excludes)
         replies = self._scatter("/partial_query", payload)
-        counts: list[list[int]] = []
-        rankings: list[list[list[SearchHit]]] = []
+        partials: list[list[tuple[int, list[SearchHit]]]] = []
         for position, reply in enumerate(replies):
             for shard in self._shard_entries(position, reply, len(matrix)):
-                shard_counts, shard_hits = [], []
+                shard_partials = []
                 for q, entry in enumerate(shard["queries"]):
                     count = entry.get("count")
                     if not isinstance(count, int):
@@ -473,11 +460,10 @@ class RemoteShardedIndex:
                             str(self.remotes[position].address),
                             f"partial reply query {q} lacks a candidate "
                             f"count")
-                    shard_counts.append(count)
-                    shard_hits.append(self._parse_hits(position, entry))
-                counts.append(shard_counts)
-                rankings.append(shard_hits)
-        return counts, rankings
+                    shard_partials.append(
+                        (count, self._parse_hits(position, entry)))
+                partials.append(shard_partials)
+        return partials
 
     def _fan_brute(self, matrix, k, excludes) -> list[list[list[SearchHit]]]:
         payload = self._payload(matrix, k, excludes)

@@ -33,19 +33,20 @@ from .index import (
     TableIndex,
     VectorIndex,
     index_class,
-    load_index,
     read_saved_payload,
 )
-from .sharded import ShardedIndex, merge_shard_rankings, shard_of
+from .sharded import (ShardedIndex, gather_top_k, merge_shard_rankings,
+                      shard_of)
 from .spec import IndexSpec
 from .store import DEFAULT_BATCH_SIZE, EmbeddingStore, StoreStats, default_workers
 
 __all__ = [
     "table_fingerprint",
     "EmbeddingStore", "StoreStats", "DEFAULT_BATCH_SIZE", "default_workers",
-    "VectorIndex", "TableIndex", "ColumnIndex", "SearchHit", "load_index",
+    "VectorIndex", "TableIndex", "ColumnIndex", "SearchHit",
     "FORMAT_VERSION", "index_class",
     "IndexSpec", "ShardedIndex", "shard_of", "merge_shard_rankings",
+    "gather_top_k",
     "IndexBackend", "SingleFileBackend", "ShardedDirBackend",
     "open_index", "save_index", "read_index_spec", "read_saved_payload",
     "MANIFEST_NAME", "MANIFEST_VERSION",

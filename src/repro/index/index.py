@@ -204,11 +204,11 @@ class VectorIndex:
         #: Monotonic mutation counter.  Every operation that can change
         #: what a query returns — ``add``/``add_batch`` (new entries),
         #: ``remove``, ``compact`` (slot ids shuffle), ``merge`` (via
-        #: ``add_batch``) — bumps it, so any result or candidate
-        #: shortlist cached against an older generation is structurally
-        #: unreachable (the cache folds the generation into its keys
-        #: and clears on change).  Deliberately *not* persisted: a
-        #: fresh load is a fresh cache scope.
+        #: ``add_batch``) — bumps it, so any result cached against an
+        #: older generation is structurally unreachable (the cache
+        #: folds the generation into its keys and clears on change).
+        #: Deliberately *not* persisted: a fresh load is a fresh cache
+        #: scope.
         self.generation: int = 0
         #: Whether queries route through the int8 prefilter
         #: (:meth:`enable_quantized`).  Distinct from :attr:`quantized`
@@ -299,8 +299,9 @@ class VectorIndex:
         dropped = self.n_tombstones
         if not dropped:
             return 0
-        # Dense ids shuffle below, so any cached candidate shortlist
-        # (id-addressed) is wrong from here on: bump before rebuilding.
+        # Dense ids shuffle below, so anything id-addressed held
+        # against the old layout is wrong from here on: bump before
+        # rebuilding.
         self.generation += 1
         was_quantized = self.lsh.quantized
         live = self.live_items()
@@ -422,19 +423,11 @@ class VectorIndex:
     def query_vector(self, vector: np.ndarray, k: int = 10,
                      exclude: str | None = None,
                      jobs: int | None = None) -> list[SearchHit]:
-        """Top-k neighbours of ``vector``; ``exclude`` drops one key
-        (typically the query's own fingerprint).  Ties break by key;
-        ``k`` below 1 raises ``ValueError`` instead of silently
-        returning nothing.  ``jobs`` is accepted for surface parity with
-        :class:`~repro.index.sharded.ShardedIndex` (a single file has no
-        shards to fan out over)."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        _check_jobs(jobs)
-        n_candidates, hits = self.query_partial(vector, k, exclude=exclude)
-        if n_candidates < k:
-            return self.query_brute(vector, k, exclude=exclude)
-        return hits
+        """Top-k neighbours of ``vector`` — the ``Q=1`` case of
+        :meth:`query_many`; ``exclude`` drops one key (typically the
+        query's own fingerprint)."""
+        return self.query_many(np.asarray(vector, float)[None, :], k,
+                               excludes=[exclude], jobs=jobs)[0]
 
     def _exclude_ids(self, excludes, n_queries: int) -> list[int | None]:
         """Map per-query exclude *keys* to shard-local lsh ids."""
@@ -450,15 +443,15 @@ class VectorIndex:
     def query_many(self, vectors: np.ndarray, k: int = 10,
                    excludes: list[str | None] | None = None,
                    jobs: int | None = None) -> list[list[SearchHit]]:
-        """Batched :meth:`query_vector`: top-k hits for every row of a
-        ``(Q, dim)`` query matrix in one pass — band keys from one
-        matmul per band, scores from one similarity GEMM — with the
-        brute-force fallback decided per query exactly as the serial
-        path would.  Rankings are identical to Q separate
-        :meth:`query_vector` calls (property-tested); ``excludes`` is an
-        optional per-query key list aligned with the rows.  ``jobs`` is
-        accepted for surface parity with
-        :class:`~repro.index.sharded.ShardedIndex`."""
+        """Top-k hits for every row of a ``(Q, dim)`` query matrix in
+        one pass — band keys from one matmul per band, scores from one
+        similarity kernel call — with the brute-force fallback decided
+        per query.  Ties break by key; ``k`` below 1 raises
+        ``ValueError`` instead of silently returning nothing.
+        ``excludes`` is an optional per-query key list aligned with the
+        rows.  ``jobs`` is accepted for surface parity with
+        :class:`~repro.index.sharded.ShardedIndex` (a single file has no
+        shards to fan out over)."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         _check_jobs(jobs)
@@ -475,95 +468,28 @@ class VectorIndex:
                 results[q] = hits
         return results
 
-    # ------------------------------------------------------------------
-    # Shortlist path (result cache's semantic tier)
-    # ------------------------------------------------------------------
     def band_key_tuples(self, vectors: np.ndarray) -> list[tuple[int, ...]]:
-        """One hashable packed-band-key tuple per query row — the
-        semantic cache key: queries with equal tuples probe identical
-        buckets and therefore share their candidate shortlist exactly
-        (see :meth:`~repro.retrieval.lsh.CosineLSH.key_tuples`)."""
+        """One hashable packed-band-key tuple per query row: queries
+        with equal tuples probe identical buckets (see
+        :meth:`~repro.retrieval.lsh.CosineLSH.key_tuples`).  The hash
+        stage on its own, which ``benchmarks/e2e`` times."""
         return self.lsh.key_tuples(np.asarray(vectors, float))
-
-    def collect_shortlists(self, vectors: np.ndarray
-                           ) -> tuple[list[tuple[int, ...]],
-                                      list[tuple[np.ndarray, ...]]]:
-        """``(band key tuples, candidate shortlists)`` for every query
-        row.  A shortlist is a tuple of per-shard sorted id arrays — one
-        element for a single-file index, ``n_shards`` for a sharded one
-        — holding the exact LSH candidates the uncached query path would
-        probe (tombstones already dropped, excludes *not* applied: they
-        are per-request and applied at rescore time).  Hash once, probe
-        once: the keys returned are the ones the probe used."""
-        matrix = np.asarray(vectors, float)
-        keys = self.lsh.key_tuples(matrix)
-        cands = self.lsh.candidates_for_keys(keys)
-        return keys, [(np.fromiter(sorted(ids), dtype=np.int64,
-                                   count=len(ids)),)
-                      for ids in cands]
-
-    def query_with_shortlists(self, vectors: np.ndarray, k: int,
-                              shortlists: list[tuple[np.ndarray, ...]],
-                              excludes: list[str | None] | None = None,
-                              jobs: int | None = None
-                              ) -> list[list[SearchHit]]:
-        """:meth:`query_many` with the LSH hash-and-probe step replaced
-        by caller-supplied candidate shortlists (the result cache's
-        semantic-tier reuse path).  Everything downstream is the
-        uncached machinery on the same inputs — excludes discarded the
-        same way, the same einsum ranking kernel, ties re-broken by key,
-        and the brute-force fallback decided on the post-exclude
-        candidate count exactly as :meth:`query_many` decides it — so
-        for shortlists produced by :meth:`collect_shortlists` at the
-        same generation, results are identical to the uncached call
-        (property-tested in ``tests/cache/``)."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        _check_jobs(jobs)
-        matrix = np.asarray(vectors, float)
-        if len(shortlists) != len(matrix):
-            raise ValueError(f"shortlists must align with the "
-                             f"{len(matrix)} queries, got {len(shortlists)}")
-        exclude_ids = self._exclude_ids(excludes, len(matrix))
-        removed = self.lsh.removed
-        cand_sets: list[set[int]] = []
-        for shortlist, exclude_id in zip(shortlists, exclude_ids):
-            if len(shortlist) != 1:
-                raise ValueError(f"a single-file index takes 1-element "
-                                 f"shortlists, got {len(shortlist)}")
-            cands = {int(i) for i in shortlist[0]}
-            # Unconditional, like CosineLSH.candidates(): a removed id
-            # must never surface even if a stale shortlist slips past
-            # the generation guard.
-            cands.difference_update(removed)
-            if exclude_id is not None:
-                cands.discard(exclude_id)
-            cand_sets.append(cands)
-        rankings = self.lsh._rank_many(cand_sets, matrix, None,
-                                       shortlist=self._shortlist_for(k))
-        results = [self._hits(ranked, k) for ranked in rankings]
-        short = [q for q in range(len(matrix)) if len(cand_sets[q]) < k]
-        if short:
-            exclude_list = (None if excludes is None
-                            else [excludes[q] for q in short])
-            brute = self.query_brute_many(matrix[short], k,
-                                          excludes=exclude_list)
-            for q, hits in zip(short, brute):
-                results[q] = hits
-        return results
 
     def query_partial_many(self, vectors: np.ndarray, k: int = 10,
                            excludes: list[str | None] | None = None
                            ) -> list[tuple[int, list[SearchHit]]]:
-        """Batched :meth:`query_partial`: one shard's contribution for a
-        whole query matrix, ``(candidate count, top-k hits)`` per row,
-        no brute-force fallback."""
+        """One shard's contribution to a fan-out query: ``(number of
+        LSH candidates, top-k among them)`` per row with no brute-force
+        fallback — whether blocking under-delivered is only decidable
+        on the candidate total across every shard (see
+        :func:`~repro.index.sharded.gather_top_k`)."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         vectors = np.asarray(vectors, float)
         ids = self._exclude_ids(excludes, len(vectors))
-        # As in query_partial: rank all candidates, re-break ties by key
-        # in _hits, truncate after.
+        # Rank *all* candidates and truncate after the key tie-break in
+        # _hits — truncating inside the LSH (id tie-break) could swap
+        # members at a tied k boundary.
         partials = self.lsh.query_partial_many(
             vectors, None, excludes=ids, shortlist=self._shortlist_for(k))
         return [(count, self._hits(ranked, k)) for count, ranked in partials]
@@ -571,8 +497,8 @@ class VectorIndex:
     def query_brute_many(self, vectors: np.ndarray, k: int = 10,
                          excludes: list[str | None] | None = None
                          ) -> list[list[SearchHit]]:
-        """Batched :meth:`query_brute`: top-k over every live entry for
-        each query row, one similarity GEMM for the whole batch."""
+        """Top-k over every live entry for each query row, bypassing
+        LSH blocking."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         vectors = np.asarray(vectors, float)
@@ -580,35 +506,6 @@ class VectorIndex:
         rankings = self.lsh.query_brute_many(
             vectors, None, excludes=ids, shortlist=self._shortlist_for(k))
         return [self._hits(ranked, k) for ranked in rankings]
-
-    def query_partial(self, vector: np.ndarray, k: int = 10,
-                      exclude: str | None = None
-                      ) -> tuple[int, list[SearchHit]]:
-        """One shard's contribution to a fan-out query: ``(number of LSH
-        candidates, top-k among them)`` with no brute-force fallback —
-        whether blocking under-delivered is only decidable on the
-        candidate total across every shard (see
-        :meth:`~repro.index.sharded.ShardedIndex.query_vector`)."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        exclude_id = self._id_of.get(exclude) if exclude is not None else None
-        # Rank *all* candidates and truncate after the key tie-break —
-        # truncating inside the LSH (id tie-break) could swap members at
-        # a tied k boundary.
-        n_candidates, ranked = self.lsh.query_partial(
-            vector, None, exclude=exclude_id,
-            shortlist=self._shortlist_for(k))
-        return n_candidates, self._hits(ranked, k)
-
-    def query_brute(self, vector: np.ndarray, k: int = 10,
-                    exclude: str | None = None) -> list[SearchHit]:
-        """Top-k over every live entry, bypassing LSH blocking."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        exclude_id = self._id_of.get(exclude) if exclude is not None else None
-        return self._hits(self.lsh.query_brute(
-            vector, None, exclude=exclude_id,
-            shortlist=self._shortlist_for(k)), k)
 
     # ------------------------------------------------------------------
     # Sharded map-reduce build
@@ -859,13 +756,6 @@ def read_saved_payload(path: str | Path) -> dict:
                          f"build reads up to v{FORMAT_VERSION}")
     payload.setdefault("format_version", version)
     return payload
-
-
-def load_index(path: str | Path) -> VectorIndex:
-    """Load a saved single-file index, dispatching on its stored
-    ``kind``.  Prefer :func:`~repro.index.backends.open_index`, which
-    also understands sharded directory layouts."""
-    return VectorIndex.load(path)
 
 
 def index_class(kind: str) -> type:

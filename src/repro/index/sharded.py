@@ -8,22 +8,24 @@ table lands in the table's shard) — the same partition function
 ``build_sharded`` uses, so incremental ``add`` and map-reduce builds
 agree on ownership.
 
-Queries fan out: every shard ranks its own LSH candidates
-(:meth:`VectorIndex.query_partial`), and the partial rankings are
-heap-merged into a global top-k.  The brute-force fallback that keeps a
-single index from silently shrinking results is decided *globally* — on
-the candidate total across all shards — so a sharded query returns
-exactly what one big index over the same corpus would (ties broken by
-key, which is content-addressed and therefore layout-independent).
+Queries fan out: :meth:`ShardedIndex.query_many` pushes a ``(Q, dim)``
+query matrix through every shard's partial path
+(:meth:`VectorIndex.query_partial_many` — one hashing matmul per band,
+one similarity kernel call per shard), and :func:`gather_top_k` does
+the rest.  That one routine is the whole gather half of every fan-out
+in the repo — local shards here, shard servers behind
+:class:`~repro.cluster.coordinator.RemoteShardedIndex`: it decides the
+brute-force fallback that keeps a single index from silently shrinking
+results *globally* — on the candidate total across all shards — and
+heap-merges the per-shard rankings into a global top-k, so a sharded
+query returns exactly what one big index over the same corpus would
+(ties broken by key, which is content-addressed and therefore
+layout-independent).  ``query_vector`` is the ``Q=1`` case.
 
-Queries also run *concurrently*, two orthogonal ways.  ``jobs=N`` fans
-the per-shard work of one call across a thread pool — NumPy releases
-the GIL inside the similarity GEMMs, so shards genuinely overlap — and
-the gather preserves shard order, so threaded results are bit-identical
-to the serial fan-out.  :meth:`query_many` takes a whole ``(Q, dim)``
-query matrix and pushes it through each shard's batched partial path
-(one hashing matmul per band, one similarity GEMM per shard) with the
-brute-force fallback decided per query on the global candidate total.
+``jobs=N`` fans the per-shard work of one call across a thread pool —
+NumPy releases the GIL inside the similarity kernels, so shards
+genuinely overlap — and the gather preserves shard order, so threaded
+results are bit-identical to the serial fan-out.
 
 The query path is **read-only**: no ``query_*`` method mutates shard
 state, so any number of threads may query one ``ShardedIndex``
@@ -77,13 +79,8 @@ def merge_shard_rankings(rankings: list[list[SearchHit]],
     """Heap-merge per-shard hit rankings into one global top-k, deduping
     keys (a manually assembled layout may hold one key in two shards).
 
-    Module-level because it is the *whole* reduce step of a fan-out
-    query: :class:`ShardedIndex` merges its local shards through it, and
-    :class:`~repro.cluster.coordinator.RemoteShardedIndex` merges shard-
-    server responses through the very same code — distributed results
-    are bit-identical to local ones by construction, not by parallel
-    reimplementation.  ``rankings`` must arrive in shard order; the
-    shard count is implied by ``len(rankings)``.
+    ``rankings`` must arrive in shard order; the shard count is implied
+    by ``len(rankings)``.
     """
     by_key: dict[str, SearchHit] = {}
     for ranking in rankings:
@@ -105,6 +102,35 @@ def merge_shard_rankings(rankings: list[list[SearchHit]],
         if len(hits) == k:
             break
     return hits
+
+
+def gather_top_k(k: int,
+                 partials: list[list[tuple[int, list[SearchHit]]]],
+                 brute) -> list[list[SearchHit]]:
+    """The gather half of a fan-out query, over *results* rather than
+    shard objects: ``partials[s][q]`` is shard ``s``'s ``(candidate
+    count, top-k hits)`` for query ``q``, in flat shard order.  A query
+    whose candidate total across all shards is below ``k`` re-runs as
+    brute force on every shard — ``brute(short_rows)`` returns
+    ``rankings[s][i]`` for the ``i``-th short query — and every query's
+    per-shard rankings then reduce through
+    :func:`merge_shard_rankings`.
+
+    The local layout passes its shards' method results and the cluster
+    coordinator its shard servers' replies, so distributed rankings are
+    bit-identical to local ones by construction, not by parallel
+    reimplementation.
+    """
+    n_queries = len(partials[0])
+    rankings = [[hits for _count, hits in shard] for shard in partials]
+    short = [q for q in range(n_queries)
+             if sum(shard[q][0] for shard in partials) < k]
+    if short:
+        for shard_rankings, shard_brute in zip(rankings, brute(short)):
+            for q, hits in zip(short, shard_brute):
+                shard_rankings[q] = hits
+    return [merge_shard_rankings([shard[q] for shard in rankings], k)
+            for q in range(n_queries)]
 
 
 class ShardedIndex:
@@ -393,182 +419,47 @@ class ShardedIndex:
         is untouched; only the executor changes).  A shard failure
         propagates out of the pool's context manager — no half-merged
         results, no leaked threads."""
-        return self._map(fn, self.shards, jobs)
-
-    def _map(self, fn, items: list, jobs: int | None) -> list:
-        """The executor half of :meth:`_map_shards`, over arbitrary
-        per-shard work items (the shortlist path maps over
-        ``enumerate(self.shards)`` because each shard reads its own
-        column of the shortlists)."""
         _check_jobs(jobs)
-        if jobs is None or jobs == 1 or len(items) == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
-
-    def _merge_partials(self, rankings: list[list[SearchHit]],
-                        k: int) -> list[SearchHit]:
-        """The shared reduce step (:func:`merge_shard_rankings`); every
-        query path passes exactly one ranking per shard."""
-        return merge_shard_rankings(rankings, k)
+        if jobs is None or jobs == 1 or len(self.shards) == 1:
+            return [fn(shard) for shard in self.shards]
+        with ThreadPoolExecutor(
+                max_workers=min(jobs, len(self.shards))) as pool:
+            return list(pool.map(fn, self.shards))
 
     def query_vector(self, vector: np.ndarray, k: int = 10,
                      exclude: str | None = None,
                      jobs: int | None = None) -> list[SearchHit]:
-        """Fan-out top-k: every shard ranks its own LSH candidates, the
-        partial rankings heap-merge into a global top-k.  Matches a
-        single index over the same corpus exactly — including the
-        brute-force fallback, which triggers on the candidate total
-        across shards, never per shard.  ``jobs=N`` spreads the
-        per-shard work over N threads with bit-identical results."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        partials = self._map_shards(
-            lambda shard: shard.query_partial(vector, k, exclude=exclude),
-            jobs)
-        if sum(count for count, _hits in partials) < k:
-            rankings = self._map_shards(
-                lambda shard: shard.query_brute(vector, k, exclude=exclude),
-                jobs)
-        else:
-            rankings = [hits for _count, hits in partials]
-        return self._merge_partials(rankings, k)
+        """Top-k neighbours of ``vector`` — the ``Q=1`` case of
+        :meth:`query_many`."""
+        return self.query_many(np.asarray(vector, float)[None, :], k,
+                               excludes=[exclude], jobs=jobs)[0]
 
     def query_many(self, vectors: np.ndarray, k: int = 10,
                    excludes: list[str | None] | None = None,
                    jobs: int | None = None) -> list[list[SearchHit]]:
-        """Batched fan-out: one ``(Q, dim)`` query matrix, top-k hits
-        per row.  Each shard runs its batched partial path (one hashing
-        matmul per band, one similarity GEMM per shard) over the whole
-        matrix; per query, the brute-force fallback is decided on the
-        candidate total across shards and the per-shard rankings
-        heap-merge exactly as :meth:`query_vector` would — rankings are
-        identical to Q serial single-query calls (property-tested).
+        """Fan-out top-k for every row of a ``(Q, dim)`` query matrix:
+        each shard runs its partial path over the whole matrix and
+        :func:`gather_top_k` takes the fallback decision and merges.
+        Matches a single index over the same corpus exactly.
         ``excludes`` is an optional per-query key list aligned with the
-        rows; ``jobs=N`` fans the shards over N threads."""
+        rows; ``jobs=N`` fans the shards over N threads with
+        bit-identical results."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         matrix = np.asarray(vectors, float)
-        per_shard = self._map_shards(
+
+        def brute(short: list[int]) -> list[list[list[SearchHit]]]:
+            brute_excludes = (None if excludes is None
+                              else [excludes[q] for q in short])
+            return self._map_shards(
+                lambda shard: shard.query_brute_many(matrix[short], k,
+                                                     excludes=brute_excludes),
+                jobs)
+
+        return gather_top_k(k, self._map_shards(
             lambda shard: shard.query_partial_many(matrix, k,
                                                    excludes=excludes),
-            jobs)
-        # Global fallback decision, per query: sum candidate counts
-        # across shards, exactly the serial fan-out's rule.
-        short = [q for q in range(len(matrix))
-                 if sum(partials[q][0] for partials in per_shard) < k]
-        brute_by_query: dict[int, int] = {q: pos
-                                          for pos, q in enumerate(short)}
-        if short:
-            brute_excludes = (None if excludes is None
-                              else [excludes[q] for q in short])
-            brute_per_shard = self._map_shards(
-                lambda shard: shard.query_brute_many(matrix[short], k,
-                                                     excludes=brute_excludes),
-                jobs)
-        results: list[list[SearchHit]] = []
-        for q in range(len(matrix)):
-            if q in brute_by_query:
-                rankings = [brute[brute_by_query[q]]
-                            for brute in brute_per_shard]
-            else:
-                rankings = [partials[q][1] for partials in per_shard]
-            results.append(self._merge_partials(rankings, k))
-        return results
-
-    # ------------------------------------------------------------------
-    # Shortlist path (result cache's semantic tier)
-    # ------------------------------------------------------------------
-    def band_key_tuples(self, vectors: np.ndarray) -> list[tuple[int, ...]]:
-        """One packed-band-key tuple per query row.  Every shard shares
-        the spec's LSH geometry (enforced by the constructor), so the
-        first shard's hyperplanes speak for the whole layout — the tuple
-        is the query's semantic identity across all shards at once."""
-        return self.shards[0].lsh.key_tuples(np.asarray(vectors, float))
-
-    def collect_shortlists(self, vectors: np.ndarray
-                           ) -> tuple[list[tuple[int, ...]],
-                                      list[tuple[np.ndarray, ...]]]:
-        """``(band key tuples, candidate shortlists)``: hash the query
-        matrix once, probe every shard's buckets with the shared keys.
-        A shortlist is an ``n_shards``-tuple of sorted shard-local id
-        arrays — exactly the candidates the uncached fan-out would rank
-        (tombstones dropped, excludes left for rescore time)."""
-        matrix = np.asarray(vectors, float)
-        keys = self.band_key_tuples(matrix)
-        per_shard = [shard.lsh.candidates_for_keys(keys)
-                     for shard in self.shards]
-        shortlists = [tuple(np.fromiter(sorted(cands[q]), dtype=np.int64,
-                                        count=len(cands[q]))
-                            for cands in per_shard)
-                      for q in range(len(matrix))]
-        return keys, shortlists
-
-    def query_with_shortlists(self, vectors: np.ndarray, k: int,
-                              shortlists: list[tuple[np.ndarray, ...]],
-                              excludes: list[str | None] | None = None,
-                              jobs: int | None = None
-                              ) -> list[list[SearchHit]]:
-        """:meth:`query_many` with the per-shard hash-and-probe replaced
-        by caller-supplied shortlists (the result cache's semantic-tier
-        reuse path).  Each shard ranks its shortlist column through the
-        same kernels the uncached fan-out uses, the brute-force fallback
-        is decided per query on the *global* post-exclude candidate
-        total, and the per-shard rankings heap-merge identically — so
-        for shortlists from :meth:`collect_shortlists` at the same
-        generation the results match the uncached call exactly
-        (property-tested in ``tests/cache/``)."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        matrix = np.asarray(vectors, float)
-        if len(shortlists) != len(matrix):
-            raise ValueError(f"shortlists must align with the "
-                             f"{len(matrix)} queries, got {len(shortlists)}")
-        for q, shortlist in enumerate(shortlists):
-            if len(shortlist) != len(self.shards):
-                raise ValueError(
-                    f"shortlist {q} has {len(shortlist)} shard columns, "
-                    f"layout has {len(self.shards)} shards — it was "
-                    f"collected from a different layout")
-
-        def shard_partials(item):
-            position, shard = item
-            exclude_ids = shard._exclude_ids(excludes, len(matrix))
-            removed = shard.lsh.removed
-            cand_sets: list[set[int]] = []
-            for q in range(len(matrix)):
-                cands = {int(i) for i in shortlists[q][position]}
-                cands.difference_update(removed)
-                if exclude_ids[q] is not None:
-                    cands.discard(exclude_ids[q])
-                cand_sets.append(cands)
-            rankings = shard.lsh._rank_many(
-                cand_sets, matrix, None, shortlist=shard._shortlist_for(k))
-            return ([len(cands) for cands in cand_sets],
-                    [shard._hits(ranked, k) for ranked in rankings])
-
-        per_shard = self._map(shard_partials, list(enumerate(self.shards)),
-                              jobs)
-        # Global fallback decision, per query — query_many's rule.
-        short = [q for q in range(len(matrix))
-                 if sum(counts[q] for counts, _hits in per_shard) < k]
-        brute_by_query = {q: pos for pos, q in enumerate(short)}
-        if short:
-            brute_excludes = (None if excludes is None
-                              else [excludes[q] for q in short])
-            brute_per_shard = self._map_shards(
-                lambda shard: shard.query_brute_many(matrix[short], k,
-                                                     excludes=brute_excludes),
-                jobs)
-        results: list[list[SearchHit]] = []
-        for q in range(len(matrix)):
-            if q in brute_by_query:
-                rankings = [brute[brute_by_query[q]]
-                            for brute in brute_per_shard]
-            else:
-                rankings = [hits[q] for _counts, hits in per_shard]
-            results.append(self._merge_partials(rankings, k))
-        return results
+            jobs), brute)
 
     def query_table(self, embedder, table, k: int = 10,
                     exclude_self: bool = True,

@@ -6,26 +6,27 @@ thousands of columns.  Signs of random projections bucket vectors so
 candidate pairs are only drawn from matching buckets (multiple bands
 raise recall).
 
-Queries come in two granularities.  :meth:`CosineLSH.query` is the
-self-contained top-k (candidates, with a brute-force fallback when
-blocking under-delivers).  Sharded indexes instead need *partial*
-results — :meth:`CosineLSH.query_partial` ranks only the blocking
-candidates and reports how many there were, so a fan-out caller can
-take the fallback decision globally (the per-shard candidate count says
-nothing about the union) and heap-merge the per-shard rankings with
-:func:`merge_ranked`.
+There is one query implementation, and it is batched.
+:meth:`CosineLSH.query_many` takes a ``(Q, dim)`` query matrix, hashes
+it with the same one-matmul-per-band pass bulk inserts use
+(:meth:`CosineLSH._key_matrix`), scores every (query, candidate) pair
+with **one** similarity kernel call over the union of candidates
+(:meth:`CosineLSH._rank_many`) and falls back to brute force, per
+query, when blocking under-delivers.  Sharded indexes instead need
+*partial* results — :meth:`CosineLSH.query_partial_many` ranks only the
+blocking candidates and reports how many there were, so a fan-out
+caller can take the fallback decision globally (the per-shard candidate
+count says nothing about the union), re-run the short queries through
+:meth:`CosineLSH.query_brute_many` and heap-merge the per-shard
+rankings with :func:`merge_ranked`.  :meth:`CosineLSH.query` and
+:meth:`CosineLSH.candidates` are the ``Q=1`` forwards the paper's
+column-clustering pipeline calls.
 
-Both granularities also come *batched*: :meth:`CosineLSH.query_many` /
-:meth:`CosineLSH.query_partial_many` take a whole ``(Q, dim)`` query
-matrix, hash it with the same one-matmul-per-band pass bulk inserts use
-(:meth:`CosineLSH._key_matrix`) and score every (query, candidate) pair
-with **one** similarity GEMM over the union of candidates, instead of Q
-separate hash + score passes.  Rankings are the serial path's: the
-candidates are bit-identical (one shared hashing kernel), equal vectors
-score exactly equal (so ties break by the same id/key order), and
-distinct candidates' scores agree to floating-point roundoff — only a
-pair whose true scores differ by under one ulp could order differently,
-which the equivalence property tests treat as measure-zero.
+Both kernels are einsum, whose accumulation depends only on the
+reduction dim: a (query, vector) pair hashes and scores bit-identically
+in every batch shape, so "Q rows in one call" equals "Q calls of one
+row", equal vectors score exactly equal (ties break by the same id/key
+order everywhere) and a tie split across shards stays an exact tie.
 
 The whole query surface is read-only: no method on this class mutates
 index state after ``add``/``remove``, so concurrent queries from many
@@ -106,7 +107,7 @@ class CosineLSH:
         hash (or between two different batch sizes) and silently send
         the same vector to different buckets.  einsum's accumulation
         depends only on the reduction dim, so every hashing path —
-        ``add``, ``add_all``, ``remove``, serial and batched queries —
+        ``add``, ``add_all``, ``remove``, queries of any batch size —
         produces bit-identical keys for the same vector.  (The packing
         matmul is integer arithmetic, which is exact.)
         """
@@ -203,16 +204,7 @@ class CosineLSH:
 
     def candidates(self, vector: np.ndarray) -> set[int]:
         """Ids sharing at least one band bucket with ``vector``."""
-        out: set[int] = set()
-        for table, key in zip(self._tables, self._keys(vector)):
-            out.update(table.get(key, ()))
-        # Belt and braces: every hashing path now goes through the
-        # shape-independent _key_matrix, so remove() recomputes exactly
-        # the keys the insert used — but filtering here keeps "removed
-        # ids are never candidates" unconditional rather than a
-        # property of the hashing kernel.
-        out.difference_update(self._removed)
-        return out
+        return self.candidates_many(np.asarray(vector, float)[None, :])[0]
 
     def candidates_many(self, vectors: np.ndarray) -> list[set[int]]:
         """Per-query candidate sets for a whole ``(Q, dim)`` matrix —
@@ -222,11 +214,9 @@ class CosineLSH:
 
     def key_tuples(self, vectors: np.ndarray) -> list[tuple[int, ...]]:
         """Packed band keys for every row of a ``(Q, dim)`` matrix as
-        one hashable ``(n_bands,)`` int tuple per query — the *semantic
-        identity* of a query under this index's LSH geometry.  Two
-        queries with equal tuples probe exactly the same buckets, so
-        their candidate sets are identical by construction; the result
-        cache keys its shortlist tier on these tuples.  Same
+        one hashable ``(n_bands,)`` int tuple per query.  Two queries
+        with equal tuples probe exactly the same buckets, so their
+        candidate sets are identical by construction.  Same
         shape-independent hashing kernel as every other path
         (:meth:`_key_matrix`), so the tuples are bit-stable across
         batch compositions."""
@@ -237,10 +227,8 @@ class CosineLSH:
     def candidates_for_keys(self, key_tuples: list[tuple[int, ...]]
                             ) -> list[set[int]]:
         """Candidate sets for already-hashed queries: probe the band
-        buckets with precomputed :meth:`key_tuples` output.  The bucket
-        probing half of :meth:`candidates_many`, split out so a caller
-        holding the keys (the result cache's semantic tier) never hashes
-        twice."""
+        buckets with precomputed :meth:`key_tuples` output — the bucket
+        probing half of :meth:`candidates_many`."""
         out: list[set[int]] = []
         for keys in key_tuples:
             if len(keys) != self.n_bands:
@@ -249,6 +237,11 @@ class CosineLSH:
             cands: set[int] = set()
             for table, key in zip(self._tables, keys):
                 cands.update(table.get(key, ()))
+            # Belt and braces: every hashing path goes through the
+            # shape-independent _key_matrix, so remove() drops exactly
+            # the keys the insert used — but filtering here keeps
+            # "removed ids are never candidates" unconditional rather
+            # than a property of the hashing kernel.
             cands.difference_update(self._removed)
             out.append(cands)
         return out
@@ -273,13 +266,13 @@ class CosineLSH:
     def _rank_many(self, ids_per_query: list[set[int]], matrix: np.ndarray,
                    k: int | None, shortlist: int | None = None
                    ) -> list[list[tuple[int, float]]]:
-        """Batched :meth:`_rank`: cosine-score every query's candidate
-        ids, best first, with **one** GEMM over the union of candidates
-        (``(C, dim) @ (dim, Q)``) instead of one dot product per (query,
-        candidate) pair.  Sort key is ``(-score, id)``, the serial
-        ranking's; scores agree with the serial ``cosine_similarity``
-        to floating-point roundoff (bit-equal for equal vectors, so
-        exact ties stay exact ties).
+        """The ranking kernel: cosine-score every query's candidate
+        ids, best first, with **one** similarity pass over the union of
+        candidates (``(C, dim) x (dim, Q)``) instead of one dot product
+        per (query, candidate) pair.  Sort key is ``(-score, id)``;
+        ``k`` ``None`` returns the whole ranking (callers that re-break
+        ties by an external key must truncate *after* re-sorting, or a
+        boundary tie could change membership).
 
         ``shortlist=m`` (only honoured when the int8 sidecar is
         attached) prefilters each query's candidates to the ``>= m``
@@ -304,8 +297,8 @@ class CosineLSH:
         # bit-equal in every batch shape (pinned by the duplicate-tie
         # property tests in tests/index/test_concurrent_query.py).
         sims = np.einsum("cd,qd->cq", cand, matrix)
-        # Same zero-vector convention as cosine_similarity: either norm
-        # zero -> similarity 0, never a division warning.
+        # Zero-vector convention: either norm zero -> similarity 0,
+        # never a division warning.
         denom = (np.linalg.norm(cand, axis=1)[:, None]
                  * np.linalg.norm(matrix, axis=1)[None, :])
         sims = np.divide(sims, denom, out=np.zeros_like(sims),
@@ -321,8 +314,11 @@ class CosineLSH:
     def query_partial_many(self, vectors: np.ndarray, k: int | None,
                            excludes=None, shortlist: int | None = None
                            ) -> list[tuple[int, list[tuple[int, float]]]]:
-        """Batched :meth:`query_partial`: one ``(n_candidates, top-k)``
-        pair per query row, no brute-force fallback.  ``excludes`` is an
+        """One shard's contribution to a fan-out query: one
+        ``(n_candidates, top-k among candidates)`` pair per query row
+        with **no** brute-force fallback — whether blocking
+        under-delivered can only be judged on the candidate total
+        across all shards.  ``excludes`` is an
         optional per-query id list aligned with the rows.  The reported
         candidate counts are always *pre-shortlist* — the global
         fallback decision must not change when the int8 prefilter is
@@ -343,8 +339,9 @@ class CosineLSH:
     def query_brute_many(self, vectors: np.ndarray, k: int | None,
                          excludes=None, shortlist: int | None = None
                          ) -> list[list[tuple[int, float]]]:
-        """Batched :meth:`query_brute`: top-k over every live vector for
-        each query row, one similarity GEMM for the whole batch."""
+        """Top-k over every live vector for each query row, ignoring
+        the band buckets.  Tombstones still never surface: removed ids
+        are excluded even though their vectors occupy slots."""
         if k is not None and k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         matrix = self._as_query_matrix(vectors)
@@ -362,11 +359,10 @@ class CosineLSH:
     def query_many(self, vectors: np.ndarray, k: int,
                    excludes=None, shortlist: int | None = None
                    ) -> list[list[tuple[int, float]]]:
-        """Batched :meth:`query`: top-k per query row, falling back to
-        brute force — per query, exactly as the serial path decides —
-        whenever blocking delivered fewer than ``k`` candidates (the
-        decision reads the pre-shortlist candidate count, so the int8
-        prefilter never changes when the fallback fires)."""
+        """Top-k per query row, falling back to brute force — per
+        query — whenever blocking delivered fewer than ``k`` candidates
+        (the decision reads the pre-shortlist candidate count, so the
+        int8 prefilter never changes when the fallback fires)."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         matrix = self._as_query_matrix(vectors)
@@ -384,6 +380,14 @@ class CosineLSH:
             for q, ranked in zip(short, brute):
                 results[q] = ranked
         return results
+
+    def query(self, vector: np.ndarray, k: int,
+              exclude: int | None = None) -> list[tuple[int, float]]:
+        """Top-k cosine neighbours of one vector: the ``Q=1`` case of
+        :meth:`query_many`, brute-force fallback included, so results
+        never silently shrink."""
+        return self.query_many(np.asarray(vector, float)[None, :], k,
+                               excludes=[exclude])[0]
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -516,81 +520,17 @@ class CosineLSH:
             out.append({i for i, kept in zip(ordered, keep) if kept})
         return out
 
-    def _rank(self, ids, vector: np.ndarray, k: int | None,
-              shortlist: int | None = None) -> list[tuple[int, float]]:
-        """Cosine-score ``ids`` against ``vector``, best first; ``k``
-        ``None`` returns the whole ranking (callers that re-break ties
-        by an external key must truncate *after* re-sorting, or a
-        boundary tie could change membership).  ``shortlist`` applies
-        the same integer prefilter as :meth:`_rank_many` — the cut is
-        computed by the identical batched kernel, so serial and batched
-        queries shortlist identically."""
-        from .similarity import cosine_similarity
-
-        if shortlist is not None and self._q8 is not None:
-            ids = self._shortlist_many(
-                [set(ids)], np.asarray(vector, float)[None, :], shortlist)[0]
-        scored = [(i, cosine_similarity(vector, self._vectors[i])) for i in ids]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored if k is None else scored[:k]
-
-    def query_partial(self, vector: np.ndarray, k: int | None,
-                      exclude: int | None = None,
-                      shortlist: int | None = None
-                      ) -> tuple[int, list[tuple[int, float]]]:
-        """``(n_candidates, top-k among candidates)`` with **no**
-        brute-force fallback — one shard's contribution to a fan-out
-        query, where whether blocking under-delivered can only be judged
-        on the candidate total across all shards.  The candidate count
-        is always pre-shortlist (see :meth:`query_partial_many`)."""
-        if k is not None and k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        cands = self.candidates(vector)
-        if exclude is not None:
-            cands.discard(exclude)
-        return len(cands), self._rank(cands, vector, k,
-                                      shortlist=shortlist)
-
-    def query_brute(self, vector: np.ndarray, k: int | None,
-                    exclude: int | None = None,
-                    shortlist: int | None = None
-                    ) -> list[tuple[int, float]]:
-        """Top-k over every live vector, ignoring the band buckets.
-        Tombstones still never surface: removed ids are excluded even
-        though their vectors occupy slots."""
-        if k is not None and k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        cands = set(self.live_ids())
-        if exclude is not None:
-            cands.discard(exclude)
-        return self._rank(cands, vector, k, shortlist=shortlist)
-
-    def query(self, vector: np.ndarray, k: int,
-              exclude: int | None = None,
-              shortlist: int | None = None) -> list[tuple[int, float]]:
-        """Top-k cosine neighbours among LSH candidates.
-
-        Falls back to brute force over everything indexed when blocking
-        returns fewer than ``k`` candidates, so results never silently
-        shrink.
-        """
-        n_candidates, ranked = self.query_partial(vector, k, exclude=exclude,
-                                                  shortlist=shortlist)
-        if n_candidates < k:
-            return self.query_brute(vector, k, exclude=exclude,
-                                    shortlist=shortlist)
-        return ranked
-
 
 def merge_ranked(rankings: list[list[tuple]], k: int) -> list[tuple]:
     """Heap-merge sorted ``(item, score)`` rankings into one global
     top-k.
 
     Each input must already be sorted best-first (the shape
-    :meth:`CosineLSH.query_partial` and ``VectorIndex.query_partial``
-    return).  Ties are broken by ``item`` ascending, matching the
-    single-index sort key — for sharded indexes the items are external
-    string keys, so equal-score order is content-addressed rather than
+    :meth:`CosineLSH.query_partial_many` and
+    ``VectorIndex.query_partial_many`` return per query).  Ties are
+    broken by ``item`` ascending, matching the single-index sort key —
+    for sharded indexes the items are external string keys, so
+    equal-score order is content-addressed rather than
     insertion-dependent.
     """
     if k < 1:

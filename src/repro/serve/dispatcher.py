@@ -13,10 +13,10 @@ Grouping by ``k`` is a correctness requirement, not a convenience: the
 brute-force fallback triggers when a query's LSH candidate count is
 below *its* ``k``, so folding a ``k=2`` query into a ``k=10`` batch
 could flip it onto the brute-force path (or off it) and change its
-top-2.  Within one ``k`` group, ``query_many`` is property-tested
-identical to serial ``query_vector`` calls — so a served ranking is
-pinned to what the offline CLI path returns, no matter which requests
-it was batched with.
+top-2.  Within one ``k`` group, ``query_many`` scores every row
+exactly as it would on its own (the kernels are shape-independent) —
+so a served ranking is pinned to what the offline CLI path returns, no
+matter which requests it was batched with.
 
 The actual GEMMs run in the event loop's default thread-pool executor:
 NumPy releases the GIL inside them, so the loop keeps accepting and
@@ -74,7 +74,7 @@ class _Pending:
     """One enqueued query awaiting its tick.  ``plan`` is the cache
     engine's :class:`~repro.cache.engine.QueryPlan` from the submit-time
     lookup (``None`` when the cache is off or the request bypassed it
-    with ``no_cache``) — exact hits never become ``_Pending`` at all."""
+    with ``no_cache``) — cache hits never become ``_Pending`` at all."""
 
     __slots__ = ("vector", "k", "exclude", "future", "plan")
 
@@ -110,13 +110,10 @@ class MicroBatchDispatcher:
     engine:
         Optional :class:`~repro.cache.engine.CachedQueryEngine` over
         the same index.  With an engine attached, submits look the
-        cache up on the event-loop thread: exact hits resolve
-        immediately without joining a tick, semantic hits carry their
-        shortlist into the tick (rescored exactly, one executor call
-        per tick group), and misses run the full path while harvesting
-        shortlists for the semantic tier.  Cache state is only ever
-        touched on the loop thread (lookup at submit, store at demux);
-        the executor threads see plain index calls.
+        cache up on the event-loop thread: hits resolve immediately
+        without joining a tick, misses join it and their answers are
+        stored at demux.  Cache state is only ever touched on the loop
+        thread; the executor threads see plain index calls.
     max_backlog:
         Bound on the pending queue.  A request whose rows would push
         the backlog past this raises :class:`BacklogFull` *before*
@@ -174,7 +171,7 @@ class MicroBatchDispatcher:
         come back aligned with the rows.  A failed tick propagates its
         exception to every affected caller.  With a cache engine
         attached, exact hits resolve here without joining a tick;
-        ``no_cache`` rows skip both tiers entirely (neither read nor
+        ``no_cache`` rows skip the cache entirely (neither read nor
         written) and are counted as bypassed.
 
         With ``max_backlog`` set, a request that would overflow the
@@ -239,64 +236,30 @@ class MicroBatchDispatcher:
                                for k, members in groups.items()))
 
     async def _run_group(self, k: int, members: list[_Pending]) -> None:
-        """One tick's per-``k`` group.  Without a cache every member
-        takes the direct ``query_many`` path; with one, members split
-        into direct (``no_cache``), semantic-hit (cached shortlist,
-        exact rescore) and miss (full path + shortlist harvest)
-        subgroups that run concurrently — each is still one GEMM pass
-        for all its rows."""
-        direct = [m for m in members if m.plan is None]
-        shortlisted = [m for m in members
-                       if m.plan is not None and m.plan.shortlist is not None]
-        misses = [m for m in members
-                  if m.plan is not None and m.plan.shortlist is None]
-        runs = []
-        if direct:
-            runs.append(self._run_members(k, direct, self._call_direct))
-        if shortlisted:
-            runs.append(self._run_members(k, shortlisted,
-                                          self._call_shortlisted))
-        if misses:
-            runs.append(self._run_members(k, misses, self._call_misses))
-        await asyncio.gather(*runs)
-
-    def _call_direct(self, matrix, k, excludes, members):
-        return (self.index.query_many(matrix, k=k, excludes=excludes,
-                                      jobs=self.jobs), None)
-
-    def _call_shortlisted(self, matrix, k, excludes, members):
-        shortlists = [item.plan.shortlist for item in members]
-        return (self.engine.run_shortlisted(matrix, k, shortlists, excludes,
-                                            jobs=self.jobs), None)
-
-    def _call_misses(self, matrix, k, excludes, members):
-        return self.engine.run_misses(matrix, k, excludes, jobs=self.jobs)
-
-    async def _run_members(self, k: int, members: list[_Pending],
-                           call) -> None:
+        """One tick's per-``k`` group: one ``query_many`` call — one
+        GEMM pass — for all its members, cached or not."""
         loop = asyncio.get_running_loop()
         matrix = np.stack([item.vector for item in members])
         excludes = [item.exclude for item in members]
         if self.stats is not None:
             self.stats.record_batch(len(members))
         try:
-            results, harvested = await loop.run_in_executor(
-                None, partial(call, matrix, k, excludes, members))
+            results = await loop.run_in_executor(
+                None, partial(self.index.query_many, matrix, k=k,
+                              excludes=excludes, jobs=self.jobs))
         except Exception as error:
             for item in members:
                 if not item.future.done():
                     item.future.set_exception(error)
         else:
-            # Demux strictly by position: row i of the subgroup's matrix
+            # Demux strictly by position: row i of the group's matrix
             # is member i's query, so member i gets result i.  Stores
             # happen here — back on the event-loop thread — honoring
             # the cache's single-writer contract; the engine drops them
             # if the index generation moved since lookup.
-            for position, (item, hits) in enumerate(zip(members, results)):
-                if self.engine is not None and item.plan is not None:
-                    self.engine.store(
-                        item.plan, hits,
-                        None if harvested is None else harvested[position])
+            for item, hits in zip(members, results):
+                if item.plan is not None:
+                    self.engine.store(item.plan, hits)
                 if not item.future.done():
                     item.future.set_result(hits)
 

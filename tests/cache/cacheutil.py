@@ -2,8 +2,8 @@
 
 Same corpus discipline as the serving/catalog tests: seeded gaussian
 vectors with duplicate rows (dense score ties), so a cache that served
-a near-miss — a stale entry, a neighbouring shortlist, someone else's
-ranking — cannot hide behind unique scores.  Query streams are
+a near-miss — a stale entry, a neighbouring query's answer, someone
+else's ranking — cannot hide behind unique scores.  Query streams are
 *zipfian* over a small pool, the workload the cache exists for.
 """
 

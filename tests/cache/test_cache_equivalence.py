@@ -4,15 +4,14 @@ Hypothesis walks random corpora × shard counts {1, 2, 5} × mmap ×
 zipfian query streams through a :class:`CachedQueryEngine` and
 requires every served ranking — keys, bit-equal scores, tie order — to
 match the same index's plain ``query_many``.  Because the stream is
-zipfian, most examples serve a mix of exact hits, semantic (shortlist)
-hits, and misses in one batch; because the corpora are duplicate-dense
-and the queries include exact corpus rows, ties are everywhere a
-demux/rescore bug could hide.
+zipfian, most examples serve a mix of hits and misses in one batch;
+because the corpora are duplicate-dense and the queries include exact
+corpus rows, ties are everywhere a demux bug could hide.
 
 A dedicated class pins the brute-force fallback boundary: ``k`` right
-at the post-exclude candidate total, where a cached shortlist that
-mis-counted candidates by one would flip a query on or off the
-brute-force path.
+at the post-exclude candidate total, replayed from the cache under
+several ``k`` — an entry shared across ``k`` would flip a query on or
+off the brute-force path.
 """
 
 import numpy as np
@@ -62,7 +61,7 @@ class TestCachedEqualsUncached:
         engine = CachedQueryEngine(index, max_entries=cache_entries)
         rng = np.random.default_rng(seed)
         # Pool: exact corpus rows (score-1 ties), tiny jitters of them
-        # (often identical band keys → semantic tier), fresh gaussians.
+        # (near-duplicates must never share an entry), fresh gaussians.
         rows = rng.integers(0, len(keys), size=4)
         pool = np.concatenate([
             vectors[rows],
@@ -86,13 +85,11 @@ class TestCachedEqualsUncached:
             want = index.query_many(matrix, k=k, excludes=excludes)
             assert ranked_many(got) == ranked_many(want)
         counters = engine.counters
-        served = (counters.exact_hits + counters.semantic_hits
-                  + counters.misses)
-        assert served == len(stream)
+        assert counters.exact_hits + counters.misses == len(stream)
         if stream_len > len(pool) * 2 and cache_entries >= len(pool):
             # A zipfian stream much longer than its pool must actually
             # exercise the hit path, or this test proves nothing.
-            assert counters.exact_hits + counters.semantic_hits > 0
+            assert counters.exact_hits > 0
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -123,7 +120,7 @@ class TestCachedEqualsUncached:
 class TestFallbackBoundary:
     """``k`` at the exact brute-force threshold: the fallback fires
     when a query's *post-exclude global* candidate count is below its
-    ``k``, so cached shortlists must reproduce that count exactly."""
+    ``k``, and a cached answer must be the one for *that* ``k``."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -150,8 +147,8 @@ class TestFallbackBoundary:
             got = engine.query_many(query, k=k, excludes=excludes)
             want = index.query_many(query, k=k, excludes=excludes)
             assert ranked_many(got) == ranked_many(want)
-        # Different k on the same vector: served from the semantic
-        # tier's shortlist, still crossing the boundary correctly.
+        # Different k on the same vector: its own entry each, still
+        # crossing the boundary correctly.
         for k2 in {max(1, total - 1), max(1, total), total + 1}:
             got = engine.query_many(query, k=k2, excludes=excludes)
             want = index.query_many(query, k=k2, excludes=excludes)

@@ -98,7 +98,7 @@ class TestEngineLifecycle:
         assert engine.generation > generation_before
         assert ranked_many(after) == ranked_many(index.query_many(query, k=3))
 
-    def test_generation_change_clears_both_tiers(self):
+    def test_generation_change_clears_the_cache(self):
         keys, vectors = make_corpus(n=30, dim=DIM, seed=6)
         index = build_index(keys, vectors, 1, seed=0)
         engine = CachedQueryEngine(index, max_entries=16)
@@ -108,9 +108,8 @@ class TestEngineLifecycle:
         index.remove(keys[0])  # definitely bumps
         engine.query_many(vectors[9:10], k=3)
         sizes = engine.sizes()
-        # Only the post-bump query's entries remain.
+        # Only the post-bump query's entry remains.
         assert sizes["exact_entries"] == 1
-        assert sizes["semantic_entries"] == 1
 
     def test_store_against_moved_generation_is_dropped(self):
         """The submit-to-tick race: a plan looked up before a lifecycle
@@ -121,11 +120,10 @@ class TestEngineLifecycle:
         vector = vectors[0]
         hits, plan = engine.lookup(vector, 3, None)
         assert hits is None
-        results, shortlists = engine.run_misses(vector[None, :], 3, [None])
+        results = index.query_many(vector[None, :], k=3)
         index.remove(keys[0])  # generation moves between run and store
-        engine.store(plan, results[0], shortlists[0])
+        engine.store(plan, results[0])
         assert engine.sizes()["exact_entries"] == 0
-        assert engine.sizes()["semantic_entries"] == 0
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_sharded_generation_survives_rebalance(self, n_shards):
@@ -182,12 +180,7 @@ class TestServerLifecycle:
                                      "exclude": top}) == excluded
             cache = http_get(port, "/stats")["indexes"]["default"]["cache"]
             assert cache["exact_hits"] == 2
-            # The exclude variant shares band keys with the plain
-            # request, so it rides the semantic tier (rescored without
-            # the excluded key) rather than missing outright — but it
-            # must never share the *exact* entry.
-            assert cache["misses"] == 1
-            assert cache["semantic_hits"] == 1
+            assert cache["misses"] == 2
 
 
 class TestCatalogEviction:

@@ -184,20 +184,20 @@ class TestExactKey:
 class TestCacheCounters:
     def test_events_tally_and_snapshot(self):
         counters = CacheCounters()
-        counters.record("exact")
-        counters.record("semantic", 2)
+        counters.record("exact", 3)
         counters.record("miss")
         counters.record("bypass", 3)
         snap = counters.snapshot()
-        assert snap["exact_hits"] == 1
-        assert snap["semantic_hits"] == 2
+        assert snap["exact_hits"] == 3
+        assert snap["semantic_hits"] == 0    # retired tier, key kept
         assert snap["misses"] == 1
         assert snap["bypassed"] == 3
         assert snap["hit_rate"] == pytest.approx(3 / 4)
 
     def test_unknown_event_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache event"):
-            CacheCounters().record("hit")
+        for event in ("hit", "semantic"):
+            with pytest.raises(ValueError, match="unknown cache event"):
+                CacheCounters().record(event)
 
     def test_empty_hit_rate_is_zero(self):
         assert CacheCounters().snapshot()["hit_rate"] == 0.0

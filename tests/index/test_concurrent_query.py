@@ -121,10 +121,9 @@ class TestQueryManyProperty:
         live = {f"key{i:03d}": gaussian(rng) for i in range(24)}
         single, sharded = build_pair(n_shards, live)
         query = gaussian(rng)
-        total = sum(count for count, _hits
-                    in [shard.query_partial(query, 1)
-                        for shard in sharded.shards])
-        single_total, _ = single.query_partial(query, 1)
+        total = sum(shard.query_partial_many(query[None, :], 1)[0][0]
+                    for shard in sharded.shards)
+        [(single_total, _)] = single.query_partial_many(query[None, :], 1)
         assert total == single_total    # same blocking, layout-independent
         boundary_ks = {max(1, total - 1), max(1, total), total + 1}
         queries = query[None, :]

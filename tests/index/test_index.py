@@ -7,7 +7,7 @@ from repro.index import (
     ColumnIndex,
     TableIndex,
     VectorIndex,
-    load_index,
+    open_index,
     table_fingerprint,
 )
 
@@ -56,6 +56,28 @@ class TestVectorIndex:
             with pytest.raises(ValueError, match="at least 1"):
                 index.query_vector(RNG.standard_normal(4), k=bad_k)
 
+    @pytest.mark.parametrize("layout", ["lsh", "single", "sharded"])
+    @pytest.mark.parametrize("shape", [(5,), (2, 4)])
+    def test_single_query_rejects_a_wrong_shape_by_name(self, layout, shape):
+        """A wrong-dimension or 2-D vector must be refused with the
+        expected dimension in the message, not with einsum's broadcast
+        error from deep inside the kernel."""
+        from repro.index import IndexSpec, ShardedIndex
+        from repro.retrieval import CosineLSH
+
+        vectors = RNG.standard_normal((6, 4))
+        if layout == "lsh":
+            index = CosineLSH(dim=4)
+            index.add_all(vectors)
+            query = index.query
+        else:
+            index = (VectorIndex(dim=4) if layout == "single" else
+                     ShardedIndex.create(IndexSpec(kind="vector", dim=4), 2))
+            index.add_batch([f"k{i}" for i in range(6)], vectors)
+            query = index.query_vector
+        with pytest.raises(ValueError, match=r"expected \(Q, 4\)"):
+            query(np.ones(shape), k=2)
+
     def test_save_load_appends_npz_to_foreign_suffix(self, tmp_path):
         """Regression: save("foo.idx") writes foo.idx.npz, and
         load("foo.idx") must find it (with_suffix would look for the
@@ -64,7 +86,7 @@ class TestVectorIndex:
         index.add("a", RNG.standard_normal(4))
         written = index.save(tmp_path / "foo.idx")
         assert written == tmp_path / "foo.idx.npz"
-        assert load_index(tmp_path / "foo.idx").keys == index.keys
+        assert open_index(tmp_path / "foo.idx").keys == index.keys
 
     def test_contains_and_vector(self):
         index = VectorIndex(dim=4)
@@ -79,7 +101,7 @@ class TestVectorIndex:
         index.add_batch([f"k{i}" for i in range(10)], vectors,
                         [{"n": i} for i in range(10)])
         path = index.save(tmp_path / "idx.npz")
-        loaded = load_index(path)
+        loaded = open_index(path)
         assert type(loaded) is VectorIndex
         assert loaded.keys == index.keys and loaded.meta == index.meta
         query = RNG.standard_normal(8)
@@ -88,13 +110,13 @@ class TestVectorIndex:
 
     def test_empty_index_round_trips(self, tmp_path):
         path = VectorIndex(dim=5).save(tmp_path / "empty.npz")
-        assert len(load_index(path)) == 0
+        assert len(open_index(path)) == 0
 
     def test_corpus_provenance_round_trips(self, tmp_path):
         index = VectorIndex(dim=4)
         index.add("a", RNG.standard_normal(4))
         index.corpus = {"dataset": "cancerkg", "n_tables": 6, "seed": 0}
-        loaded = load_index(index.save(tmp_path / "idx.npz"))
+        loaded = open_index(index.save(tmp_path / "idx.npz"))
         assert loaded.corpus == index.corpus
 
 
@@ -153,7 +175,7 @@ class TestColumnIndex:
     def test_query_column_round_trip(self, embedder, corpus, tmp_path):
         index = ColumnIndex.build(embedder, corpus)
         path = index.save(tmp_path / "cols.npz")
-        loaded = load_index(path)
+        loaded = open_index(path)
         assert isinstance(loaded, ColumnIndex) and loaded.composite
         before = index.query_column(embedder, corpus[0], 0, k=4)
         after = loaded.query_column(embedder, corpus[0], 0, k=4)

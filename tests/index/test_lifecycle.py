@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.index import FORMAT_VERSION, TableIndex, VectorIndex, load_index
+from repro.index import FORMAT_VERSION, TableIndex, VectorIndex, open_index
 from repro.retrieval import CosineLSH
 
 DIM = 16
@@ -54,7 +54,7 @@ def assert_equivalent(index: VectorIndex, live: dict[str, np.ndarray],
 def assert_round_trip(index: VectorIndex, tmp_path,
                       queries: list[np.ndarray]) -> None:
     """``save``/``load`` must reproduce the full mid-lifecycle state."""
-    loaded = load_index(index.save(tmp_path / "step.npz"))
+    loaded = open_index(index.save(tmp_path / "step.npz"))
     assert loaded.keys == index.keys
     assert loaded.meta == index.meta
     assert len(loaded) == len(index)
@@ -314,7 +314,7 @@ class TestMerge:
                                                    tmp_path):
         index = TableIndex.build(embedder, corpus)
         assert index.model_id == embedder.fingerprint()
-        loaded = load_index(index.save(tmp_path / "stamped.npz"))
+        loaded = open_index(index.save(tmp_path / "stamped.npz"))
         assert loaded.model_id == index.model_id
 
 
@@ -345,7 +345,7 @@ class TestVersionedFormat:
         np.savez(path, vectors=index.lsh.vectors(),
                  __index__=np.frombuffer(payload.encode("utf-8"),
                                          dtype=np.uint8))
-        loaded = load_index(path)
+        loaded = open_index(path)
         assert set(loaded._id_of) == {"a", "b"}
         assert loaded.n_tombstones == 0
 
@@ -363,7 +363,7 @@ class TestVersionedFormat:
                  __index__=np.frombuffer(payload.encode("utf-8"),
                                          dtype=np.uint8))
         with pytest.raises(ValueError, match="format v3"):
-            load_index(path)
+            open_index(path)
 
 
 class TestLSHRemoval:

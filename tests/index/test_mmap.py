@@ -96,7 +96,7 @@ class TestSingleFileEquivalence:
         mapped = open_index(path, mmap=True)
         mapped.query_vector(vectors[7], k=4)
         mapped.query_many(vectors[:6], k=3)
-        mapped.query_brute(vectors[9], k=4)
+        mapped.query_brute_many(vectors[9:10], k=4)
         mapped.remove(keys[10])
         assert mapped.compact() == 3          # 2 saved tombstones + 1
         mapped.query_vector(vectors[7], k=4)
@@ -204,7 +204,7 @@ class TestLegacyAndFallback:
         path = empty.save(tmp_path / "empty.npz")
         loaded = open_index(path, mmap=True)
         assert len(loaded) == 0
-        assert loaded.query_brute(np.ones(8), k=1) == []
+        assert loaded.query_brute_many(np.ones((1, 8)), k=1) == [[]]
 
 
 class TestBandKeyPersistence:

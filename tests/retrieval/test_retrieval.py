@@ -116,21 +116,22 @@ class TestLSH:
         lsh = CosineLSH(dim=8, n_planes=10, n_bands=1, seed=0)
         vectors = RNG.standard_normal((10, 8))
         lsh.add_all(vectors)
-        n_candidates, ranked = lsh.query_partial(vectors[0], k=5)
+        [(n_candidates, ranked)] = lsh.query_partial_many(vectors[:1], k=5)
         assert len(ranked) <= n_candidates          # no brute-force top-up
         assert ranked == sorted(ranked, key=lambda p: (-p[1], p[0]))
         # query() == partial when candidates suffice, brute force otherwise
         if n_candidates >= 5:
             assert lsh.query(vectors[0], k=5) == ranked
         else:
-            assert lsh.query(vectors[0], k=5) == lsh.query_brute(vectors[0], k=5)
+            assert [lsh.query(vectors[0], k=5)] \
+                == lsh.query_brute_many(vectors[:1], k=5)
         # merging the single partial with empties reproduces it
         assert merge_ranked([ranked, [], []], 5) == ranked
 
     def test_query_many_matches_serial_queries(self):
-        """The LSH-level batched path: same candidates (shared hashing
-        kernel), same rankings, same per-query fallback as N serial
-        query() calls."""
+        """Q rows in one call equal Q calls of one row: same candidates
+        (shape-independent hashing kernel), same rankings, same
+        per-query fallback."""
         lsh = CosineLSH(dim=8, n_planes=6, n_bands=2, seed=0)
         vectors = RNG.standard_normal((30, 8))
         lsh.add_all(vectors)
@@ -146,7 +147,7 @@ class TestLSH:
         # candidates are bit-identical, so counts agree too
         partials = lsh.query_partial_many(queries, 5)
         for (count, _r), q in zip(partials, queries):
-            assert count == lsh.query_partial(q, 5)[0]
+            assert count == len(lsh.candidates(q))
 
     def test_query_many_excludes_and_validation(self):
         lsh = CosineLSH(dim=8, n_planes=4, n_bands=2, seed=0)
@@ -176,9 +177,10 @@ class TestLSH:
     def test_query_k_below_one_rejected(self):
         lsh = CosineLSH(dim=4)
         lsh.add(np.ones(4))
-        for method in (lsh.query, lsh.query_brute):
-            with pytest.raises(ValueError, match="at least 1"):
-                method(np.ones(4), k=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            lsh.query(np.ones(4), k=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            lsh.query_brute_many(np.ones((1, 4)), k=0)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

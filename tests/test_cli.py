@@ -132,7 +132,7 @@ class TestIndex:
         byte-for-byte interchangeable with a serial build."""
         import numpy as np
 
-        from repro.index import load_index
+        from repro.index import open_index
 
         out = tmp_path / "par"
         code = main(["index", "build", "cancerkg", "--n-tables", "6",
@@ -140,8 +140,8 @@ class TestIndex:
                      "--out", str(out), "--workers", "2"])
         assert code == 0
         assert "2 workers" in capsys.readouterr().out
-        serial = load_index(built / "tables.npz")
-        parallel = load_index(out / "tables.npz")
+        serial = open_index(built / "tables.npz")
+        parallel = open_index(out / "tables.npz")
         assert serial.keys == parallel.keys
         assert (serial.lsh.vectors() == parallel.lsh.vectors()).all()
 
@@ -354,44 +354,44 @@ class TestIndexLifecycleCLI:
         return table_fingerprint(tables[position])
 
     def test_rm_tombstones_and_persists(self, tables_npz, capsys):
-        from repro.index import load_index
+        from repro.index import open_index
 
         key = self.corpus_key(0)
         assert main(["index", "rm", str(tables_npz), key]) == 0
         assert "1 tombstoned" in capsys.readouterr().out
-        index = load_index(tables_npz)
+        index = open_index(tables_npz)
         assert key not in index
         assert index.n_tombstones == 1 and len(index) == 5
 
     def test_rm_compact_flag_reclaims(self, tables_npz, capsys):
-        from repro.index import load_index
+        from repro.index import open_index
 
         key = self.corpus_key(1)
         assert main(["index", "rm", str(tables_npz), key, "--compact"]) == 0
-        index = load_index(tables_npz)
+        index = open_index(tables_npz)
         assert index.n_tombstones == 0 and len(index) == 5
 
     def test_rm_missing_key_errors_without_mutating(self, tables_npz, capsys):
-        from repro.index import load_index
+        from repro.index import open_index
 
         code = main(["index", "rm", str(tables_npz), self.corpus_key(0),
                      "no-such-fingerprint"])
         assert code == 2
         assert "not in index" in capsys.readouterr().err
-        assert len(load_index(tables_npz)) == 6     # untouched
+        assert len(open_index(tables_npz)) == 6     # untouched
 
     def test_rm_missing_file_errors(self, tmp_path, capsys):
         assert main(["index", "rm", str(tmp_path / "ghost.npz"), "k"]) == 2
         assert "no index file" in capsys.readouterr().err
 
     def test_compact_round_trip(self, tables_npz, capsys):
-        from repro.index import load_index
+        from repro.index import open_index
 
         main(["index", "rm", str(tables_npz), self.corpus_key(2)])
         capsys.readouterr()
         assert main(["index", "compact", str(tables_npz)]) == 0
         assert "reclaimed 1" in capsys.readouterr().out
-        assert load_index(tables_npz).n_tombstones == 0
+        assert open_index(tables_npz).n_tombstones == 0
 
     def test_query_after_rm_never_returns_removed(self, built, tmp_path,
                                                   capsys, monkeypatch):
@@ -414,16 +414,16 @@ class TestIndexLifecycleCLI:
         assert removed.caption not in out
 
     def test_merge_dedupes(self, built, tables_npz, tmp_path, capsys):
-        from repro.index import load_index
+        from repro.index import open_index
 
         merged = tmp_path / "merged.npz"
         assert main(["index", "merge", str(tables_npz),
                      str(built / "tables.npz"), "--out", str(merged)]) == 0
         assert "fingerprint-deduped" in capsys.readouterr().out
-        assert len(load_index(merged)) == 6         # full overlap
+        assert len(open_index(merged)) == 6         # full overlap
 
     def test_merge_disjoint_after_rm(self, built, tmp_path, capsys):
-        from repro.index import load_index
+        from repro.index import open_index
 
         left = tmp_path / "left.npz"
         import shutil
@@ -435,7 +435,7 @@ class TestIndexLifecycleCLI:
         merged = tmp_path / "merged.npz"
         assert main(["index", "merge", str(left), str(built / "tables.npz"),
                      "--out", str(merged)]) == 0
-        assert len(load_index(merged)) == 6         # removed pair restored
+        assert len(open_index(merged)) == 6         # removed pair restored
 
     def test_merge_incompatible_params_errors(self, built, tmp_path, capsys):
         code = main(["index", "merge", str(built / "tables.npz"),
