@@ -724,6 +724,55 @@ def cmd_catalog_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_until_signalled(args: argparse.Namespace, build, banner=None,
+                           label: str = "") -> int:
+    """The one boot path of every serving process: ``build()`` the
+    server (a target that will not open, a refused setting or a busy
+    port is one ``label``-prefixed stderr line and exit 2), serve until
+    SIGINT/SIGTERM, drain.  ``banner(server)`` is the first stdout line
+    — harnesses parse its ``http://HOST:PORT`` token; a pre-fork worker
+    passes none and stays silent, its supervisor speaks for the fleet.
+    """
+    import asyncio
+    import signal
+
+    async def _run() -> int:
+        try:
+            server = build()
+            await server.start()
+        except (FileNotFoundError, ValueError) as error:
+            print(f"{label}{error}", file=sys.stderr)
+            return 2
+        except OSError as error:
+            print(f"{label}cannot bind {args.host}:{args.port}: {error}",
+                  file=sys.stderr)
+            return 2
+        if banner is not None:
+            print(banner(server), flush=True)
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(signum, stop.set)
+            except NotImplementedError:  # pragma: no cover - non-posix
+                pass
+        try:
+            await stop.wait()
+        finally:
+            if banner is not None:
+                print("Draining in-flight requests ...", flush=True)
+            await server.shutdown()
+            if banner is not None:
+                print(f"Served {server.requests_total} requests "
+                      f"({server.queries_total} queries)")
+        return 0
+
+    try:
+        return asyncio.run(_run())
+    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
+        return 0
+
+
 def cmd_serve_shard(args: argparse.Namespace) -> int:
     """``serve-shard``: run one cluster shard server.
 
@@ -735,53 +784,60 @@ def cmd_serve_shard(args: argparse.Namespace) -> int:
     Serves until SIGINT/SIGTERM, then drains in-flight requests and
     exits 0.
     """
-    import asyncio
-    import signal
-
     from .cluster import ShardServer
     from .index import open_index
 
-    try:
-        index = open_index(args.path, mmap=not args.no_mmap)
-    except (FileNotFoundError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    def build():
+        return ShardServer(open_index(args.path, mmap=not args.no_mmap),
+                           host=args.host, port=args.port,
+                           log_path=args.log_file)
 
-    async def _serve() -> int:
-        server = ShardServer(index, host=args.host, port=args.port,
-                             log_path=args.log_file)
-        await server.start()
+    def banner(server) -> str:
         # The harness parses host:port out of this line — keep the URL
         # as the banner's final colon-bearing token.
-        print(f"Serving shard layout ({len(index)} entries, "
-              f"{len(server.shards)} local shard(s), "
-              f"{'mmap' if not args.no_mmap else 'eager'}) on "
-              f"http://{args.host}:{server.port} — POST /partial_query, "
-              f"POST /brute_query, GET /healthz", flush=True)
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-posix
-                pass
-        try:
-            await stop.wait()
-        finally:
-            print("Draining in-flight requests ...", flush=True)
-            await server.shutdown()
-            print(f"Served {server.requests_total} requests "
-                  f"({server.queries_total} queries)")
-        return 0
+        return (f"Serving shard layout ({len(server.index)} entries, "
+                f"{len(server.shards)} local shard(s), "
+                f"{'mmap' if not args.no_mmap else 'eager'}) on "
+                f"http://{args.host}:{server.port} — POST /partial_query, "
+                f"POST /brute_query, GET /healthz")
 
-    try:
-        return asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
-    return 0
+    return _serve_until_signalled(args, build, banner)
 
 
-def _serve_prefork(args: argparse.Namespace, cache_size: int) -> int:
+def _load_serving_catalog(path: str):
+    from .catalog import Catalog
+
+    catalog = Catalog.load(path)
+    if not len(catalog):
+        raise ValueError(f"{path} is an empty catalog; register indexes "
+                         f"with `catalog add` before serving")
+    return catalog
+
+
+def _open_serve_target(args: argparse.Namespace):
+    """``serve PATH``'s target: a catalog directory's catalog (entries
+    open lazily), else the opened layout."""
+    from .catalog import Catalog
+    from .index import open_index
+
+    if Catalog.handles(args.path):
+        return _load_serving_catalog(args.path)
+    return open_index(args.path, mmap=not args.no_mmap)
+
+
+def _retrieval_server_options(args: argparse.Namespace) -> dict:
+    """``serve``'s tuning flags as ``RetrievalServer`` keywords, for
+    the single process and for every pre-fork worker."""
+    return dict(host=args.host, max_batch=args.max_batch,
+                max_wait_ms=args.max_wait_ms, jobs=args.jobs,
+                mmap=not args.no_mmap, max_open=args.max_open,
+                cache_size=0 if args.no_cache else args.cache_size,
+                cache_ttl=args.cache_ttl, max_backlog=args.max_backlog,
+                quantized=args.quantized, overfetch=args.overfetch,
+                margin=args.margin)
+
+
+def _serve_prefork(args: argparse.Namespace) -> int:
     """``serve --workers N``: a pre-fork supervisor plus N worker
     processes on one shared port.
 
@@ -797,86 +853,44 @@ def _serve_prefork(args: argparse.Namespace, cache_size: int) -> int:
     crashed worker is restarted with capped backoff; ``GET /stats``
     answers with per-worker sections plus a fleet aggregate.
     """
-    import asyncio
     import os
-    import signal
 
     from .catalog import Catalog
     from .index import read_index_spec
     from .serve import LOG_ENV, RetrievalServer
     from .serve.prefork import REUSEPORT_AVAILABLE, PreforkSupervisor
 
-    is_catalog = Catalog.handles(args.path)
-    if is_catalog:
-        try:
-            catalog = Catalog.load(args.path)
-        except (FileNotFoundError, ValueError) as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        if not len(catalog):
-            print(f"{args.path} is an empty catalog; register indexes "
-                  f"with `catalog add` before serving", file=sys.stderr)
-            return 2
-        described = (f"catalog of {len(catalog)} indexes "
-                     f"(default {catalog.default_name!r})")
-    else:
-        try:
+    try:
+        if Catalog.handles(args.path):
+            catalog = _load_serving_catalog(args.path)
+            described = (f"catalog of {len(catalog)} indexes "
+                         f"(default {catalog.default_name!r})")
+        else:
             spec, _version = read_index_spec(args.path)
-        except (FileNotFoundError, ValueError) as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        described = f"{spec.kind} index"
+            described = f"{spec.kind} index"
+    except (FileNotFoundError, ValueError) as error:
+        print(str(error), file=sys.stderr)
+        return 2
 
     log_base = args.log_file or os.environ.get(LOG_ENV) or None
 
     def worker_main(worker_id: int, sock) -> int:
         # Runs in the forked child: the target, the server, and every
         # cache/dispatcher are built HERE, post-fork, so workers share
-        # nothing but the listen port and the mmapped file pages.
-        from .index import open_index
+        # nothing but the listen port and the mmapped file pages.  A
+        # failed boot's exit code 2 is the supervisor's fatal-config
+        # signal: a target that won't open can never open on restart
+        # either, so the fleet shuts down instead of crash-looping.
+        def build():
+            return RetrievalServer(
+                _open_serve_target(args), sock=sock, worker_id=worker_id,
+                stats_dir=supervisor.stats_dir,
+                log_path=(f"{log_base}.worker{worker_id}" if log_base
+                          else None),
+                **_retrieval_server_options(args))
 
-        try:
-            if is_catalog:
-                target = Catalog.load(args.path)
-            else:
-                target = open_index(args.path, mmap=not args.no_mmap)
-        except (FileNotFoundError, ValueError) as error:
-            # Exit code 2 is the supervisor's fatal-config signal: a
-            # target that won't open can never open on restart either,
-            # so the fleet shuts down instead of crash-looping.
-            print(f"worker {worker_id}: {error}", file=sys.stderr)
-            return 2
-        log_path = (f"{log_base}.worker{worker_id}" if log_base else None)
-
-        async def _run() -> int:
-            try:
-                server = RetrievalServer(
-                    target, host=args.host, sock=sock,
-                    max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-                    jobs=args.jobs, mmap=not args.no_mmap,
-                    max_open=args.max_open, cache_size=cache_size,
-                    cache_ttl=args.cache_ttl, max_backlog=args.max_backlog,
-                    worker_id=worker_id, stats_dir=supervisor.stats_dir,
-                    log_path=log_path, quantized=args.quantized,
-                    overfetch=args.overfetch, margin=args.margin)
-                await server.start()
-            except (FileNotFoundError, ValueError) as error:
-                # Exit code 2 is the supervisor's fatal-config signal:
-                # it shuts the fleet down instead of crash-looping.
-                print(f"worker {worker_id}: {error}", file=sys.stderr)
-                return 2
-            loop = asyncio.get_running_loop()
-            stop = asyncio.Event()
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(signum, stop.set)
-                except NotImplementedError:  # pragma: no cover - non-posix
-                    pass
-            await stop.wait()
-            await server.shutdown()
-            return 0
-
-        return asyncio.run(_run())
+        return _serve_until_signalled(args, build,
+                                      label=f"worker {worker_id}: ")
 
     supervisor = PreforkSupervisor(worker_main, args.workers,
                                    host=args.host, port=args.port)
@@ -913,11 +927,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     drain: in-flight requests complete, every open dispatcher flushes,
     then the process exits 0.
     """
-    import asyncio
-    import signal
-
     from .catalog import Catalog
-    from .index import open_index
     from .serve import RetrievalServer
 
     if (args.path is None) == (args.cluster is None):
@@ -948,112 +958,71 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("--cache-ttl must be a positive number of seconds",
               file=sys.stderr)
         return 2
-    cache_size = 0 if args.no_cache else args.cache_size
     if args.workers > 1:
         if args.cluster is not None:
             print("--workers pre-forks local serving and cannot combine "
                   "with --cluster; run one coordinator process per port "
                   "instead", file=sys.stderr)
             return 2
-        return _serve_prefork(args, cache_size)
-    catalog = None
+        return _serve_prefork(args)
     remote = None
     if args.cluster is not None:
         from .cluster import ClusterError, RemoteShardedIndex, Topology
 
         try:
-            topology = Topology.load(args.cluster)
-            target = remote = RemoteShardedIndex.connect(topology)
+            remote = RemoteShardedIndex.connect(Topology.load(args.cluster))
         except (FileNotFoundError, ValueError, ClusterError) as error:
             print(str(error), file=sys.stderr)
             return 2
-    elif Catalog.handles(args.path):
-        try:
-            catalog = Catalog.load(args.path)
-        except (FileNotFoundError, ValueError) as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        if not len(catalog):
-            print(f"{args.path} is an empty catalog; register indexes "
-                  f"with `catalog add` before serving", file=sys.stderr)
-            return 2
-        target = catalog
-    else:
-        try:
-            target = open_index(args.path, mmap=not args.no_mmap)
-        except (FileNotFoundError, ValueError) as error:
-            print(str(error), file=sys.stderr)
-            return 2
 
-    async def _serve() -> int:
-        try:
-            server = RetrievalServer(target, host=args.host, port=args.port,
-                                     max_batch=args.max_batch,
-                                     max_wait_ms=args.max_wait_ms,
-                                     jobs=args.jobs, mmap=not args.no_mmap,
-                                     max_open=args.max_open,
-                                     cache_size=cache_size,
-                                     cache_ttl=args.cache_ttl,
-                                     max_backlog=args.max_backlog,
-                                     log_path=args.log_file,
-                                     quantized=args.quantized,
-                                     overfetch=args.overfetch,
-                                     margin=args.margin)
-            await server.start()
-        except (FileNotFoundError, ValueError) as error:
-            # The catalog's default entry failed to open (missing or
-            # stale layout), or --quantized named a layout with no int8
-            # sidecar: refuse to start rather than 500 later.
-            print(str(error), file=sys.stderr)
-            return 2
+    def build():
+        target = remote if remote is not None else _open_serve_target(args)
+        return RetrievalServer(target, port=args.port,
+                               log_path=args.log_file,
+                               **_retrieval_server_options(args))
+
+    def banner(server) -> str:
+        url = f"http://{args.host}:{server.port}"
+        mode = "mmap" if not args.no_mmap else "eager"
         if remote is not None:
-            print(f"Serving distributed index ({len(remote)} entries, "
-                  f"{remote.n_shards} shard(s) across {remote.n_servers} "
-                  f"server(s) per {args.cluster}) on "
-                  f"http://{args.host}:{server.port} — POST /query, "
-                  f"GET /healthz, GET /stats", flush=True)
-        elif catalog is not None:
+            return (f"Serving distributed index ({len(remote)} entries, "
+                    f"{remote.n_shards} shard(s) across {remote.n_servers} "
+                    f"server(s) per {args.cluster}) on {url} — POST /query, "
+                    f"GET /healthz, GET /stats")
+        if Catalog.handles(args.path):
+            catalog = server.handle.catalog
             names = ", ".join(entry.name for entry in catalog)
             cap = "all resident" if args.max_open is None \
                 else f"max {args.max_open} open"
-            print(f"Serving catalog of {len(catalog)} indexes ({names}; "
-                  f"default {catalog.default_name!r}, "
-                  f"{'mmap' if not args.no_mmap else 'eager'}, {cap}) on "
-                  f"http://{args.host}:{server.port} — POST /query "
-                  f"(optional \"index\" route), GET /indexes, "
-                  f"GET /healthz, GET /stats", flush=True)
-        else:
-            mode = "mmap" if not args.no_mmap else "eager"
-            if args.quantized:
-                mode += ", int8 shortlist + exact rerank"
-            print(f"Serving {target.kind} index ({len(target)} entries, "
-                  f"{mode}) on "
-                  f"http://{args.host}:{server.port} — POST /query, "
-                  f"GET /healthz, GET /stats", flush=True)
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-posix
-                pass
-        try:
-            await stop.wait()
-        finally:
-            print("Draining in-flight requests ...", flush=True)
-            await server.shutdown()
-            print(f"Served {server.stats.requests_total} requests "
-                  f"({server.stats.queries_total} queries)")
-        return 0
+            return (f"Serving catalog of {len(catalog)} indexes ({names}; "
+                    f"default {catalog.default_name!r}, {mode}, {cap}) on "
+                    f"{url} — POST /query (optional \"index\" route), "
+                    f"GET /indexes, GET /healthz, GET /stats")
+        if args.quantized:
+            mode += ", int8 shortlist + exact rerank"
+        index = server.index
+        return (f"Serving {index.kind} index ({len(index)} entries, "
+                f"{mode}) on {url} — POST /query, GET /healthz, GET /stats")
 
     try:
-        return asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
+        return _serve_until_signalled(args, build, banner)
     finally:
         if remote is not None:
             remote.close()
-    return 0
+
+
+def _add_listen_flags(parser: argparse.ArgumentParser, port: int) -> None:
+    """The flags every serving process takes (``serve``, ``serve-shard``)."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=port,
+                        help=f"listen port (0 picks an ephemeral port; "
+                             f"default {port})")
+    parser.add_argument("--no-mmap", action="store_true",
+                        help="read vector matrices eagerly instead of "
+                             "memory-mapping them")
+    parser.add_argument("--log-file", default=None,
+                        help="append an access/drain log to this file "
+                             "(default: $REPRO_SERVE_LOG if set)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1230,16 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("path", help="saved layout this box holds: a "
                                       "single .npz shard or a sharded "
                                       "directory of co-located shards")
-    p_shard.add_argument("--host", default="127.0.0.1")
-    p_shard.add_argument("--port", type=int, default=8100,
-                         help="listen port (0 picks an ephemeral port; "
-                              "default 8100)")
-    p_shard.add_argument("--no-mmap", action="store_true",
-                         help="read vector matrices eagerly instead of "
-                              "memory-mapping them")
-    p_shard.add_argument("--log-file", default=None,
-                         help="append an access/drain log to this file "
-                              "(default: $REPRO_SERVE_LOG if set)")
+    _add_listen_flags(p_shard, port=8100)
     p_shard.set_defaults(func=cmd_serve_shard)
 
     p_serve = sub.add_parser("serve", help="serve a saved index, a "
@@ -1269,10 +1229,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "crashed workers restart with capped "
                               "backoff; 1 (default) serves single-"
                               "process with no supervisor")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8080,
-                         help="listen port (0 picks an ephemeral port; "
-                              "default 8080)")
+    _add_listen_flags(p_serve, port=8080)
     p_serve.add_argument("--max-batch", type=int, default=32,
                          help="flush a micro-batch once this many queries "
                               "are pending (default 32)")
@@ -1286,9 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cap on concurrently open catalog entries "
                               "(LRU-evicted beyond it; default unbounded; "
                               "ignored for a bare index path)")
-    p_serve.add_argument("--no-mmap", action="store_true",
-                         help="read vector matrices eagerly instead of "
-                              "memory-mapping them")
     p_serve.add_argument("--cache-size", type=int, default=1024,
                          help="per-index result-cache bound: max entries "
                               "(default 1024; 0 disables caching)")
@@ -1311,9 +1265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--margin", type=int, default=None,
                          help="with --quantized: additive shortlist slack "
                               "(default 32; 0 allowed)")
-    p_serve.add_argument("--log-file", default=None,
-                         help="append an access/drain log to this file "
-                              "(default: $REPRO_SERVE_LOG if set)")
     p_serve.set_defaults(func=cmd_serve)
     return parser
 

@@ -4,7 +4,8 @@ The horizontal path past one box's ~600 QPS ceiling: shard servers
 (:mod:`repro.cluster.shard_server`) each hold a slice of the corpus
 and expose the per-shard half of the fan-out contract
 (``POST /partial_query`` / ``POST /brute_query`` — candidate counts
-plus partial rankings), and a coordinator
+plus partial rankings) over the transport the retrieval server runs on
+(:mod:`repro.serve.transport`), and a coordinator
 (:class:`RemoteShardedIndex`, :mod:`repro.cluster.coordinator`)
 scatters each micro-batch tick to every server concurrently and hands
 the replies to the very same

@@ -10,9 +10,10 @@ Two pieces:
   flattens server responses in topology order, so the distributed
   shard sequence must be the local one.
 - :class:`ClusterHarness` boots one :class:`~repro.cluster.
-  shard_server.ShardServerThread` per layout (or one
-  ``repro.cli serve-shard`` subprocess with ``subprocesses=True``),
-  hands out the resulting :class:`~repro.cluster.topology.Topology`,
+  shard_server.ShardServerThread` — the serving layer's
+  :class:`~repro.serve.server.ServerThread` bound to a shard server —
+  per layout (or one ``repro.cli serve-shard`` subprocess with
+  ``subprocesses=True``), hands out the resulting :class:`~repro.cluster.topology.Topology`,
   connects coordinators, and can kill/restart individual shard servers
   on their original ports — the fault-injection tests' lever.
 """

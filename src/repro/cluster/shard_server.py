@@ -28,36 +28,31 @@ distributed rankings are bit-identical to local ones by construction
 (JSON round-trips floats exactly — ``json.dumps`` emits ``repr``-style
 shortest forms).
 
-The wire is the same hand-rolled HTTP/1.1 the retrieval server speaks
-(:mod:`repro.serve.protocol` owns framing and error statuses); the
-GEMMs run in the loop's executor so health checks stay responsive
-while a fan-out computes.  The query path is read-only, so any number
-of coordinators may hit one shard server concurrently.
+Sockets, keep-alive, error answers and the graceful drain are
+:class:`~repro.serve.transport.HttpTransport`'s — the transport the
+retrieval server also runs on, so a cluster member drains and fails
+exactly as the front-end does.  The GEMMs run in the loop's executor so
+health checks stay responsive while a fan-out computes.  The query path
+is read-only, so any number of coordinators may hit one shard server
+concurrently.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import os
-import threading
-import time
 from functools import partial
 from pathlib import Path
 
 from ..index import ShardedIndex
 from ..serve.protocol import (
     DEFAULT_MAX_BODY,
-    STREAM_LIMIT,
     ProtocolError,
     Request,
     format_hits,
-    json_body,
     parse_query_payload,
-    read_request,
-    render_response,
 )
-from ..serve.server import LOG_ENV
+from ..serve.server import ServerThread
+from ..serve.transport import HttpTransport
 
 
 def local_shards(index) -> list:
@@ -81,163 +76,33 @@ def index_spec_payload(index) -> dict:
     }
 
 
-class _Connection:
-    """Per-connection drain state (same contract as the retrieval
-    server): ``busy`` requests finish, idle ones are disconnected, and
-    requests arriving after the drain began get a 503."""
-
-    __slots__ = ("writer", "busy", "reject")
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        self.busy = False
-        self.reject = False
-
-
-class ShardServer:
+class ShardServer(HttpTransport):
     """Serve one local index's partial/brute query surface."""
 
     def __init__(self, index, host: str = "127.0.0.1", port: int = 0, *,
                  max_body: int = DEFAULT_MAX_BODY,
                  drain_timeout: float = 10.0,
                  log_path: str | Path | None = None):
+        super().__init__(host, port, max_body=max_body,
+                         drain_timeout=drain_timeout, log_path=log_path)
         self.index = index
         self.shards = local_shards(index)
-        self.host = host
-        self._requested_port = port
-        self.max_body = max_body
-        self.drain_timeout = drain_timeout
         self.requests_total = 0
         self.queries_total = 0
-        self._server: asyncio.Server | None = None
-        self._connections: set[_Connection] = set()
-        self._draining = False
-        self._stopped = asyncio.Event()
-        if log_path is None:
-            log_path = os.environ.get(LOG_ENV) or None
-        self._log_path = None if log_path is None else Path(log_path)
-        self._log_handle = None
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
+    def _boot(self) -> str:
+        return (f"shard serving kind={self.index.kind} "
+                f"dim={self.index.dim} entries={len(self.index)} "
+                f"local_shards={len(self.shards)}")
 
-    async def start(self) -> None:
-        if self._log_path is not None:
-            self._log_path.parent.mkdir(parents=True, exist_ok=True)
-            self._log_handle = open(self._log_path, "a", encoding="utf-8")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port,
-            limit=STREAM_LIMIT)
-        self._log(f"shard serving kind={self.index.kind} "
-                  f"dim={self.index.dim} entries={len(self.index)} "
-                  f"local_shards={len(self.shards)} on "
-                  f"http://{self.host}:{self.port}")
-
-    async def serve_forever(self) -> None:
-        await self._stopped.wait()
-
-    async def shutdown(self) -> None:
-        """Graceful drain, mirroring the retrieval server: stop
-        accepting, sever idle keep-alive connections, let in-flight
-        requests answer, then return.  Idempotent."""
-        if self._draining:
-            await self._stopped.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for connection in list(self._connections):
-            if not connection.busy:
-                connection.writer.close()
-        deadline = time.monotonic() + self.drain_timeout
-        while self._connections and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        for connection in list(self._connections):
-            self._log("drain timeout: force-closing a connection")
-            connection.writer.close()
-        self._log(f"shard stopped after {self.requests_total} requests / "
-                  f"{self.queries_total} queries")
-        if self._log_handle is not None:
-            self._log_handle.close()
-            self._log_handle = None
-        self._stopped.set()
-
-    def _log(self, message: str) -> None:
-        if self._log_handle is not None:
-            stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-            self._log_handle.write(f"{stamp} {message}\n")
-            self._log_handle.flush()
-
-    # ------------------------------------------------------------------
-    # Connection handling (protocol.py owns framing and error statuses)
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        connection = _Connection(writer)
-        self._connections.add(connection)
-        try:
-            def mark_request_started() -> None:
-                connection.busy = True
-                connection.reject = self._draining
-
-            while True:
-                try:
-                    request = await read_request(
-                        reader, max_body=self.max_body,
-                        on_request_line=mark_request_started)
-                except ProtocolError as error:
-                    self.requests_total += 1
-                    writer.write(render_response(
-                        error.status, json_body({"error": error.message}),
-                        keep_alive=not error.close))
-                    await writer.drain()
-                    connection.busy = False
-                    if error.close:
-                        break
-                    continue
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if request is None:
-                    break
-                self.requests_total += 1
-                try:
-                    status, payload, n_queries = await self._respond(
-                        request, reject=connection.reject)
-                except Exception as error:  # noqa: BLE001 - last resort
-                    status, payload, n_queries = 500, {"error": repr(error)}, 0
-                self.queries_total += n_queries
-                keep_alive = (request.keep_alive and not self._draining
-                              and status < 500)
-                writer.write(render_response(status, json_body(payload),
-                                             keep_alive=keep_alive))
-                await writer.drain()
-                self._log(f"{request.method} {request.target} -> {status} "
-                          f"({n_queries} queries)")
-                connection.busy = False
-                if not keep_alive:
-                    break
-        except ConnectionError:
-            pass
-        finally:
-            self._connections.discard(connection)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    def _account(self, status: int, latency: float, n_queries: int) -> None:
+        self.requests_total += 1
+        self.queries_total += n_queries
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _respond(self, request: Request,
-                       reject: bool = False) -> tuple[int, dict, int]:
-        if reject:
-            return 503, {"error": "shard server is draining"}, 0
+    async def _respond(self, request: Request) -> tuple[int, dict, int]:
         if request.target == "/healthz":
             if request.method != "GET":
                 return 405, {"error": "/healthz takes GET"}, 0
@@ -298,65 +163,8 @@ class ShardServer:
         return out
 
 
-class ShardServerThread:
+class ShardServerThread(ServerThread):
     """A :class:`ShardServer` on a background thread's event loop — the
-    in-process harness tests and benchmarks boot cluster members with
-    (mirrors :class:`~repro.serve.server.ServerThread`)."""
+    in-process harness tests and benchmarks boot cluster members with."""
 
-    def __init__(self, index, **server_kwargs):
-        self.server = ShardServer(index, **server_kwargs)
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._stopped = False
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def start(self) -> "ShardServerThread":
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-shard", daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._started.is_set():
-            raise RuntimeError("shard server thread failed to start in time")
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self.server.start())
-        except BaseException as error:  # noqa: BLE001 - reported to starter
-            self._startup_error = error
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.run_until_complete(loop.shutdown_default_executor())
-            loop.close()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._stopped or self._loop is None:
-            return
-        self._stopped = True
-        future = asyncio.run_coroutine_threadsafe(self.server.shutdown(),
-                                                  self._loop)
-        future.result(timeout=timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "ShardServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    server_class = ShardServer

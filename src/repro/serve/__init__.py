@@ -11,6 +11,12 @@ dispatchers (:class:`MicroBatchDispatcher`) that coalesce concurrent
 requests into shared ``query_many`` GEMMs while keeping every served
 ranking identical to the offline CLI path.
 
+The sockets live once, in :mod:`repro.serve.transport`:
+:class:`~repro.serve.transport.HttpTransport` is the listener,
+keep-alive loop and graceful drain under both this package's
+:class:`RetrievalServer` and the cluster tier's shard server, so every
+serving process fails, drains and logs the same way.
+
 Start one from the command line with ``python -m repro.cli serve``
 (a bare index path or a catalog directory), or in-process (tests,
 benchmarks) with :class:`ServerThread`.
@@ -37,8 +43,9 @@ from .prefork import (
     read_worker_stats,
     write_worker_stats,
 )
-from .server import LOG_ENV, RetrievalServer, ServerThread
+from .server import RetrievalServer, ServerThread
 from .stats import ServerStats
+from .transport import LOG_ENV
 
 __all__ = [
     "RetrievalServer", "ServerThread", "MicroBatchDispatcher",

@@ -26,16 +26,19 @@ A server constructed from a bare index (the pre-catalog API, still the
 catalog, so every old caller — and every old client — sees byte-
 identical behaviour.
 
-The query path never writes to any index, so one server instance
-handles any number of concurrent connections without locks; the only
-writer-adjacent machinery is shutdown, which *drains*: the listener
-closes, idle keep-alive connections are disconnected, in-flight
-requests run to completion (every open entry's dispatcher flushes its
-queries), and only then does :meth:`RetrievalServer.shutdown` return.
+The sockets — listener, keep-alive connection loop, protocol-error
+and last-resort answers, graceful drain — belong to
+:class:`~repro.serve.transport.HttpTransport`, which this server
+subclasses; what lives here is what makes it the *retrieval* server:
+the route table, :class:`~repro.serve.stats.ServerStats` accounting,
+flushing every open entry's dispatcher while a drain is under way, and
+the pre-fork stats file.  The query path never writes to any index, so
+one instance handles any number of concurrent connections without
+locks.
 
-:class:`ServerThread` wraps a server in a background thread with its
-own event loop — the harness the e2e/soak tests and the serving
-benchmark use to run server and clients in one process.
+:class:`ServerThread` runs a server on a background thread with its own
+event loop — the harness the e2e/soak tests and the serving benchmark
+use to run server and clients in one process.
 """
 
 from __future__ import annotations
@@ -51,42 +54,20 @@ from ..cache import DEFAULT_CACHE_SIZE
 from ..catalog import Catalog, CatalogHandle
 from .protocol import (
     DEFAULT_MAX_BODY,
-    STREAM_LIMIT,
     ProtocolError,
     Request,
     format_hits,
     index_route,
-    json_body,
     no_cache_flag,
     parse_json_object,
     parse_query_payload,
-    read_request,
-    render_response,
 )
 from .stats import ServerStats
-
-#: Environment variable naming a file the server appends its access log
-#: to (CI tails it on failure); constructor argument wins over it.
-LOG_ENV = "REPRO_SERVE_LOG"
+from .transport import HttpTransport
 
 
-class _Connection:
-    """Per-connection state the drain logic needs: whether the handler
-    is mid-request (must finish) or idle between keep-alive requests
-    (safe to disconnect), and whether the current request arrived after
-    draining began (rejected with 503) or was already in flight (served
-    to completion — the drain guarantee)."""
-
-    __slots__ = ("writer", "busy", "reject")
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        self.busy = False
-        self.reject = False
-
-
-class RetrievalServer:
-    """Serve a catalog of indexes over hand-rolled HTTP/1.1.
+class RetrievalServer(HttpTransport):
+    """Serve a catalog of indexes over the shared HTTP transport.
 
     ``target`` may be a :class:`~repro.catalog.CatalogHandle` (full
     control over open policy), a :class:`~repro.catalog.Catalog`
@@ -123,10 +104,9 @@ class RetrievalServer:
                 # here, at construction, with the retrofit hint).
                 target.enable_quantized(overfetch=overfetch, margin=margin)
             self.handle = CatalogHandle.for_index(target)
-        self.host = host
-        self._requested_port = port
-        self.max_body = max_body
-        self.drain_timeout = drain_timeout
+        super().__init__(host, port, max_body=max_body,
+                         drain_timeout=drain_timeout, log_path=log_path,
+                         sock=sock)
         self.stats = ServerStats()
         # Validates the knobs eagerly; per-entry dispatchers (and result
         # caches — cache_size=0 turns caching off) are created lazily by
@@ -139,23 +119,14 @@ class RetrievalServer:
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.max_backlog = max_backlog
-        self._server: asyncio.Server | None = None
-        self._connections: set[_Connection] = set()
-        self._draining = False
-        self._stopped = asyncio.Event()
-        # Pre-fork wiring: an already-bound listen socket (the worker's
-        # SO_REUSEPORT socket, or the supervisor's inherited one — see
-        # repro.serve.prefork), this worker's fleet id, and the shared
-        # stats directory it publishes its counters into.
-        self._sock = sock
+        # Pre-fork wiring (see repro.serve.prefork): this worker's fleet
+        # id and the shared stats directory it publishes its counters
+        # into; ``sock`` is its already-bound SO_REUSEPORT socket, or
+        # the supervisor's inherited one.
         self._worker_id = worker_id
         self._stats_dir = None if stats_dir is None else Path(stats_dir)
         self._stats_flush_interval = stats_flush_interval
         self._stats_task: asyncio.Task | None = None
-        if log_path is None:
-            log_path = os.environ.get(LOG_ENV) or None
-        self._log_path = None if log_path is None else Path(log_path)
-        self._log_handle = None
 
     # ------------------------------------------------------------------
     # Back-compat surface (the pre-catalog one-index API)
@@ -171,84 +142,46 @@ class RetrievalServer:
         return self.handle.get().dispatcher
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Transport hooks
     # ------------------------------------------------------------------
     @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the ephemeral pick)."""
-        if self._server is not None:
-            return self._server.sockets[0].getsockname()[1]
-        if self._sock is not None:
-            return self._sock.getsockname()[1]
-        return self._requested_port
+    def requests_total(self) -> int:
+        return self.stats.requests_total
 
-    async def start(self) -> None:
-        if self._log_path is not None:
-            self._log_path.parent.mkdir(parents=True, exist_ok=True)
-            self._log_handle = open(self._log_path, "a", encoding="utf-8")
+    @property
+    def queries_total(self) -> int:
+        return self.stats.queries_total
+
+    def _boot(self) -> str:
         # The default entry opens at boot: a server that cannot serve
         # its default index should fail to start, not 500 later, and
         # /healthz answers from it without lazy-open surprises.
-        default = self.handle.get()
-        if self._sock is not None:
-            # Pre-fork worker: adopt the already-bound socket
-            # (asyncio calls listen on it).
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=self._sock,
-                limit=STREAM_LIMIT)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self._requested_port,
-                limit=STREAM_LIMIT)
+        index = self.handle.get().index
+        return (f"serving kind={index.kind} dim={index.dim} "
+                f"entries={len(index)}")
+
+    async def start(self) -> None:
+        await super().start()
+        if len(self.handle) > 1:
+            names = ", ".join(slot.name for slot in self.handle)
+            self._log(f"catalog: {len(self.handle)} indexes ({names}), "
+                      f"default {self.handle.default_name!r}, "
+                      f"max_open={self.handle.max_open}")
         if self._stats_dir is not None:
             self._publish_stats()
             self._stats_task = asyncio.get_running_loop().create_task(
                 self._stats_flush_loop())
-        self._log(f"serving kind={default.index.kind} "
-                  f"dim={default.index.dim} "
-                  f"entries={len(default.index)} on "
-                  f"http://{self.host}:{self.port}")
-        if len(self.handle) > 1:
-            names = ", ".join(slot.name for slot in self.handle)
-            self._log(f"catalog: {len(self.handle)} indexes ({names}), "
-                      f"default {default.name!r}, "
-                      f"max_open={self.handle.max_open}")
 
-    async def serve_forever(self) -> None:
-        """Block until :meth:`shutdown` completes (CLI entry point)."""
-        await self._stopped.wait()
+    def _account(self, status: int, latency: float, n_queries: int) -> None:
+        self.stats.record_response(status, latency, n_queries=n_queries)
 
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight requests,
-        flush every open entry's dispatcher, then return.  Idempotent."""
-        if self._draining:
-            await self._stopped.wait()
-            return
-        self._draining = True
-        self._log("draining: listener closing")
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Idle keep-alive connections are parked in readline; closing
-        # their transports turns that into a clean EOF.  Busy ones keep
-        # running — their response is the whole point of draining.
-        for connection in list(self._connections):
-            if not connection.busy:
-                connection.writer.close()
+    async def _flush(self) -> None:
+        # Every *open* entry: a late handler may even lazily open
+        # another catalog entry while the drain is under way.
         for slot in self.handle.open_slots():
             await slot.dispatcher.drain()
-        deadline = time.monotonic() + self.drain_timeout
-        while self._connections and time.monotonic() < deadline:
-            # A handler that read its request just before the listener
-            # closed may enqueue queries *during* the drain — and may
-            # even lazily open another catalog entry; keep hurrying
-            # every open dispatcher until all handlers have answered.
-            for slot in self.handle.open_slots():
-                slot.dispatcher.flush_now()
-            await asyncio.sleep(0.01)
-        for connection in list(self._connections):
-            self._log("drain timeout: force-closing a connection")
-            connection.writer.close()
+
+    async def _release(self) -> None:
         if self._stats_task is not None:
             self._stats_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -258,111 +191,11 @@ class RetrievalServer:
             # Final counters outlive the worker: the fleet /stats keeps
             # an accurate total across graceful worker exits.
             self._publish_stats()
-        self._log(f"stopped after {self.stats.requests_total} requests / "
-                  f"{self.stats.queries_total} queries")
-        if self._log_handle is not None:
-            self._log_handle.close()
-            self._log_handle = None
-        self._stopped.set()
-
-    def _log(self, message: str) -> None:
-        if self._log_handle is not None:
-            stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-            self._log_handle.write(f"{stamp} {message}\n")
-            self._log_handle.flush()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        connection = _Connection(writer)
-        self._connections.add(connection)
-        loop = asyncio.get_running_loop()
-        try:
-            def mark_request_started() -> None:
-                # Fires the moment a request line arrives: busy makes a
-                # concurrent drain wait for this request (even if the
-                # client is still streaming its body) instead of
-                # severing the upload; reject records whether draining
-                # had *already* begun, in which case the request gets a
-                # 503 rather than sneaking in behind the drain.
-                connection.busy = True
-                connection.reject = self._draining
-
-            while True:
-                try:
-                    request = await read_request(
-                        reader, max_body=self.max_body,
-                        on_request_line=mark_request_started)
-                except ProtocolError as error:
-                    started = loop.time()
-                    self._respond_error(writer, error)
-                    self.stats.record_response(error.status,
-                                               loop.time() - started)
-                    await writer.drain()
-                    connection.busy = False
-                    if error.close:
-                        break
-                    continue
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if request is None:
-                    break
-                started = loop.time()
-                try:
-                    status, payload, n_queries = await self._respond(
-                        request, reject=connection.reject)
-                except Exception as error:  # noqa: BLE001 - last resort
-                    # A bug must produce one 500, not a dead connection.
-                    status, payload, n_queries = 500, {"error": repr(error)}, 0
-                keep_alive = (request.keep_alive and not self._draining
-                              and status < 500)
-                # Load-shed and unavailable answers carry a retry hint;
-                # the connection stays open (429 is the *point* of not
-                # melting down — the client should come right back).
-                extra = ({"Retry-After": "1"} if status in (429, 503)
-                         else None)
-                writer.write(render_response(status, json_body(payload),
-                                             keep_alive=keep_alive,
-                                             extra_headers=extra))
-                await writer.drain()
-                latency = loop.time() - started
-                self.stats.record_response(status, latency,
-                                           n_queries=n_queries)
-                self._log(f"{request.method} {request.target} -> {status} "
-                          f"({n_queries} queries, {latency * 1000:.2f} ms)")
-                connection.busy = False
-                if not keep_alive:
-                    break
-        except ConnectionError:
-            pass
-        finally:
-            self._connections.discard(connection)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    def _respond_error(self, writer: asyncio.StreamWriter,
-                       error: ProtocolError) -> None:
-        self._log(f"protocol error -> {error.status}: {error.message}")
-        writer.write(render_response(error.status,
-                                     json_body({"error": error.message}),
-                                     keep_alive=not error.close))
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _respond(self, request: Request,
-                       reject: bool = False) -> tuple[int, dict, int]:
-        """Route one request; returns ``(status, payload, n_queries)``.
-
-        ``reject`` means the request *arrived after* draining began (a
-        keep-alive client racing the shutdown): it gets a 503.  A
-        request already in flight when the drain started is served
-        normally — that is the drain guarantee."""
-        if reject:
-            return 503, {"error": "server is draining"}, 0
+    async def _respond(self, request: Request) -> tuple[int, dict, int]:
         if request.target == "/query":
             if request.method != "POST":
                 return 405, {"error": "/query takes POST"}, 0
@@ -557,22 +390,10 @@ class RetrievalServer:
                 payload, slot.index.dim)
         except ProtocolError as error:
             return error.status, {"error": error.message}, 0
-        try:
-            results = await slot.dispatcher.submit_many(matrix, k, excludes,
-                                                        no_cache=no_cache)
-        except Exception as error:
-            # Failures that know their own HTTP status — the
-            # dispatcher's BacklogFull (429: load shed, retry shortly)
-            # and the cluster tier's ShardUnavailable/ClusterError
-            # (503: a shard is down; the coordinator refused to serve
-            # a half-merged ranking).  Both are duck-typed so the serve
-            # layer needs no upward imports; anything else is a real
-            # bug and falls through to the generic 500 handler.
-            status = getattr(error, "http_status", None)
-            if status is None:
-                raise
-            self._log(f"query shed -> {status}: {error}")
-            return status, {"error": str(error)}, 0
+        # A shed or unavailable query raises its own status (BacklogFull
+        # 429, the cluster tier's 503s); the transport answers with it.
+        results = await slot.dispatcher.submit_many(matrix, k, excludes,
+                                                    no_cache=no_cache)
         slot.stats.record_queries(len(results))
         if single:
             return 200, {"hits": format_hits(results[0])}, 1
@@ -581,7 +402,7 @@ class RetrievalServer:
 
 
 class ServerThread:
-    """A :class:`RetrievalServer` on a background thread's event loop.
+    """A server on a background thread's event loop.
 
     Context-manager harness for in-process clients (tests, the serving
     benchmark)::
@@ -591,43 +412,40 @@ class ServerThread:
 
     ``__exit__`` performs the same graceful drain the CLI's signal
     handler does, so in-flight requests finish before the thread joins.
+    Arguments go to ``server_class`` — a subclass rebinds it to boot
+    another :class:`~repro.serve.transport.HttpTransport` the same way.
     """
 
+    server_class = RetrievalServer
+
     def __init__(self, target, **server_kwargs):
-        self.server = RetrievalServer(target, **server_kwargs)
+        self.server = self.server_class(target, **server_kwargs)
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._stopped = False
+        self._running = False
 
     @property
     def port(self) -> int:
         return self.server.port
 
     def start(self) -> "ServerThread":
+        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._run,
                                         name="repro-serve", daemon=True)
         self._thread.start()
-        self._started.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._started.is_set():
-            raise RuntimeError("server thread failed to start in time")
+        try:
+            asyncio.run_coroutine_threadsafe(
+                self.server.start(), self._loop).result(timeout=30)
+        except BaseException:
+            # A failed start leaves no thread (and no open loop) behind.
+            self._halt(timeout=30)
+            raise
+        self._running = True
         return self
 
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
+        loop = self._loop
         asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self.server.start())
-        except BaseException as error:  # noqa: BLE001 - reported to starter
-            self._startup_error = error
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
         try:
             loop.run_forever()
         finally:
@@ -636,12 +454,14 @@ class ServerThread:
             loop.close()
 
     def stop(self, timeout: float = 30.0) -> None:
-        if self._stopped or self._loop is None:
+        if not self._running:
             return
-        self._stopped = True
-        future = asyncio.run_coroutine_threadsafe(self.server.shutdown(),
-                                                  self._loop)
-        future.result(timeout=timeout)
+        self._running = False
+        asyncio.run_coroutine_threadsafe(
+            self.server.shutdown(), self._loop).result(timeout=timeout)
+        self._halt(timeout)
+
+    def _halt(self, timeout: float) -> None:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=timeout)
 

@@ -6,6 +6,7 @@ points (`serve-shard`, `serve --cluster`) as real subprocesses."""
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,25 @@ class TestCLIValidation:
     def test_serve_shard_missing_layout_exits_2(self, tmp_path):
         result = self._run("serve-shard", str(tmp_path / "absent.npz"))
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("command", [
+        ("serve",), ("serve-shard",), ("serve", "--workers", "2")],
+        ids=" ".join)
+    def test_busy_port_is_one_line_and_exit_2(self, tmp_path, command):
+        """Every serving process reports an occupied port the same way:
+        one stderr line, exit 2, no traceback."""
+        keys, vectors = make_corpus(n=30, dim=DIM, seed=41)
+        path = save_layout(tmp_path, keys, vectors, 1, seed=41)
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            result = self._run(command[0], str(path), *command[1:],
+                               "--port", str(port))
+        assert result.returncode == 2, result.stderr
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"cannot bind 127.0.0.1:{port}: ")
+        assert "in use" in line.lower()
 
     def test_serve_shard_sigterm_drains_cleanly(self, tmp_path):
         keys, vectors = make_corpus(n=30, dim=DIM, seed=41)

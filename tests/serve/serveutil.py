@@ -73,9 +73,23 @@ def http_request_full(port: int, method: str, path: str,
         conn.close()
 
 
-def post_query(port: int, payload: dict, timeout: float = 30.0):
-    """POST /query with a JSON payload; returns ``(status, parsed)``."""
-    status, data = http_request(port, "POST", "/query",
+def read_until_closed(sock) -> bytes:
+    """Everything the server sends on a raw socket until it closes the
+    connection — for tests that must see exactly what went on the wire
+    (how many responses, and that the server hung up after them)."""
+    received = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return received
+        received += chunk
+
+
+def post_query(port: int, payload: dict, timeout: float = 30.0,
+               route: str = "/query"):
+    """POST a JSON query payload (to ``/query`` unless another query
+    route is named); returns ``(status, parsed)``."""
+    status, data = http_request(port, "POST", route,
                                 json.dumps(payload).encode(), timeout=timeout)
     return status, json.loads(data)
 

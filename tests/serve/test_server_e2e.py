@@ -6,11 +6,23 @@ property is pinned throughout: whatever the server returns for a query
 is exactly what ``open_index(...).query_many`` returns offline — same
 keys, bit-equal scores, same tie order — across layouts (1/2/5 shards),
 mmap and eager opens, and single and batch request shapes.
+
+The transport contract — graceful drain, and the error answers that
+belong to the connection loop rather than to a route — is written once
+(:class:`DrainContract`, :class:`TransportErrorContract`) and bound to
+both servers that run on :mod:`repro.serve.transport`: the retrieval
+server through ``/query`` and the cluster's shard server through
+``/partial_query``.  The bindings are subclasses rather than
+``parametrize`` ids so the retrieval server's cases keep the test names
+they have always had.
 """
 
+import asyncio
+import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -24,14 +36,103 @@ from serveutil import (
     make_corpus,
     offline_ranking,
     post_query,
+    read_until_closed,
     save_layout,
     served_ranking,
 )
 
+from repro.cluster import ShardServerThread
+from repro.cluster.shard_server import local_shards
 from repro.index import FORMAT_VERSION, open_index
 from repro.serve import ServerThread
 
 DIM = 24
+
+
+class FrontTransport:
+    """The retrieval server as the transport contract's input."""
+
+    route = "/query"
+
+    @staticmethod
+    def boot(index, **kwargs):
+        return ServerThread(index, max_wait_ms=1.0, **kwargs)
+
+    @staticmethod
+    def boot_holding(index):
+        """A started server that holds a query in flight — parked in a
+        30-second micro-batch window only a drain's flush cuts short —
+        and a wait for one to be held."""
+        handle = ServerThread(index, max_wait_ms=30_000.0,
+                              max_batch=1024).start()
+
+        def wait_until_held():
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                _status, data = http_request(handle.port, "GET", "/stats")
+                if json.loads(data)["dispatcher"]["pending"] >= 1:
+                    return
+                time.sleep(0.01)
+            pytest.fail("query never reached the dispatcher")
+
+        return handle, wait_until_held
+
+    @staticmethod
+    def want(path, vector, k):
+        """What the route must answer for ``vector``: the offline
+        ranking."""
+        hits = open_index(path).query_many(vector[None, :], k=k)[0]
+        return offline_ranking(hits)
+
+    @staticmethod
+    def got(payload):
+        return served_ranking(payload["hits"])
+
+
+class ShardTransport:
+    """The cluster's shard server as the transport contract's input."""
+
+    route = "/partial_query"
+
+    @staticmethod
+    def boot(index, **kwargs):
+        return ShardServerThread(index, **kwargs)
+
+    @staticmethod
+    def boot_holding(index):
+        """A started server that holds a query in flight — its first
+        shard scores slowly — and a wait for one to be held."""
+        entered = threading.Event()
+        shard = local_shards(index)[0]
+        scoring = shard.query_partial_many
+
+        def slow(*args, **kwargs):
+            entered.set()
+            time.sleep(0.5)
+            return scoring(*args, **kwargs)
+
+        shard.query_partial_many = slow
+
+        def wait_until_held():
+            if not entered.wait(timeout=10):
+                pytest.fail("query never reached the shard")
+
+        return ShardServerThread(index).start(), wait_until_held
+
+    @staticmethod
+    def want(path, vector, k):
+        """What the route must answer for ``vector``: per local shard,
+        the candidate count and the offline partial ranking."""
+        return [[(count, offline_ranking(hits)) for count, hits
+                 in shard.query_partial_many(vector[None, :], k,
+                                             excludes=[None])]
+                for shard in local_shards(open_index(path))]
+
+    @staticmethod
+    def got(payload):
+        return [[(query["count"], served_ranking(query["hits"]))
+                 for query in shard["queries"]]
+                for shard in payload["shards"]]
 
 
 @pytest.fixture(scope="module")
@@ -136,16 +237,66 @@ class TestServedEqualsOffline:
         assert len(results) == len(ks) * len(queries)
 
 
-class TestErrorContract:
+class TransportErrorContract:
+    """Error answers that belong to the connection loop, whatever the
+    routes: an oversized body, a handler bug, and the loop staying
+    alive through all of it."""
+
     @pytest.fixture(scope="class")
-    def server(self, tmp_path_factory):
+    def layout(self, tmp_path_factory):
         keys, vectors = make_corpus(n=60, dim=DIM, seed=3)
-        tmp = tmp_path_factory.mktemp("err")
-        path = save_layout(tmp, keys, vectors, 2)
-        with ServerThread(open_index(path, mmap=True), max_wait_ms=1.0,
-                          max_body=4096) as handle:
+        return save_layout(tmp_path_factory.mktemp("err"), keys, vectors,
+                           2), vectors
+
+    @pytest.fixture(scope="class")
+    def server(self, layout):
+        path, _vectors = layout
+        with self.boot(open_index(path, mmap=True),
+                       max_body=4096) as handle:
             yield handle
 
+    def test_oversized_body_is_413(self, server):
+        blob = json.dumps({"vectors": [[0.0] * DIM] * 500}).encode()
+        assert len(blob) > 4096
+        status, data = http_request(server.port, "POST", self.route, blob)
+        assert status == 413
+        assert "exceeds" in json.loads(data)["error"]
+
+    def test_handler_exception_is_exactly_one_500(self, server,
+                                                  monkeypatch):
+        """A bug in a route is one 500 on that connection — which the
+        server then hangs up — and the listener answers the next one."""
+        async def broken(request):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server.server, "_respond", broken)
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            wire = read_until_closed(sock)
+        assert wire.startswith(b"HTTP/1.1 500 ")
+        assert wire.count(b"HTTP/1.1 ") == 1
+        assert b"boom" in wire
+        monkeypatch.undo()
+        assert http_request(server.port, "GET", "/healthz")[0] == 200
+
+    def test_server_survives_error_barrage(self, server, layout):
+        """After every error above, a good request still answers —
+        errors never wedge the connection loop."""
+        path, vectors = layout
+        blob = json.dumps({"vectors": [[0.0] * DIM] * 500}).encode()
+        assert http_request(server.port, "POST", self.route, blob)[0] == 413
+        assert http_request(server.port, "POST", self.route, b"{nope")[0] \
+            == 400
+        assert http_request(server.port, "GET", "/nope")[0] == 404
+        status, payload = post_query(server.port,
+                                     {"vector": vectors[0].tolist(), "k": 2},
+                                     route=self.route)
+        assert status == 200
+        assert self.got(payload) == self.want(path, vectors[0], 2)
+
+
+class TestErrorContract(FrontTransport, TransportErrorContract):
     def test_malformed_json_is_400(self, server):
         status, data = http_request(server.port, "POST", "/query", b"{nope")
         assert status == 400
@@ -166,20 +317,9 @@ class TestErrorContract:
                             b"{}")[0] == 405
         assert http_request(server.port, "POST", "/stats", b"{}")[0] == 405
 
-    def test_oversized_body_is_413(self, server):
-        blob = json.dumps({"vectors": [[0.0] * DIM] * 500}).encode()
-        assert len(blob) > 4096
-        status, data = http_request(server.port, "POST", "/query", blob)
-        assert status == 413
-        assert "exceeds" in json.loads(data)["error"]
 
-    def test_server_survives_error_barrage(self, server, corpus=None):
-        """After every error above, a good request still answers —
-        errors never wedge the connection loop."""
-        keys, vectors = make_corpus(n=60, dim=DIM, seed=3)
-        status, payload = post_query(server.port,
-                                     {"vector": vectors[0].tolist(), "k": 2})
-        assert status == 200 and len(payload["hits"]) == 2
+class TestShardTransportErrors(ShardTransport, TransportErrorContract):
+    pass
 
 
 class TestHealthAndStats:
@@ -230,33 +370,28 @@ class TestHealthAndStats:
         assert snapshot["dispatcher"]["max_batch"] == 32
 
 
-class TestGracefulDrain:
+class DrainContract:
+    """What a drain guarantees, on any server the transport runs."""
+
     def test_inflight_request_completes_on_shutdown(self, tmp_path, corpus):
-        """A request parked in a wide micro-batch window must be
-        answered — correctly — when the server shuts down mid-wait."""
+        """A request held in flight must be answered — correctly — when
+        the server shuts down under it."""
         keys, vectors = corpus
         path = save_layout(tmp_path, keys, vectors, 2)
-        offline = open_index(path)
-        want = offline_ranking(offline.query_many(vectors[:1], k=3)[0])
-        handle = ServerThread(open_index(path, mmap=True),
-                              max_wait_ms=30_000.0, max_batch=1024).start()
+        want = self.want(path, vectors[0], 3)
+        handle, wait_until_held = self.boot_holding(
+            open_index(path, mmap=True))
         outcome: dict = {}
 
         def client():
             outcome["response"] = post_query(
-                handle.port, {"vector": vectors[0].tolist(), "k": 3})
+                handle.port, {"vector": vectors[0].tolist(), "k": 3},
+                route=self.route)
 
         thread = threading.Thread(target=client)
         thread.start()
         try:
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                _status, data = http_request(handle.port, "GET", "/stats")
-                if json.loads(data)["dispatcher"]["pending"] >= 1:
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("query never reached the dispatcher")
+            wait_until_held()
         finally:
             started = time.monotonic()
             handle.stop()
@@ -264,9 +399,9 @@ class TestGracefulDrain:
         thread.join(timeout=10)
         status, payload = outcome["response"]
         assert status == 200
-        assert served_ranking(payload["hits"]) == want
-        # The drain flushed the batch rather than sitting out the
-        # 30-second window.
+        assert self.got(payload) == want
+        # The drain hurried the answer out rather than sitting out the
+        # retrieval server's 30-second batch window.
         assert drained_in < 10
 
     def test_mid_body_request_completes_on_shutdown(self, tmp_path, corpus):
@@ -274,16 +409,12 @@ class TestGracefulDrain:
         streaming the body when the drain starts must not have its
         upload severed: the drain waits, the request is answered 200
         with the correct ranking."""
-        import socket
-
         keys, vectors = corpus
         path = save_layout(tmp_path, keys, vectors, 2)
-        offline = open_index(path)
-        want = offline_ranking(offline.query_many(vectors[:1], k=3)[0])
-        handle = ServerThread(open_index(path, mmap=True),
-                              max_wait_ms=1.0).start()
+        want = self.want(path, vectors[0], 3)
+        handle = self.boot(open_index(path, mmap=True)).start()
         body = json.dumps({"vector": vectors[0].tolist(), "k": 3}).encode()
-        head = (f"POST /query HTTP/1.1\r\nHost: x\r\n"
+        head = (f"POST {self.route} HTTP/1.1\r\nHost: x\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: close\r\n\r\n").encode()
         sock = socket.create_connection(("127.0.0.1", handle.port),
@@ -296,12 +427,7 @@ class TestGracefulDrain:
             stopper.start()
             time.sleep(0.3)   # drain is now waiting on this connection
             sock.sendall(body[10:])
-            response = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                response += chunk
+            response = read_until_closed(sock)
         finally:
             sock.close()
             if stopper is not None:
@@ -310,14 +436,65 @@ class TestGracefulDrain:
         status_line, _, rest = response.partition(b"\r\n")
         assert b" 200 " in status_line, response[:200]
         payload = json.loads(rest.partition(b"\r\n\r\n")[2])
-        assert served_ranking(payload["hits"]) == want
+        assert self.got(payload) == want
+
+    def test_keepalive_request_after_drain_began_is_503(self, tmp_path,
+                                                        corpus):
+        """A request arriving on a kept-alive connection once the drain
+        has begun is refused with a retry hint, not served behind the
+        drain's back.  On this Python nothing awaits between "draining"
+        and "idle connections severed", so the test holds that window
+        open where ``asyncio.Server.wait_closed`` would."""
+        keys, vectors = corpus
+        path = save_layout(tmp_path, keys, vectors, 1)
+        handle = self.boot(open_index(path)).start()
+        released = threading.Event()
+
+        async def held_open():
+            while not released.is_set():
+                await asyncio.sleep(0.01)
+
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                          timeout=30)
+        stopper = threading.Thread(target=handle.stop)
+        try:
+            conn.request("GET", "/healthz")
+            early = conn.getresponse()
+            early.read()
+            assert early.status == 200
+            handle.server._server.wait_closed = held_open
+            stopper.start()
+            deadline = time.monotonic() + 10
+            while not handle.server._draining:
+                assert time.monotonic() < deadline, "drain never began"
+                time.sleep(0.01)
+            conn.request("GET", "/healthz")
+            late = conn.getresponse()
+            late.read()
+        finally:
+            released.set()
+            if stopper.is_alive():
+                stopper.join(timeout=30)
+            conn.close()
+            handle.stop()
+        assert late.status == 503
+        assert late.getheader("Retry-After") == "1"
+        assert late.getheader("Connection") == "close"
 
     def test_stop_is_idempotent(self, tmp_path, corpus):
         keys, vectors = corpus
         path = save_layout(tmp_path, keys, vectors, 1)
-        handle = ServerThread(open_index(path)).start()
+        handle = self.boot(open_index(path)).start()
         handle.stop()
         handle.stop()
+
+
+class TestGracefulDrain(FrontTransport, DrainContract):
+    pass
+
+
+class TestShardGracefulDrain(ShardTransport, DrainContract):
+    pass
 
 
 class TestServeCli:
