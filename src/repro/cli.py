@@ -507,6 +507,8 @@ def _remove_stale_layout(path, sharded: bool) -> None:
     import shutil
     from pathlib import Path
 
+    from .index import MANIFEST_NAME
+
     path = Path(path)
     if sharded:
         if path.is_file():
@@ -514,7 +516,7 @@ def _remove_stale_layout(path, sharded: bool) -> None:
         sibling = path.with_name(path.name + ".npz")
         if sibling.is_file():
             sibling.unlink()
-    elif (path / "MANIFEST.json").is_file():
+    elif (path / MANIFEST_NAME).is_file():
         shutil.rmtree(path)
 
 

@@ -85,6 +85,57 @@ class SingleFileBackend:
         return index.save(path)
 
 
+def _read_manifest(path: Path) -> tuple[IndexSpec, list[dict]]:
+    """Parse and check a sharded layout's manifest: ``(spec, shard
+    entries)``.  The one reader behind :meth:`ShardedDirBackend.load`
+    and :func:`read_index_spec`, so a layout ``catalog add`` accepts is
+    one ``open_index`` opens.  Checks the manifest version, structure,
+    ``n_shards`` and spec fields, and that every listed shard file
+    exists (a stat; no shard is read)."""
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    version = manifest.get("manifest_version", 1)
+    if version > MANIFEST_VERSION:
+        raise ValueError(f"{path} uses manifest v{version}; this build "
+                         f"reads up to v{MANIFEST_VERSION}")
+    entries = manifest.get("shards")
+    spec_params = manifest.get("spec")
+    if (not isinstance(entries, list) or not isinstance(spec_params, dict)
+            or not all(isinstance(entry, dict) and "file" in entry
+                       for entry in entries)):
+        # A JSON-parseable manifest missing its required structure must
+        # still be one clear ValueError, not a KeyError traceback
+        # escaping open_index.
+        raise ValueError(
+            f"{path / MANIFEST_NAME} lacks the required 'spec'/'shards' "
+            f"structure — the layout is inconsistent (partial write or "
+            f"hand edit?)")
+    declared = manifest.get("n_shards", len(entries))
+    if declared != len(entries):
+        raise ValueError(
+            f"{path / MANIFEST_NAME} declares n_shards={declared} but "
+            f"lists {len(entries)} shard files — the layout is "
+            f"inconsistent (partial write or hand edit?)")
+    try:
+        spec = IndexSpec.from_params(spec_params)
+    except KeyError as error:
+        raise ValueError(
+            f"{path / MANIFEST_NAME} spec lacks required field "
+            f"{error} — the layout is inconsistent (partial write or "
+            f"hand edit?)") from error
+    for entry in entries:
+        if not (path / entry["file"]).is_file():
+            # ValueError, not FileNotFoundError: the layout *is* here,
+            # it just disagrees with its manifest — callers reserve
+            # FileNotFoundError for "no index at this path" (the CLI
+            # turns that into a "run index build" hint, which would be
+            # misleading for a broken layout).
+            raise ValueError(
+                f"{path} is missing shard file {entry['file']!r} listed "
+                f"in {MANIFEST_NAME} — the layout is inconsistent "
+                f"(partial write or deletion?)")
+    return spec, entries
+
+
 class ShardedDirBackend:
     """Directory layout: ``MANIFEST.json`` + one ``.npz`` per shard."""
 
@@ -93,52 +144,13 @@ class ShardedDirBackend:
 
     def load(self, path: Path, mmap: bool = False) -> ShardedIndex:
         path = Path(path)
-        manifest = json.loads((path / MANIFEST_NAME).read_text())
-        version = manifest.get("manifest_version", 1)
-        if version > MANIFEST_VERSION:
-            raise ValueError(f"{path} uses manifest v{version}; this build "
-                             f"reads up to v{MANIFEST_VERSION}")
-        entries = manifest.get("shards")
-        spec_params = manifest.get("spec")
-        if (not isinstance(entries, list) or not isinstance(spec_params, dict)
-                or not all(isinstance(entry, dict) and "file" in entry
-                           for entry in entries)):
-            # A JSON-parseable manifest missing its required structure
-            # must still be one clear ValueError, not a KeyError
-            # traceback escaping open_index.
-            raise ValueError(
-                f"{path / MANIFEST_NAME} lacks the required 'spec'/'shards' "
-                f"structure — the layout is inconsistent (partial write or "
-                f"hand edit?)")
-        declared = manifest.get("n_shards", len(entries))
-        if declared != len(entries):
-            raise ValueError(
-                f"{path / MANIFEST_NAME} declares n_shards={declared} but "
-                f"lists {len(entries)} shard files — the layout is "
-                f"inconsistent (partial write or hand edit?)")
-        try:
-            spec = IndexSpec.from_params(spec_params)
-        except KeyError as error:
-            raise ValueError(
-                f"{path / MANIFEST_NAME} spec lacks required field "
-                f"{error} — the layout is inconsistent (partial write or "
-                f"hand edit?)") from error
+        spec, entries = _read_manifest(path)
         # Validate every shard file *before* assembling the index, so a
         # broken layout surfaces as one clear error at open time — never
         # as a half-merged query result later.
         shards = []
         for entry in entries:
             shard_path = path / entry["file"]
-            if not shard_path.is_file():
-                # ValueError, not FileNotFoundError: the layout *is*
-                # here, it just disagrees with its manifest — callers
-                # reserve FileNotFoundError for "no index at this path"
-                # (the CLI turns that into a "run index build" hint,
-                # which would be misleading for a broken layout).
-                raise ValueError(
-                    f"{path} is missing shard file {entry['file']!r} listed "
-                    f"in {MANIFEST_NAME} — the layout is inconsistent "
-                    f"(partial write or deletion?)")
             if not zipfile.is_zipfile(shard_path):
                 # Truncation loses the zip end-of-central-directory
                 # record; garbage never had one.  np.load's own errors
@@ -260,27 +272,7 @@ def read_index_spec(path: str | Path) -> tuple[IndexSpec, int]:
     ``ValueError`` for a broken or too-new layout)."""
     path = Path(path)
     if (path / MANIFEST_NAME).is_file():
-        manifest = json.loads((path / MANIFEST_NAME).read_text())
-        version = manifest.get("manifest_version", 1)
-        if version > MANIFEST_VERSION:
-            raise ValueError(f"{path} uses manifest v{version}; this build "
-                             f"reads up to v{MANIFEST_VERSION}")
-        entries = manifest.get("shards")
-        spec_params = manifest.get("spec")
-        if (not isinstance(entries, list) or not isinstance(spec_params, dict)
-                or not all(isinstance(entry, dict) and "file" in entry
-                           for entry in entries)):
-            raise ValueError(
-                f"{path / MANIFEST_NAME} lacks the required 'spec'/'shards' "
-                f"structure — the layout is inconsistent (partial write or "
-                f"hand edit?)")
-        try:
-            spec = IndexSpec.from_params(spec_params)
-        except KeyError as error:
-            raise ValueError(
-                f"{path / MANIFEST_NAME} spec lacks required field "
-                f"{error} — the layout is inconsistent (partial write or "
-                f"hand edit?)") from error
+        spec, entries = _read_manifest(path)
         if not entries:
             return spec, FORMAT_VERSION
         return spec, read_saved_payload(path / entries[0]["file"])[

@@ -339,12 +339,6 @@ class VectorIndex:
         and rankings are identical either way."""
         return self.lsh.quantize()
 
-    def drop_quantized(self) -> None:
-        """Detach the sidecar; the next :meth:`save` writes a plain
-        (unquantized) layout."""
-        self.lsh.drop_quantized()
-        self.use_quantized = False
-
     def enable_quantized(self, overfetch: int | None = None,
                          margin: int | None = None) -> None:
         """Route queries through the int8 prefilter.  Requires the

@@ -231,10 +231,6 @@ class ShardedIndex:
         quantized.  Idempotent, like the single-file version."""
         return sum(shard.quantize() for shard in self.shards)
 
-    def drop_quantized(self) -> None:
-        for shard in self.shards:
-            shard.drop_quantized()
-
     def enable_quantized(self, overfetch: int | None = None,
                          margin: int | None = None) -> None:
         """Opt every shard into quantized scoring (validated first, so

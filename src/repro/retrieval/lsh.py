@@ -457,12 +457,6 @@ class CosineLSH:
         self._qscales = list(scales)
         self._qnorms = list(norms)
 
-    def drop_quantized(self) -> None:
-        """Detach the int8 sidecar (queries revert to exact-only)."""
-        self._q8 = None
-        self._qscales = None
-        self._qnorms = None
-
     def quantized_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sidecar as dense arrays ``(q8 (N, dim) int8, scales (N,)
         float32, norms (N,) float32)`` — what persistence writes."""

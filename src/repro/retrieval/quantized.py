@@ -6,7 +6,7 @@ over-fetched shortlist, and the shortlist is then reranked against the
 exact fp vectors through the same einsum kernels every other query path
 uses — so final rankings are bit-identical to the unquantized path
 whenever the shortlist contains the true top-k (the recall contract the
-equivalence suite and the ``bench_quantized`` gate pin).
+equivalence suite and its recall monitor pin).
 
 Determinism is load-bearing, exactly as it is for the LSH hashing
 kernels: the same vector must quantize to the same ``(int8 row, scale,

@@ -1,7 +1,7 @@
 """Pre-fork multi-worker serving: one supervisor, N worker processes.
 
-The single-process asyncio server tops out around ~600 QPS on one box
-(``results/BENCH_serve.json``): one event loop, one GIL, one process.
+A single-process asyncio server is one event loop, one GIL, one
+process.
 The mmap work (PR 5) made the fix nearly free in memory — every worker
 opens the same shard files with ``open_index(mmap=True)``, so the
 kernel page cache holds **one** resident copy of the vector data no
@@ -17,8 +17,8 @@ matter how many workers map it.  This module multiplies the processes:
   connections into a queue nobody drains.
 - Each worker runs the unmodified asyncio
   :class:`~repro.serve.server.RetrievalServer` — same wire contract,
-  same micro-batching, same served-rankings-equal-offline guarantee,
-  gated by ``benchmarks/bench_serve.py --prefork`` before any timing.
+  same micro-batching, same served-rankings-equal-offline guarantee
+  (``tests/serve/test_prefork.py`` checks every worker's answers).
 - SIGTERM/SIGINT to the supervisor fans SIGTERM out to every worker;
   each performs the server's graceful drain (in-flight requests,
   including ones parked in a micro-batch window, run to completion)

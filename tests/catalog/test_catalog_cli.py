@@ -14,7 +14,7 @@ from catutil import make_corpus, save_layout
 
 from repro.catalog import CATALOG_NAME, Catalog
 from repro.cli import main
-from repro.index import VectorIndex
+from repro.index import MANIFEST_NAME, VectorIndex
 
 
 @pytest.fixture()
@@ -107,6 +107,23 @@ class TestAdd:
         assert main(["catalog", "add", str(tmp_path), "--name", "x",
                      "--path", "junk.npz"]) == 2
         assert "cannot add 'x'" in capsys.readouterr().err
+
+    def test_add_layout_that_will_not_open_is_exit_2(self, tmp_path, capsys):
+        """A manifest whose n_shards disagrees with its shard list is
+        refused at add time, with the reason open_index would give."""
+        keys, vectors = make_corpus(n=20, dim=8, seed=6)
+        path = save_layout(tmp_path, keys, vectors, 2, name="lay")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest["n_shards"] = 3
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        assert main(["catalog", "init", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["catalog", "add", str(tmp_path), "--name", "a",
+                     "--path", "lay"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot add 'a'" in err and "n_shards=3" in err
+        assert "a" not in Catalog.load(tmp_path)
 
 
 class TestList:

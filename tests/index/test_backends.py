@@ -17,6 +17,7 @@ from repro.index import (
     TableIndex,
     VectorIndex,
     open_index,
+    read_index_spec,
     save_index,
 )
 
@@ -158,6 +159,24 @@ class TestManifest:
         (path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="manifest v99"):
             open_index(path)
+
+    @pytest.mark.parametrize("corruption", ["n_shards", "missing_file"])
+    def test_spec_peek_rejects_what_open_rejects(self, tmp_path, corruption):
+        """read_index_spec (catalog add/list, the pre-fork check) reads
+        the manifest through the same checks open_index does, so it
+        cannot accept a layout that will not open."""
+        path = small_sharded(n_shards=2).save(tmp_path / "idx")
+        if corruption == "n_shards":
+            manifest = json.loads((path / MANIFEST_NAME).read_text())
+            manifest["n_shards"] = 3
+            (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        else:
+            (path / "shard-0001.npz").unlink()
+        with pytest.raises(ValueError) as opened:
+            open_index(path)
+        with pytest.raises(ValueError) as peeked:
+            read_index_spec(path)
+        assert str(peeked.value) == str(opened.value)
 
     def test_mismatched_shard_rejected(self, tmp_path):
         """A hand-edited manifest cannot smuggle in a shard from a

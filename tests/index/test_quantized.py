@@ -15,6 +15,8 @@ writes it iff present, so stale int8 next to mutated fp vectors is
 structurally impossible.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,19 @@ class TestKernels:
         assert np.abs(q8).max() <= 127
         err = np.abs(matrix - q8.astype(float) * scales[:, None].astype(float))
         assert (err <= scales[:, None] / 2 + 1e-12).all()
+
+    def test_sidecar_resident_bytes_at_most_035x_of_fp64(self):
+        """The tier's memory promise: q8 + scales + norms — the working
+        set the shortlist scores — are at most 0.35x of the fp64 matrix
+        (1/8 + 1/dim for int8 rows plus two float32 per row)."""
+        vectors = tie_dense_corpus(300)
+        index = VectorIndex(dim=DIM, seed=0)
+        index.add_batch([f"k{i}" for i in range(300)], vectors)
+        index.quantize()
+        sidecar = sum(array.nbytes
+                      for array in index.lsh.quantized_arrays())
+        assert vectors.dtype == np.float64
+        assert sidecar <= 0.35 * vectors.nbytes
 
     def test_duplicate_rows_quantize_identically(self):
         """Byte-equal fp rows must get byte-equal int8 rows whether
@@ -348,6 +363,7 @@ class TestLifecycleFreshness:
         index.quantize()
         index.enable_quantized()
         live = list(keys)
+        fresh = itertools.count()
         rng = np.random.default_rng(seed)
         for op in data.draw(st.lists(
                 st.sampled_from(["remove", "add", "compact", "rebalance"]),
@@ -357,7 +373,7 @@ class TestLifecycleFreshness:
                     st.integers(0, len(live) - 1)))
                 index.remove(victim)
             elif op == "add":
-                key = f"new{len(live):04d}"
+                key = f"new{next(fresh):04d}"
                 index.add(key, rng.standard_normal(DIM))
                 live.append(key)
             elif op == "compact":

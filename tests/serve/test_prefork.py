@@ -351,16 +351,16 @@ class TestPreforkE2E:
         """A worker that cannot start must take the fleet down with
         exit code 2, not crash-loop.  The parent only validates the
         manifest (cheap, fork-safe), so a layout whose shard data is
-        gone passes the parent and fails in the child — exactly the
+        corrupt passes the parent and fails in the child — exactly the
         supervisor's fatal-exit path."""
         import shutil
 
         path, _queries, _expected = layout
         doomed = tmp_path / "doomed"
         shutil.copytree(path, doomed)
-        # Keep shard 0 (the parent's spec peek reads it); delete the
+        # Keep shard 0 (the parent's spec peek reads it); corrupt the
         # rest so the child's full open is what fails.
-        (doomed / "shard-0001.npz").unlink()
+        (doomed / "shard-0001.npz").write_bytes(b"truncated")
         with PreforkFleet(doomed, 2,
                           extra_args=["--max-wait-ms", "1"]) as fleet:
             code, _stdout, stderr = fleet.stop(timeout=30)

@@ -369,6 +369,35 @@ class TestHealthAndStats:
         assert snapshot["batch"]["max_size"] <= 32
         assert snapshot["dispatcher"]["max_batch"] == 32
 
+    def test_max_batch_1_makes_every_query_its_own_tick(self, tmp_path,
+                                                        corpus, queries):
+        """max_batch=1 is per-request dispatch: however the queries
+        arrive — one batch request or concurrent singles — and however
+        long the window, each is its own tick (mean batch 1.0)."""
+        keys, vectors = corpus
+        path = save_layout(tmp_path, keys, vectors, 2)
+
+        def single(q):
+            assert post_query(handle.port, {"vector": queries[q].tolist(),
+                                            "k": 3})[0] == 200
+
+        with ServerThread(open_index(path, mmap=True), max_batch=1,
+                          max_wait_ms=50.0, cache_size=0) as handle:
+            status, _payload = post_query(
+                handle.port, {"vectors": queries.tolist(), "k": 3})
+            assert status == 200
+            threads = [threading.Thread(target=single, args=(q,))
+                       for q in range(len(queries))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            _status, data = http_request(handle.port, "GET", "/stats")
+        batch = json.loads(data)["batch"]
+        assert batch["dispatched"] == 2 * len(queries)
+        assert batch["mean_size"] == 1.0
+        assert batch["max_size"] == 1
+
 
 class DrainContract:
     """What a drain guarantees, on any server the transport runs."""
