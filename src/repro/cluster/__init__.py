@@ -9,14 +9,15 @@ plus partial rankings) over the transport the retrieval server runs on
 (:class:`RemoteShardedIndex`, :mod:`repro.cluster.coordinator`)
 scatters each micro-batch tick to every server concurrently and hands
 the replies to the very same
-:func:`~repro.index.sharded.gather_top_k` a local
+:func:`~repro.retrieval.lsh.gather_top_k` a local
 :class:`~repro.index.sharded.ShardedIndex` uses — the brute-force
 fallback is decided on the **global** candidate total and the merge is
 the local merge, so distributed rankings are bit-identical to local
 ones by construction (property-tested in ``tests/cluster/``).
 
-The coordinator quacks like a ``ShardedIndex``, so the serving stack
-composes unchanged: micro-batching dispatcher, result cache
+The coordinator is an :class:`~repro.index.index.IndexSurface` like
+both local layouts, so the serving stack composes unchanged:
+micro-batching dispatcher, result cache
 (invalidated by generations propagated from the shard servers),
 catalog wrapping, graceful drain.  Boot a cluster with ``repro
 serve-shard`` per shard box plus ``repro serve --cluster

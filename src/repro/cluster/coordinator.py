@@ -1,30 +1,30 @@
-"""Scatter-gather coordinator: a ``ShardedIndex`` whose shards are
-remote.
+"""Scatter-gather coordinator: an index whose shards are remote.
 
-:class:`RemoteShardedIndex` quacks like
-:class:`~repro.index.sharded.ShardedIndex` — ``kind``/``dim``/
-``n_shards``/``model_id``/``format_version``/``generation``/``len``/
-``query_many`` — so everything built on that surface composes
-unchanged: the :class:`~repro.serve.dispatcher.MicroBatchDispatcher`
-micro-batches ticks into it, the result cache keys on its
-``generation`` (propagated from the shard servers, so a shard whose
-data changed invalidates the coordinator's cache), and the
-catalog wraps it as a pinned entry.
+:class:`RemoteShardedIndex` is an
+:class:`~repro.index.index.IndexSurface`, like the two local layouts:
+its :class:`~repro.index.spec.IndexSpec` (from the shard servers'
+``/healthz``) answers ``kind``/``dim``/``model_id``, and
+``query_vector``/``query_many`` are the surface's own, so everything
+built on that surface composes unchanged: the
+:class:`~repro.serve.dispatcher.MicroBatchDispatcher` micro-batches
+ticks into it, the result cache keys on its ``generation`` (propagated
+from the shard servers, so a shard whose data changed invalidates the
+coordinator's cache), and the catalog wraps it as a pinned entry.
 
-One query tick runs the exact algorithm the local fan-out runs, with
-HTTP in place of method calls:
+The coordinator supplies only the two answers the surface asks every
+layout for, with HTTP in place of method calls:
 
-1. ``POST /partial_query`` to every shard server **concurrently** (one
-   asyncio task each, on the coordinator's private I/O loop);
-2. flatten each server's per-local-shard partials in topology order
-   into one global shard list — the same flat order a local
-   ``ShardedIndex`` over those shards would merge;
-3. hand them to :func:`~repro.index.sharded.gather_top_k` — literally
-   the routine the local layout uses, so the brute-force fallback is
-   decided per query on the **global** candidate total, the short
-   queries go back out as ``POST /brute_query`` to every server, and
-   the merge is the local merge: distributed rankings are bit-identical
-   by construction.
+1. partials — ``POST /partial_query`` to every shard server
+   **concurrently** (one asyncio task each, on the coordinator's
+   private I/O loop), each server's per-local-shard replies flattened
+   in topology order into one global shard list — the same flat order
+   a local ``ShardedIndex`` over those shards would merge;
+2. brute-force rankings — ``POST /brute_query`` to every server, for
+   the queries :func:`~repro.retrieval.lsh.gather_top_k` found short.
+
+The fallback decision (on the **global** candidate total) and the merge
+are the local layouts' code, not a copy of it: distributed rankings are
+bit-identical by construction.
 
 Transport: per-shard keep-alive connection pools, per-attempt
 timeouts, and capped exponential backoff retries.  Retrying is safe
@@ -37,7 +37,7 @@ Recovery needs no coordinator restart — pools re-dial on demand, so
 the first fan-out after the shard returns succeeds.
 
 ``query_many`` is synchronous (the dispatcher calls it from an
-executor thread); internally it hops onto the I/O loop via
+executor thread); internally each scatter hops onto the I/O loop via
 ``run_coroutine_threadsafe``, so concurrent ticks share pools without
 locks — all pool state lives on the loop thread.
 """
@@ -50,8 +50,8 @@ import threading
 
 import numpy as np
 
-from ..index import SearchHit, gather_top_k
-from ..index.index import _check_jobs
+from ..index import IndexSpec, SearchHit
+from ..index.index import IndexSurface
 from ..serve.protocol import STREAM_LIMIT
 from .errors import ClusterError, ShardProtocolError, ShardUnavailable, TopologyError
 from .topology import ShardAddress, Topology
@@ -245,9 +245,9 @@ class RemoteShard:
         return await _read_client_response(reader)
 
 
-class RemoteShardedIndex:
-    """A cluster of shard servers behind the ``ShardedIndex`` query
-    surface (see module docstring).  Build with :meth:`connect`."""
+class RemoteShardedIndex(IndexSurface):
+    """A cluster of shard servers behind the one index query surface
+    (see module docstring).  Build with :meth:`connect`."""
 
     def __init__(self, topology: Topology, *,
                  timeout: float = DEFAULT_TIMEOUT,
@@ -267,11 +267,8 @@ class RemoteShardedIndex:
                                     pool_size=pool_size)
                         for address in topology]
         # Filled by connect(): spec identity + per-server bookkeeping.
-        self.kind: str = "vector"
-        self.dim: int = 0
-        self.model_id: str | None = None
+        self.spec = IndexSpec(kind="vector", dim=0)
         self.format_version: int = 0
-        self._spec: dict | None = None
         self._shard_counts: list[int] = [1] * len(self.remotes)
         self._entries: list[int] = [0] * len(self.remotes)
         self._generations: list[int] = [0] * len(self.remotes)
@@ -330,10 +327,8 @@ class RemoteShardedIndex:
             raise TopologyError(
                 f"shard servers were built from different model "
                 f"checkpoints: {sorted(model_ids)}")
-        self._spec = first
-        self.kind = first["kind"]
-        self.dim = first["dim"]
-        self.model_id = model_ids.pop() if model_ids else None
+        self.spec = IndexSpec.from_params(
+            {**first, "model_id": model_ids.pop() if model_ids else None})
         self.format_version = max(int(reply.get("format_version", 0))
                                   for reply in replies)
 
@@ -404,36 +399,8 @@ class RemoteShardedIndex:
                 "generation": self.generation}
 
     # ------------------------------------------------------------------
-    # Query (the ShardedIndex contract)
+    # Query: the partial and brute-force answers of the surface
     # ------------------------------------------------------------------
-    def query_vector(self, vector: np.ndarray, k: int = 10,
-                     exclude: str | None = None,
-                     jobs: int | None = None) -> list[SearchHit]:
-        excludes = None if exclude is None else [exclude]
-        return self.query_many(np.asarray(vector, float)[None, :], k,
-                               excludes=excludes, jobs=jobs)[0]
-
-    def query_many(self, vectors: np.ndarray, k: int = 10,
-                   excludes: list[str | None] | None = None,
-                   jobs: int | None = None) -> list[list[SearchHit]]:
-        """Distributed :meth:`ShardedIndex.query_many` (see module
-        docstring for the algorithm).  ``jobs`` is accepted for surface
-        compatibility and validated, but the fan-out is already fully
-        concurrent — there is no thread pool to size."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        _check_jobs(jobs)
-        if self._closed:
-            raise ClusterError("coordinator is closed")
-        matrix = np.asarray(vectors, float)
-
-        def brute(short: list[int]) -> list[list[list[SearchHit]]]:
-            return self._fan_brute(matrix[short], k,
-                                   None if excludes is None
-                                   else [excludes[q] for q in short])
-
-        return gather_top_k(k, self._fan_partial(matrix, k, excludes), brute)
-
     def _payload(self, matrix: np.ndarray, k: int,
                  excludes: list[str | None] | None) -> dict:
         payload = {"vectors": matrix.tolist(), "k": k}
@@ -441,14 +408,15 @@ class RemoteShardedIndex:
             payload["excludes"] = list(excludes)
         return payload
 
-    def _fan_partial(self, matrix, k, excludes
-                     ) -> list[list[tuple[int, list[SearchHit]]]]:
+    def _partials(self, matrix, k, excludes, jobs
+                  ) -> list[list[tuple[int, list[SearchHit]]]]:
         """Scatter ``/partial_query``; returns ``partials[s][q] =
         (count, hits)`` flattened to one entry per *global* shard in
         topology order — what a local layout's shard ``s`` would report
-        for query ``q``."""
-        payload = self._payload(matrix, k, excludes)
-        replies = self._scatter("/partial_query", payload)
+        for query ``q``.  ``jobs`` needs no pool here: the scatter is
+        already fully concurrent."""
+        replies = self._scatter("/partial_query",
+                                self._payload(matrix, k, excludes))
         partials: list[list[tuple[int, list[SearchHit]]]] = []
         for position, reply in enumerate(replies):
             for shard in self._shard_entries(position, reply, len(matrix)):
@@ -465,9 +433,9 @@ class RemoteShardedIndex:
                 partials.append(shard_partials)
         return partials
 
-    def _fan_brute(self, matrix, k, excludes) -> list[list[list[SearchHit]]]:
-        payload = self._payload(matrix, k, excludes)
-        replies = self._scatter("/brute_query", payload)
+    def _brute(self, matrix, k, excludes, jobs) -> list[list[list[SearchHit]]]:
+        replies = self._scatter("/brute_query",
+                                self._payload(matrix, k, excludes))
         rankings: list[list[list[SearchHit]]] = []
         for position, reply in enumerate(replies):
             for shard in self._shard_entries(position, reply, len(matrix)):
@@ -479,6 +447,8 @@ class RemoteShardedIndex:
         """POST ``payload`` to every server concurrently.  Any failure
         fails the whole fan-out with that shard's error — the merge
         never sees a partial result set."""
+        if self._closed:
+            raise ClusterError("coordinator is closed")
         replies = self._io.run(self._gather(
             [remote.request("POST", path, payload)
              for remote in self.remotes]))

@@ -66,13 +66,13 @@ def local_shards(index) -> list:
 def index_spec_payload(index) -> dict:
     """The LSH-geometry/spec identity ``GET /healthz`` reports (the
     coordinator checks every server agrees before merging anything)."""
-    source = index.spec if isinstance(index, ShardedIndex) else index
+    spec = index.spec
     return {
-        "kind": index.kind,
-        "dim": index.dim,
-        "n_planes": source.n_planes,
-        "n_bands": source.n_bands,
-        "seed": source.seed,
+        "kind": spec.kind,
+        "dim": spec.dim,
+        "n_planes": spec.n_planes,
+        "n_bands": spec.n_bands,
+        "seed": spec.seed,
     }
 
 

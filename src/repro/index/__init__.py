@@ -7,18 +7,18 @@ batch-encodes whole corpora through the four segment models, and
 :class:`TableIndex` / :class:`ColumnIndex` persist composite embeddings
 behind cosine LSH for sub-quadratic search.
 
-Persistence goes through pluggable backends (:mod:`repro.index.backends`):
-a single versioned ``.npz`` or a sharded directory of them
-(``MANIFEST.json`` + ``shard-XXXX.npz``) behind a
-:class:`~repro.index.sharded.ShardedIndex`.  :func:`open_index` is the
-one load entry point — it sniffs the layout and returns the right
-object.
+There is one index surface (:mod:`repro.index.index`): a single
+versioned ``.npz`` (:class:`VectorIndex`) and a sharded directory of
+them (``MANIFEST.json`` + ``shard-XXXX.npz``, :class:`ShardedIndex`)
+share the query, quantize, merge and parameter code, and keep their
+parameters in one :class:`IndexSpec`.  :func:`open_index` is the one
+load entry point — it sniffs the layout (:mod:`repro.index.backends`)
+and returns the right object.
 """
 
 from .backends import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
-    IndexBackend,
     ShardedDirBackend,
     SingleFileBackend,
     open_index,
@@ -33,10 +33,9 @@ from .index import (
     TableIndex,
     VectorIndex,
     index_class,
-    read_saved_payload,
+    merge_shard_rankings,
 )
-from .sharded import (ShardedIndex, gather_top_k, merge_shard_rankings,
-                      shard_of)
+from .sharded import ShardedIndex, shard_of
 from .spec import IndexSpec
 from .store import DEFAULT_BATCH_SIZE, EmbeddingStore, StoreStats, default_workers
 
@@ -46,8 +45,7 @@ __all__ = [
     "VectorIndex", "TableIndex", "ColumnIndex", "SearchHit",
     "FORMAT_VERSION", "index_class",
     "IndexSpec", "ShardedIndex", "shard_of", "merge_shard_rankings",
-    "gather_top_k",
-    "IndexBackend", "SingleFileBackend", "ShardedDirBackend",
-    "open_index", "save_index", "read_index_spec", "read_saved_payload",
+    "SingleFileBackend", "ShardedDirBackend",
+    "open_index", "save_index", "read_index_spec",
     "MANIFEST_NAME", "MANIFEST_VERSION",
 ]

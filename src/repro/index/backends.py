@@ -25,10 +25,14 @@ Two on-disk layouts, one entry point:
 :func:`open_index` sniffs which layout a path is (directory with a
 manifest vs. ``.npz`` file, including the appended-suffix fallback) and
 returns the right object — a :class:`~repro.index.index.VectorIndex`
-subclass or a :class:`~repro.index.sharded.ShardedIndex`, which share
-the query/lifecycle surface.  It is the **only** load entry point the
-CLI uses, so error messages and format-version checks live here and in
-``VectorIndex.load`` alone.
+subclass or a :class:`~repro.index.sharded.ShardedIndex`, both
+:class:`~repro.index.index.LocalIndex` and so one query/lifecycle
+surface.  :func:`read_index_spec` sniffs the same way and asks the same
+backend for its spec without reading vectors.  Each check both entry
+points run is written once — the manifest in :func:`_read_manifest`, a
+file's format version, spec and kind in
+``repro.index.index._read_payload`` — so the peek refuses what the open
+would refuse first, with the same message.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from __future__ import annotations
 import json
 import zipfile
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
-from .index import FORMAT_VERSION, VectorIndex, read_saved_payload
+import numpy as np
+
+from .index import FORMAT_VERSION, VectorIndex, _read_payload, _resolve_saved_path
 from .sharded import ShardedIndex
 from .spec import IndexSpec
 
@@ -53,24 +58,6 @@ MANIFEST_VERSION = 1
 SHARD_TEMPLATE = "shard-{:04d}.npz"
 
 
-@runtime_checkable
-class IndexBackend(Protocol):
-    """One on-disk layout: sniffing, loading and saving."""
-
-    def handles(self, path: Path) -> bool:
-        """Whether ``path`` looks like this backend's layout."""
-        ...
-
-    def load(self, path: Path, mmap: bool = False):
-        """Load the index stored at ``path``; ``mmap=True`` memory-maps
-        the vector matrices read-only instead of reading them eagerly."""
-        ...
-
-    def save(self, index, path: Path) -> Path:
-        """Persist ``index`` at ``path``; returns the written root."""
-        ...
-
-
 class SingleFileBackend:
     """Today's versioned ``.npz`` layout (v1 and v2 files)."""
 
@@ -80,6 +67,13 @@ class SingleFileBackend:
 
     def load(self, path: Path, mmap: bool = False) -> VectorIndex:
         return VectorIndex.load(path, mmap=mmap)
+
+    def read_spec(self, path: Path) -> tuple[IndexSpec, int]:
+        """``(spec, format_version)`` from the payload alone."""
+        path = _resolve_saved_path(path)
+        with np.load(path) as archive:
+            _payload, spec, version = _read_payload(archive, path)
+        return spec, version
 
     def save(self, index: VectorIndex, path: Path) -> Path:
         return index.save(path)
@@ -160,7 +154,7 @@ class ShardedDirBackend:
             try:
                 shard = VectorIndex.load(shard_path, mmap=mmap)
             except ValueError:
-                # Format-version rejections are already clear.
+                # Format-version and kind rejections are already clear.
                 raise
             except Exception as error:
                 # A well-formed zip that still fails to load (missing
@@ -188,6 +182,15 @@ class ShardedDirBackend:
         # hand-edited manifest cannot smuggle mismatched shards in.
         return ShardedIndex(spec, shards)
 
+    def read_spec(self, path: Path) -> tuple[IndexSpec, int]:
+        """``(spec, format_version)`` from the manifest, the version from
+        the first shard's payload (shards are written together, so one
+        member answers for the layout)."""
+        spec, entries = _read_manifest(path)
+        if not entries:
+            return spec, FORMAT_VERSION
+        return spec, SingleFileBackend().read_spec(path / entries[0]["file"])[1]
+
     def save(self, index: ShardedIndex, path: Path) -> Path:
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
@@ -212,11 +215,19 @@ class ShardedDirBackend:
         return path
 
 
-#: Sniffing order: the manifest is an unambiguous marker, so the
-#: sharded backend goes first; the single-file backend then claims any
-#: existing file (or appended-``.npz`` sibling).
-BACKENDS: tuple[IndexBackend, ...] = (ShardedDirBackend(),
-                                      SingleFileBackend())
+def _backend(path: Path):
+    """The backend whose layout ``path`` is.  The manifest is an
+    unambiguous marker, so the sharded backend goes first; the
+    single-file backend then claims any existing file (or
+    appended-``.npz`` sibling)."""
+    for backend in (ShardedDirBackend(), SingleFileBackend()):
+        if backend.handles(path):
+            return backend
+    if path.is_dir():
+        raise FileNotFoundError(
+            f"{path} is a directory without {MANIFEST_NAME} — not a "
+            f"sharded index layout")
+    raise FileNotFoundError(f"no index file at {path}")
 
 
 def open_index(path: str | Path, mmap: bool = False,
@@ -226,8 +237,10 @@ def open_index(path: str | Path, mmap: bool = False,
     Returns a :class:`VectorIndex` subclass for single ``.npz`` files
     (legacy v1 and v2 formats included) or a :class:`ShardedIndex` for
     manifest directories.  Both expose the same query/lifecycle surface
-    (``query_vector``, ``remove``, ``compact``, ``merge``, ``save``),
-    so callers need not care which layout they got.
+    (``query_vector``, ``query_many``, ``remove``, ``compact``,
+    ``merge``, ``save``), so callers need not care which layout they
+    got.  ``FileNotFoundError`` means nothing is there; ``ValueError``
+    a broken, too-new or unknown-kind layout.
 
     ``mmap=True`` memory-maps every vector matrix read-only instead of
     reading it eagerly — the cold-open mode the retrieval server uses:
@@ -245,51 +258,20 @@ def open_index(path: str | Path, mmap: bool = False,
     cost for GEMM and resident-memory savings, not result quality.
     """
     path = Path(path)
-    for backend in BACKENDS:
-        if backend.handles(path):
-            index = backend.load(path, mmap=mmap)
-            if quantized:
-                index.enable_quantized()
-            return index
-    if path.is_dir():
-        raise FileNotFoundError(
-            f"{path} is a directory without {MANIFEST_NAME} — not a "
-            f"sharded index layout")
-    raise FileNotFoundError(f"no index file at {path}")
+    index = _backend(path).load(path, mmap=mmap)
+    if quantized:
+        index.enable_quantized()
+    return index
 
 
 def read_index_spec(path: str | Path) -> tuple[IndexSpec, int]:
     """Peek at a saved index's ``(spec, format_version)`` without
-    loading any vector data.
-
-    Works on both layouts: a sharded directory's spec comes from its
-    manifest (format version from the first shard's payload — shards
-    are written together, so one member answers for the layout), a
-    single file's from the lazily-read ``.npz`` payload.  The cheap
-    inspection path ``catalog add``/``catalog list`` use to verify an
-    entry's kind and checkpoint stamp; same error contract as
-    :func:`open_index` (``FileNotFoundError`` for "nothing here",
-    ``ValueError`` for a broken or too-new layout)."""
+    loading any vector data — the cheap inspection path ``catalog
+    add``/``catalog list`` and the pre-fork parent use to verify an
+    entry's kind and checkpoint stamp.  Same layouts, same checks and
+    same error contract as :func:`open_index`."""
     path = Path(path)
-    if (path / MANIFEST_NAME).is_file():
-        spec, entries = _read_manifest(path)
-        if not entries:
-            return spec, FORMAT_VERSION
-        return spec, read_saved_payload(path / entries[0]["file"])[
-            "format_version"]
-    if path.is_file() or path.with_name(path.name + ".npz").is_file():
-        payload = read_saved_payload(path)
-        try:
-            return (IndexSpec.from_params(payload["params"]),
-                    payload["format_version"])
-        except KeyError as error:
-            raise ValueError(f"{path} payload lacks required field {error} — "
-                             f"the file is corrupt or hand-edited") from error
-    if path.is_dir():
-        raise FileNotFoundError(
-            f"{path} is a directory without {MANIFEST_NAME} — not a "
-            f"sharded index layout")
-    raise FileNotFoundError(f"no index file at {path}")
+    return _backend(path).read_spec(path)
 
 
 def save_index(index: VectorIndex | ShardedIndex, path: str | Path) -> Path:

@@ -1,11 +1,27 @@
 """Persistent LSH-backed vector indexes over tables and columns.
 
-A :class:`VectorIndex` owns a :class:`~repro.retrieval.lsh.CosineLSH`
-plus the external keys (table fingerprints, ``fingerprint:col`` pairs)
-and display metadata for every vector.  :class:`TableIndex` and
-:class:`ColumnIndex` specialize it with the paper's composite embeddings
-(tblcomp / colcomp, Figure 5) and corpus ``build`` constructors that go
-through the batched :class:`~repro.index.store.EmbeddingStore` path.
+One index surface, three layouts.  :class:`IndexSurface` is what every
+index answers through — a single file, a sharded directory
+(:class:`~repro.index.sharded.ShardedIndex`) and a cluster of shard
+servers (:class:`~repro.cluster.coordinator.RemoteShardedIndex`): its
+parameters live in one :class:`~repro.index.spec.IndexSpec`, and
+``query_vector``/``query_many`` are written once on top of two hooks a
+layout supplies — per-shard partial answers and per-shard brute-force
+answers — which :func:`~repro.retrieval.lsh.gather_top_k` turns into
+rankings (brute-force fallback decided on the candidate total across
+every shard, heap merge only when there is more than one ranking).
+:class:`LocalIndex` adds what the two on-disk layouts share over their
+list of shards: the fan-out, ``query_table``/``query_column``, the
+quantized tier and ``merge``.
+
+A :class:`VectorIndex` is one shard: it owns a
+:class:`~repro.retrieval.lsh.CosineLSH` plus the external keys (table
+fingerprints, ``fingerprint:col`` pairs) and display metadata for every
+vector, and is also the single-file layout (a one-shard index).
+:class:`TableIndex` and :class:`ColumnIndex` specialize it with the
+paper's composite embeddings (tblcomp / colcomp, Figure 5) and corpus
+``build`` constructors that go through the batched
+:class:`~repro.index.store.EmbeddingStore` path.
 
 Indexes round-trip to a single ``.npz`` file: the vector matrix is
 stored as an array, everything else (keys, metadata, LSH and embedding
@@ -23,7 +39,7 @@ Corpora churn, so indexes have a lifecycle beyond ``build``:
 :meth:`VectorIndex.remove` tombstones an entry (dropped from the LSH
 buckets, slot retained), :meth:`VectorIndex.compact` rebuilds the dense
 arrays and bucket tables without the tombstones, and
-:meth:`VectorIndex.merge` folds another compatible index in, deduping by
+:meth:`LocalIndex.merge` folds another compatible index in, deduping by
 fingerprint key.  The ``.npz`` format is versioned
 (:data:`FORMAT_VERSION`) and persists tombstones, so ``save``/``load``
 is an exact round-trip at any point of the lifecycle.
@@ -32,15 +48,17 @@ is an exact round-trip at any point of the lifecycle.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..retrieval.lsh import CosineLSH
+from ..retrieval.lsh import CosineLSH, gather_top_k, merge_ranked
 from ..retrieval.quantized import MARGIN, OVERFETCH, shortlist_size
 from ..tables.table import Table
 from .fingerprint import table_fingerprint
+from .spec import IndexSpec
 
 _PAYLOAD_KEY = "__index__"
 
@@ -152,13 +170,6 @@ def _build_partition(cls, partition: list, batch_size: int | None,
                      **build_kwargs)
 
 
-def _check_jobs(jobs: int | None) -> None:
-    """Shared validation for the ``jobs=`` thread fan-out knob — both
-    layouts reject non-positive counts the way ``k < 1`` is rejected."""
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-
 @dataclass(frozen=True)
 class SearchHit:
     """One ranked neighbour: external key, cosine score, display metadata."""
@@ -171,31 +182,306 @@ class SearchHit:
         return f"SearchHit({self.key!r}, {self.score:.3f}, {self.meta})"
 
 
-class VectorIndex:
-    """Keyed cosine-LSH index with ``.npz`` persistence."""
+def merge_shard_rankings(rankings: list[list[SearchHit]],
+                         k: int) -> list[SearchHit]:
+    """Heap-merge per-shard hit rankings into one global top-k, deduping
+    keys (a manually assembled layout may hold one key in two shards).
+
+    ``rankings`` must arrive in shard order; the shard count is implied
+    by ``len(rankings)``.
+    """
+    by_key: dict[str, SearchHit] = {}
+    for ranking in rankings:
+        for hit in ranking:
+            current = by_key.get(hit.key)
+            if current is None or hit.score > current.score:
+                by_key[hit.key] = hit
+    # Over-fetch when deduping could shrink the result: a key held by
+    # two shards (manually assembled layout) must count once, without
+    # costing a slot another key earned.
+    merged = merge_ranked([[(hit.key, hit.score) for hit in ranking]
+                           for ranking in rankings],
+                          k * len(rankings))
+    hits, seen = [], set()
+    for key, _score in merged:
+        if key not in seen:
+            seen.add(key)
+            hits.append(by_key[key])
+        if len(hits) == k:
+            break
+    return hits
+
+
+class IndexSurface:
+    """The query surface of every index type (see the module
+    docstring).  A layout sets :attr:`spec` and supplies
+    :meth:`_partials` and :meth:`_brute`; everything else is here."""
+
+    spec: IndexSpec
+
+    @property
+    def kind(self) -> str:
+        return self.spec.kind
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
+
+    @property
+    def model_id(self) -> str | None:
+        """Fingerprint of the embedder the vectors came from (see
+        :meth:`~repro.core.embedder.TabBiNEmbedder.fingerprint`);
+        ``None`` for hand-built indexes.  :meth:`LocalIndex.merge`
+        refuses to mix vectors from two *different known* checkpoints —
+        same dim and variant do not imply the same embedding space."""
+        return self.spec.model_id
+
+    @model_id.setter
+    def model_id(self, value: str | None) -> None:
+        self.spec.model_id = value
+
+    @property
+    def corpus(self) -> dict:
+        """Free-form provenance (e.g. dataset/n_tables/seed) persisted
+        with the index so queries can check they target the same corpus
+        the index was built from."""
+        return self.spec.corpus
+
+    @corpus.setter
+    def corpus(self, stamp: dict) -> None:
+        self.spec.corpus = stamp
+
+    def _partials(self, matrix: np.ndarray, k: int, excludes,
+                  jobs: int | None) -> list[list[tuple[int, list[SearchHit]]]]:
+        """Per shard, in flat shard order: ``(LSH candidate count, top-k
+        among the candidates)`` for every query row."""
+        raise NotImplementedError
+
+    def _brute(self, matrix: np.ndarray, k: int, excludes,
+               jobs: int | None) -> list[list[list[SearchHit]]]:
+        """Per shard, in flat shard order: top-k over every live entry
+        for every query row."""
+        raise NotImplementedError
+
+    def query_vector(self, vector: np.ndarray, k: int = 10,
+                     exclude: str | None = None,
+                     jobs: int | None = None) -> list[SearchHit]:
+        """Top-k neighbours of ``vector`` — the ``Q=1`` case of
+        :meth:`query_many`; ``exclude`` drops one key (typically the
+        query's own fingerprint)."""
+        return self.query_many(np.asarray(vector, float)[None, :], k,
+                               excludes=[exclude], jobs=jobs)[0]
+
+    def query_many(self, vectors: np.ndarray, k: int = 10,
+                   excludes: list[str | None] | None = None,
+                   jobs: int | None = None) -> list[list[SearchHit]]:
+        """Top-k hits for every row of a ``(Q, dim)`` query matrix:
+        the layout's partials, gathered by
+        :func:`~repro.retrieval.lsh.gather_top_k` (global brute-force
+        fallback, then a merge by score and key).  Ties break by key, so
+        every layout returns exactly what one index over the same corpus
+        would.  ``excludes`` is an optional per-query key list aligned
+        with the rows; ``jobs=N`` fans local shards over N threads with
+        bit-identical results.  ``k`` or ``jobs`` below 1 raises
+        ``ValueError`` instead of silently returning nothing."""
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
+        matrix = np.asarray(vectors, float)
+
+        def brute(short: list[int]) -> list[list[list[SearchHit]]]:
+            return self._brute(matrix[short], k,
+                               None if excludes is None
+                               else [excludes[q] for q in short], jobs)
+
+        return gather_top_k(k, self._partials(matrix, k, excludes, jobs),
+                            brute, merge_shard_rankings)
+
+
+class LocalIndex(IndexSurface):
+    """What the two on-disk layouts share over their shards
+    (:meth:`_shards`: a single file is its own one shard): the fan-out,
+    the table/column queries, the quantized tier and the lifecycle
+    reads.  The query path is read-only, so any number of threads may
+    query concurrently as long as no writer runs alongside them."""
+
+    def _shards(self) -> list["VectorIndex"]:
+        raise NotImplementedError
+
+    def _map_shards(self, fn, jobs: int | None) -> list:
+        """Apply ``fn`` to every shard, serially or — ``jobs > 1`` —
+        across a thread pool (NumPy releases the GIL inside the
+        similarity kernels).  Results come back in shard order either
+        way, so the threaded fan-out is bit-identical to the serial one.
+        A shard failure propagates out of the pool's context manager —
+        no half-merged results, no leaked threads."""
+        shards = self._shards()
+        if jobs is None or jobs == 1 or len(shards) == 1:
+            return [fn(shard) for shard in shards]
+        with ThreadPoolExecutor(max_workers=min(jobs, len(shards))) as pool:
+            return list(pool.map(fn, shards))
+
+    def _partials(self, matrix, k, excludes, jobs):
+        return self._map_shards(
+            lambda shard: shard.query_partial_many(matrix, k,
+                                                   excludes=excludes), jobs)
+
+    def _brute(self, matrix, k, excludes, jobs):
+        return self._map_shards(
+            lambda shard: shard.query_brute_many(matrix, k,
+                                                 excludes=excludes), jobs)
+
+    def query_table(self, embedder, table: Table, k: int = 10,
+                    exclude_self: bool = True,
+                    jobs: int | None = None) -> list[SearchHit]:
+        """Tables nearest ``table``'s composite embedding (in this
+        index's ``variant``), the table itself excluded by default."""
+        if self.kind != "table":
+            raise ValueError(f"query_table needs a table index, "
+                             f"not kind {self.kind!r}")
+        vector = embedder.table_embedding(table,
+                                          variant=self.spec.extra["variant"])
+        exclude = table_fingerprint(table) if exclude_self else None
+        return self.query_vector(vector, k, exclude=exclude, jobs=jobs)
+
+    def query_column(self, embedder, table: Table, j: int, k: int = 10,
+                     exclude_self: bool = True,
+                     jobs: int | None = None) -> list[SearchHit]:
+        """Columns nearest column ``j`` of ``table``, the column itself
+        excluded by default."""
+        if self.kind != "column":
+            raise ValueError(f"query_column needs a column index, "
+                             f"not kind {self.kind!r}")
+        vector = embedder.column_embedding(
+            table, j, composite=self.spec.extra["composite"])
+        exclude = ColumnIndex.column_key(table, j) if exclude_self else None
+        return self.query_vector(vector, k, exclude=exclude, jobs=jobs)
+
+    # ------------------------------------------------------------------
+    # Quantized tier
+    # ------------------------------------------------------------------
+    @property
+    def quantized(self) -> bool:
+        """Whether *every* shard carries the int8 sidecar — an index is
+        only quantized as a whole (empty shards count: they quantize to
+        empty sidecars).  Once present a sidecar is kept fresh through
+        every mutation (``CosineLSH._extend_quantized``,
+        :meth:`VectorIndex.compact`)."""
+        return all(shard.lsh.quantized for shard in self._shards())
+
+    @property
+    def use_quantized(self) -> bool:
+        """Whether queries route through the int8 prefilter.  Distinct
+        from :attr:`quantized` — a sidecar can be present but unused;
+        scoring through it is an explicit opt-in
+        (:meth:`enable_quantized`, ``serve --quantized``,
+        ``open_index(quantized=True)``)."""
+        return all(shard._use_quantized for shard in self._shards())
+
+    def quantize(self) -> int:
+        """(Re)build every shard's int8 sidecar from its fp vectors;
+        returns the rows quantized.  Idempotent — re-running refreshes
+        the sidecars in place.  Queries are unaffected until
+        :meth:`enable_quantized` opts in, and rankings are identical
+        either way."""
+        return sum(shard.lsh.quantize() for shard in self._shards())
+
+    def enable_quantized(self, overfetch: int | None = None,
+                         margin: int | None = None) -> None:
+        """Route queries through the int8 prefilter, with optional
+        shortlist sizing knobs (see
+        :func:`~repro.retrieval.quantized.shortlist_size`).  Every shard
+        needs the sidecar (build with ``--quantize`` or retrofit with
+        ``index quantize``) and is checked first, so a partially
+        quantized layout fails whole rather than serving a mix of
+        prefiltered and exact shards.  Rankings stay bit-identical to
+        the exact path as long as the shortlist holds the true top-k
+        (the recall contract the equivalence suite pins)."""
+        if overfetch is not None and overfetch < 1:
+            raise ValueError(f"overfetch must be at least 1, got {overfetch}")
+        if margin is not None and margin < 0:
+            raise ValueError(f"margin must be at least 0, got {margin}")
+        shards = self._shards()
+        for position, shard in enumerate(shards):
+            if not shard.lsh.quantized:
+                raise ValueError(
+                    f"shard {position} of the index has no quantized tier "
+                    f"— build with `index build --quantize` or retrofit "
+                    f"with `index quantize PATH`")
+        for shard in shards:
+            if overfetch is not None:
+                shard.q_overfetch = overfetch
+            if margin is not None:
+                shard.q_margin = margin
+            shard._use_quantized = True
+
+    # ------------------------------------------------------------------
+    # Lifecycle reads and merge
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        """Number of *live* (non-tombstoned) entries."""
+        return sum(len(shard._id_of) for shard in self._shards())
+
+    @property
+    def n_tombstones(self) -> int:
+        """Entries removed since the last :meth:`compact`."""
+        return sum(len(shard.lsh.removed) for shard in self._shards())
+
+    def live_items(self) -> list[tuple[str, np.ndarray, dict]]:
+        """``(key, vector, meta)`` for every live entry, shard then
+        insertion order."""
+        return [(shard.keys[i], shard.lsh.vector(i), shard.meta[i])
+                for shard in self._shards() for i in shard.lsh.live_ids()]
+
+    def merge(self, other: "LocalIndex") -> int:
+        """Fold ``other``'s live entries into this index — either layout
+        into either layout — deduping by key (fingerprints, so
+        equal-content tables merge to one entry; a sharded target routes
+        each entry to its owner).  Returns the number of entries
+        actually added.
+
+        The vector spaces must agree (:meth:`IndexSpec.signature`; an
+        unknown checkpoint is a wildcard, only two *different known*
+        ones conflict) or ``ValueError`` is raised.  A known checkpoint
+        is adopted, so a later merge with a *third* one is refused
+        instead of wildcarded through, and the corpus provenance is
+        unioned (a merged multi-corpus index must not keep the first
+        input's stamp verbatim)."""
+        mine, theirs = self.spec.signature(), other.spec.signature()
+        if mine["model_id"] is None or theirs["model_id"] is None:
+            del mine["model_id"], theirs["model_id"]
+        if mine != theirs:
+            diff = {name: (mine.get(name), theirs.get(name))
+                    for name in mine.keys() | theirs.keys()
+                    if mine.get(name) != theirs.get(name)}
+            raise ValueError(f"cannot merge incompatible indexes: {diff}")
+        incoming = other.live_items()
+        before = len(self)
+        if incoming:
+            self.add_batch([key for key, _vec, _meta in incoming],
+                           np.stack([vec for _key, vec, _meta in incoming]),
+                           [dict(meta) for _key, _vec, meta in incoming])
+        if self.model_id is None:
+            self.model_id = other.model_id
+        self.corpus = merge_corpus_stamps(self.corpus, other.corpus)
+        return len(self) - before
+
+
+class VectorIndex(LocalIndex):
+    """Keyed cosine-LSH index with ``.npz`` persistence: one shard, and
+    the single-file layout."""
 
     kind = "vector"
 
     def __init__(self, dim: int, n_planes: int = 8, n_bands: int = 4,
                  seed: int = 0):
-        self.dim = dim
-        self.n_planes = n_planes
-        self.n_bands = n_bands
-        self.seed = seed
+        self.spec = IndexSpec(self.kind, dim, n_planes=n_planes,
+                              n_bands=n_bands, seed=seed)
         self.lsh = CosineLSH(dim, n_planes=n_planes, n_bands=n_bands, seed=seed)
         self.keys: list[str] = []
         self.meta: list[dict] = []
         self._id_of: dict[str, int] = {}
-        #: Free-form provenance (e.g. dataset/n_tables/seed) persisted
-        #: with the index so queries can check they target the same
-        #: corpus the index was built from.
-        self.corpus: dict = {}
-        #: Fingerprint of the embedder the vectors came from (see
-        #: :meth:`~repro.core.embedder.TabBiNEmbedder.fingerprint`);
-        #: ``None`` for hand-built indexes.  :meth:`merge` refuses to
-        #: mix vectors from two *different known* checkpoints — same
-        #: dim and variant do not imply the same embedding space.
-        self.model_id: str | None = None
         #: The on-disk format version this index was loaded from
         #: (:data:`FORMAT_VERSION` for a fresh in-memory build).
         #: Surfaced by the server's ``/healthz`` so a deployment can
@@ -210,16 +496,15 @@ class VectorIndex:
         #: Deliberately *not* persisted: a fresh load is a fresh cache
         #: scope.
         self.generation: int = 0
-        #: Whether queries route through the int8 prefilter
-        #: (:meth:`enable_quantized`).  Distinct from :attr:`quantized`
-        #: — a sidecar can be present but unused; scoring through it is
-        #: an explicit opt-in (``serve --quantized``,
-        #: ``open_index(quantized=True)``).
-        self.use_quantized: bool = False
-        #: Shortlist sizing knobs (see
-        #: :func:`~repro.retrieval.quantized.shortlist_size`).
+        #: Quantized scoring, set by :meth:`enable_quantized`: the
+        #: opt-in behind :attr:`use_quantized` and the shortlist sizing
+        #: knobs (see :func:`~repro.retrieval.quantized.shortlist_size`).
+        self._use_quantized: bool = False
         self.q_overfetch: int = OVERFETCH
         self.q_margin: int = MARGIN
+
+    def _shards(self) -> list["VectorIndex"]:
+        return [self]
 
     # ------------------------------------------------------------------
     # Population
@@ -259,10 +544,6 @@ class VectorIndex:
             self.generation += 1
         return [self._id_of[key] for key in keys]
 
-    def __len__(self) -> int:
-        """Number of *live* (non-tombstoned) entries."""
-        return len(self._id_of)
-
     def __contains__(self, key: str) -> bool:
         return key in self._id_of
 
@@ -270,7 +551,7 @@ class VectorIndex:
         return self.lsh.vector(self._id_of[key])
 
     # ------------------------------------------------------------------
-    # Lifecycle: remove / compact / merge
+    # Lifecycle: remove / compact
     # ------------------------------------------------------------------
     def remove(self, key: str) -> None:
         """Tombstone ``key``: queries stop returning it immediately; the
@@ -281,16 +562,6 @@ class VectorIndex:
             raise KeyError(f"no live entry for key {key!r}")
         self.lsh.remove(idx)
         self.generation += 1
-
-    @property
-    def n_tombstones(self) -> int:
-        """Entries removed since the last :meth:`compact`."""
-        return len(self.lsh.removed)
-
-    def live_items(self) -> list[tuple[str, np.ndarray, dict]]:
-        """``(key, vector, meta)`` for every live entry, insertion order."""
-        return [(self.keys[i], self.lsh.vector(i), self.meta[i])
-                for i in self.lsh.live_ids()]
 
     def compact(self) -> int:
         """Rebuild the dense arrays and LSH bucket tables without the
@@ -305,8 +576,8 @@ class VectorIndex:
         self.generation += 1
         was_quantized = self.lsh.quantized
         live = self.live_items()
-        self.lsh = CosineLSH(self.dim, n_planes=self.n_planes,
-                             n_bands=self.n_bands, seed=self.seed)
+        self.lsh = CosineLSH(self.dim, n_planes=self.spec.n_planes,
+                             n_bands=self.spec.n_bands, seed=self.spec.seed)
         if was_quantized:
             # Quantize-before-insert so add_all extends the (empty)
             # sidecar in lockstep: a quantized index never holds fp
@@ -322,83 +593,16 @@ class VectorIndex:
         return dropped
 
     # ------------------------------------------------------------------
-    # Quantized tier
+    # Query: this shard's partial and brute-force answers
     # ------------------------------------------------------------------
-    @property
-    def quantized(self) -> bool:
-        """Whether the int8 sidecar is present (it is then kept fresh
-        through every mutation — see ``CosineLSH._extend_quantized`` and
-        :meth:`compact`)."""
-        return self.lsh.quantized
-
-    def quantize(self) -> int:
-        """(Re)build the int8 sidecar from the current fp vectors.
-        Idempotent — running it on an already-quantized index refreshes
-        the sidecar in place.  Returns the number of rows quantized.
-        Queries are unaffected until :meth:`enable_quantized` opts in,
-        and rankings are identical either way."""
-        return self.lsh.quantize()
-
-    def enable_quantized(self, overfetch: int | None = None,
-                         margin: int | None = None) -> None:
-        """Route queries through the int8 prefilter.  Requires the
-        sidecar (build with ``--quantize`` or retrofit with ``index
-        quantize``); rankings stay bit-identical to the exact path as
-        long as the shortlist holds the true top-k (the recall contract
-        the equivalence suite and benchmark gate pin)."""
-        if not self.lsh.quantized:
-            raise ValueError(
-                "index has no quantized tier — build with `index build "
-                "--quantize` or retrofit with `index quantize PATH`")
-        if overfetch is not None:
-            if overfetch < 1:
-                raise ValueError(f"overfetch must be at least 1, "
-                                 f"got {overfetch}")
-            self.q_overfetch = overfetch
-        if margin is not None:
-            if margin < 0:
-                raise ValueError(f"margin must be at least 0, got {margin}")
-            self.q_margin = margin
-        self.use_quantized = True
-
-    def disable_quantized(self) -> None:
-        """Stop routing queries through the prefilter (sidecar kept)."""
-        self.use_quantized = False
-
     def _shortlist_for(self, k: int) -> int | None:
-        """The prefilter size active query paths pass down to the LSH
+        """The prefilter size the query paths pass down to the LSH
         kernels — ``None`` (no prefilter) unless quantized scoring is
         enabled *and* the sidecar is attached."""
-        if not (self.use_quantized and self.lsh.quantized):
+        if not (self._use_quantized and self.lsh.quantized):
             return None
         return shortlist_size(k, self.q_overfetch, self.q_margin)
 
-    def _merge_signature(self) -> dict:
-        """Parameters two indexes must share to be merged.  LSH geometry
-        (``n_planes``/``n_bands``/``seed``) is deliberately absent: the
-        merged index keeps *this* index's hyperplanes and incoming
-        vectors are re-hashed through them, so only the vector space
-        (kind, dim, embedding-composition params and — when both are
-        known — the source model's fingerprint) must agree."""
-        signature = self._params()
-        for local in ("n_planes", "n_bands", "seed", "corpus"):
-            signature.pop(local, None)
-        return signature
-
-    def merge(self, other: "VectorIndex") -> int:
-        """Fold ``other``'s live entries into this index, deduping by
-        key (fingerprints, so equal-content tables merge to one entry).
-        Returns the number of entries actually added; incompatible
-        parameters (see :meth:`_merge_signature`) raise ``ValueError``.
-
-        ``other`` may be any object with the live-entry surface —
-        including a :class:`~repro.index.sharded.ShardedIndex` — so the
-        CLI can merge across layouts."""
-        return merge_into(self, other)
-
-    # ------------------------------------------------------------------
-    # Query
-    # ------------------------------------------------------------------
     def _hits(self, ranked: list[tuple[int, float]],
               k: int) -> list[SearchHit]:
         """Re-break score ties in ranked ``(id, score)`` pairs by
@@ -414,15 +618,6 @@ class VectorIndex:
         return [SearchHit(self.keys[i], score, self.meta[i])
                 for i, score in ranked[:k]]
 
-    def query_vector(self, vector: np.ndarray, k: int = 10,
-                     exclude: str | None = None,
-                     jobs: int | None = None) -> list[SearchHit]:
-        """Top-k neighbours of ``vector`` — the ``Q=1`` case of
-        :meth:`query_many`; ``exclude`` drops one key (typically the
-        query's own fingerprint)."""
-        return self.query_many(np.asarray(vector, float)[None, :], k,
-                               excludes=[exclude], jobs=jobs)[0]
-
     def _exclude_ids(self, excludes, n_queries: int) -> list[int | None]:
         """Map per-query exclude *keys* to shard-local lsh ids."""
         if excludes is None:
@@ -433,34 +628,6 @@ class VectorIndex:
                              f"queries, got {len(excludes)}")
         return [self._id_of.get(key) if key is not None else None
                 for key in excludes]
-
-    def query_many(self, vectors: np.ndarray, k: int = 10,
-                   excludes: list[str | None] | None = None,
-                   jobs: int | None = None) -> list[list[SearchHit]]:
-        """Top-k hits for every row of a ``(Q, dim)`` query matrix in
-        one pass — band keys from one matmul per band, scores from one
-        similarity kernel call — with the brute-force fallback decided
-        per query.  Ties break by key; ``k`` below 1 raises
-        ``ValueError`` instead of silently returning nothing.
-        ``excludes`` is an optional per-query key list aligned with the
-        rows.  ``jobs`` is accepted for surface parity with
-        :class:`~repro.index.sharded.ShardedIndex` (a single file has no
-        shards to fan out over)."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        _check_jobs(jobs)
-        vectors = np.asarray(vectors, float)
-        partials = self.query_partial_many(vectors, k, excludes=excludes)
-        short = [q for q, (count, _hits) in enumerate(partials) if count < k]
-        results = [hits for _count, hits in partials]
-        if short:
-            exclude_list = (None if excludes is None
-                            else [excludes[q] for q in short])
-            brute = self.query_brute_many(vectors[short], k,
-                                          excludes=exclude_list)
-            for q, hits in zip(short, brute):
-                results[q] = hits
-        return results
 
     def band_key_tuples(self, vectors: np.ndarray) -> list[tuple[int, ...]]:
         """One hashable packed-band-key tuple per query row: queries
@@ -476,7 +643,7 @@ class VectorIndex:
         LSH candidates, top-k among them)`` per row with no brute-force
         fallback — whether blocking under-delivered is only decidable
         on the candidate total across every shard (see
-        :func:`~repro.index.sharded.gather_top_k`)."""
+        :func:`~repro.retrieval.lsh.gather_top_k`)."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         vectors = np.asarray(vectors, float)
@@ -530,7 +697,6 @@ class VectorIndex:
         ``composite``, LSH geometry, ...) pass through to it.
         """
         from .sharded import ShardedIndex, shard_of
-        from .spec import IndexSpec
 
         if shards < 1:
             raise ValueError(f"shards must be at least 1, got {shards}")
@@ -573,7 +739,7 @@ class VectorIndex:
         # Reduce step: empty partitions (small corpora, skewed hashes)
         # become empty shards with the same spec, so routing stays
         # aligned with the shard count.
-        spec = IndexSpec.from_index(next(iter(built.values())))
+        spec = next(iter(built.values())).spec.copy()
         return ShardedIndex(spec, [built[position] if position in built
                                    else spec.create_index()
                                    for position in range(shards)])
@@ -581,11 +747,6 @@ class VectorIndex:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _params(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim, "n_planes": self.n_planes,
-                "n_bands": self.n_bands, "seed": self.seed,
-                "corpus": self.corpus, "model_id": self.model_id}
-
     def save(self, path: str | Path) -> Path:
         """Write the full lifecycle state — dense vectors *including*
         tombstoned slots plus the tombstone id list — so a loaded index
@@ -607,8 +768,8 @@ class VectorIndex:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps({"format_version": FORMAT_VERSION,
-                              "params": self._params(), "keys": self.keys,
-                              "meta": self.meta,
+                              "params": self.spec.to_params(),
+                              "keys": self.keys, "meta": self.meta,
                               "tombstones": sorted(self.lsh.removed)})
         arrays = {"vectors": self.lsh.vectors(),
                   "band_keys": self.lsh.band_keys_matrix()}
@@ -620,46 +781,11 @@ class VectorIndex:
         return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
     @classmethod
-    def _from_payload(cls, params: dict, keys: list[str], meta: list[dict],
-                      vectors: np.ndarray, tombstones: list[int],
-                      band_keys: np.ndarray | None = None,
-                      quantized: tuple | None = None) -> "VectorIndex":
-        index = cls(params["dim"], n_planes=params["n_planes"],
-                    n_bands=params["n_bands"], seed=params["seed"])
-        index.corpus = params.get("corpus", {})
-        index.model_id = params.get("model_id")
-        index._restore_extra(params)
-        if len(keys):
-            # No copy: the matrix was freshly read (or memory-mapped)
-            # for this load, so no other owner can mutate it out from
-            # under the buckets.  Keeping memmap rows as-is is what lets
-            # queries page in only the candidates they score.
-            index.lsh._attach(np.asarray(vectors, float),
-                              band_keys=band_keys, copy=False)
-            index.keys = list(keys)
-            index.meta = list(meta)
-            for idx in tombstones:
-                index.lsh.remove(idx)
-            dead = set(tombstones)
-            # A key removed and later re-added occupies two dense slots;
-            # only the live one may win the key -> id mapping.
-            index._id_of = {key: i for i, key in enumerate(keys)
-                            if i not in dead}
-        if quantized is not None:
-            # Attached even for an empty index: an empty shard of a
-            # quantized layout must load as quantized, or the sharded
-            # all-shards-quantized invariant would break on skewed
-            # layouts.  Shape/dtype mismatches (foreign writer) were
-            # already screened by the loader.
-            index.lsh.attach_quantized(*quantized)
-        return index
-
-    def _restore_extra(self, params: dict) -> None:
-        """Hook for subclasses to restore extra saved parameters."""
-
-    @classmethod
     def load(cls, path: str | Path, mmap: bool = False) -> "VectorIndex":
-        """Load a saved index.  ``mmap=True`` memory-maps the vector
+        """Load a saved index as the class its ``kind`` names (an
+        unknown kind raises :func:`index_class`'s ``ValueError``; so
+        does a kind other than ``cls``'s, unless ``cls`` is
+        :class:`VectorIndex`).  ``mmap=True`` memory-maps the vector
         matrix read-only instead of reading it eagerly: when the file
         also carries saved ``band_keys`` (anything written since the
         serving work), the open touches *no* vector data — queries then
@@ -669,12 +795,15 @@ class VectorIndex:
         copy.  Results are bit-identical either way."""
         path = _resolve_saved_path(path)
         with np.load(path) as archive:
-            payload = json.loads(bytes(archive[_PAYLOAD_KEY]).decode("utf-8"))
+            payload, spec, version = _read_payload(archive, path)
             band_keys = (archive["band_keys"]
                          if "band_keys" in archive.files else None)
             has_quant = all(name in archive.files
                             for name in _QUANT_MEMBERS)
             vectors = None if mmap else archive["vectors"]
+        if cls is not VectorIndex and spec.kind != cls.kind:
+            raise ValueError(f"{path} holds a {spec.kind!r} index, "
+                             f"not {cls.kind!r}")
         if mmap:
             # The vectors member and — when present — the int8 sidecar
             # all map through the same per-member parser (dtype and
@@ -696,26 +825,38 @@ class VectorIndex:
                 # line up with the fp vectors: load unquantized rather
                 # than trust wrong int8 data.
                 quantized = None
-        version = payload.get("format_version", 1)
-        if version > FORMAT_VERSION:
-            raise ValueError(f"{path} uses index format v{version}; this "
-                             f"build reads up to v{FORMAT_VERSION}")
-        params = payload["params"]
-        if band_keys is not None and band_keys.shape != (
-                len(vectors), params.get("n_bands", 0)):
+        if band_keys is not None and band_keys.shape != (len(vectors),
+                                                         spec.n_bands):
             # A foreign writer (or hand edit) whose keys don't line up:
             # re-hash rather than rebuild wrong buckets.
             band_keys = None
-        target = _KINDS.get(params.get("kind"), cls)
-        if cls is not VectorIndex and target is not cls:
-            raise ValueError(f"{path} holds a {params.get('kind')!r} index, "
-                             f"not {cls.kind!r}")
-        index = target._from_payload(params, payload["keys"], payload["meta"],
-                                     vectors, payload.get("tombstones", []),
-                                     band_keys=None if band_keys is None
-                                     else np.asarray(band_keys, np.int64).T,
-                                     quantized=quantized)
+        index = spec.create_index()
         index.format_version = version
+        keys, tombstones = payload["keys"], payload.get("tombstones", [])
+        if len(keys):
+            # No copy: the matrix was freshly read (or memory-mapped)
+            # for this load, so no other owner can mutate it out from
+            # under the buckets.  Keeping memmap rows as-is is what lets
+            # queries page in only the candidates they score.
+            index.lsh._attach(np.asarray(vectors, float),
+                              band_keys=None if band_keys is None
+                              else np.asarray(band_keys, np.int64).T,
+                              copy=False)
+            index.keys = list(keys)
+            index.meta = list(payload["meta"])
+            for idx in tombstones:
+                index.lsh.remove(idx)
+            dead = set(tombstones)
+            # A key removed and later re-added occupies two dense slots;
+            # only the live one may win the key -> id mapping.
+            index._id_of = {key: i for i, key in enumerate(keys)
+                            if i not in dead}
+        if quantized is not None:
+            # Attached even for an empty index: an empty shard of a
+            # quantized layout must load as quantized, or the sharded
+            # all-shards-quantized invariant would break on skewed
+            # layouts.
+            index.lsh.attach_quantized(*quantized)
         return index
 
 
@@ -735,21 +876,23 @@ def _resolve_saved_path(path: str | Path) -> Path:
     return path
 
 
-def read_saved_payload(path: str | Path) -> dict:
-    """The JSON payload (params/keys/meta/format_version) of a saved
-    single-file index, *without* touching its vector data — ``np.load``
-    reads zip members lazily, so only the payload member is decoded.
-    The cheap peek ``catalog add``/``catalog list`` use to verify kind
-    and checkpoint without opening the index."""
-    path = _resolve_saved_path(path)
-    with np.load(path) as archive:
-        payload = json.loads(bytes(archive[_PAYLOAD_KEY]).decode("utf-8"))
+def _read_payload(archive, path: Path) -> tuple[dict, IndexSpec, int]:
+    """``(payload, spec, format_version)`` of an open single-file
+    archive — only the payload member is decoded (``np.load`` reads zip
+    members lazily).  The one place a file's format version and spec
+    are checked, for :meth:`VectorIndex.load` and the spec peek
+    ``catalog add``/``catalog list`` use alike: a too-new version, a
+    missing field or an unknown kind is a ``ValueError``."""
+    payload = json.loads(bytes(archive[_PAYLOAD_KEY]).decode("utf-8"))
     version = payload.get("format_version", 1)
     if version > FORMAT_VERSION:
         raise ValueError(f"{path} uses index format v{version}; this "
                          f"build reads up to v{FORMAT_VERSION}")
-    payload.setdefault("format_version", version)
-    return payload
+    try:
+        return payload, IndexSpec.from_params(payload["params"]), version
+    except KeyError as error:
+        raise ValueError(f"{path} payload lacks required field {error} — "
+                         f"the file is corrupt or hand-edited") from error
 
 
 def index_class(kind: str) -> type:
@@ -759,46 +902,6 @@ def index_class(kind: str) -> type:
     except KeyError:
         raise ValueError(f"unknown index kind {kind!r}; expected one of "
                          f"{sorted(_KINDS)}") from None
-
-
-def check_merge_compatible(mine: dict, theirs: dict) -> None:
-    """Raise ``ValueError`` unless two merge signatures describe the
-    same vector space.  An unknown checkpoint (hand-built index, pre-v2
-    file) is a wildcard; only two *different known* checkpoints
-    conflict."""
-    mine, theirs = dict(mine), dict(theirs)
-    if mine.get("model_id") is None or theirs.get("model_id") is None:
-        mine.pop("model_id", None)
-        theirs.pop("model_id", None)
-    if mine != theirs:
-        diff = {name: (mine.get(name), theirs.get(name))
-                for name in mine.keys() | theirs.keys()
-                if mine.get(name) != theirs.get(name)}
-        raise ValueError(f"cannot merge incompatible indexes: {diff}")
-
-
-def merge_into(target, source) -> int:
-    """The one merge procedure both layouts share: verify the vector
-    spaces agree, bulk-insert the source's live entries (the target's
-    ``add_batch`` dedupes by key — and, for a sharded target, routes),
-    adopt a known checkpoint so a later merge with a *third* checkpoint
-    is refused instead of wildcarded through, and union the corpus
-    provenance (a merged multi-corpus index must not keep the first
-    input's stamp verbatim, or downstream provenance checks would
-    accept queries from one source corpus and reject the other's).
-    Returns the number of entries actually added."""
-    check_merge_compatible(target._merge_signature(),
-                           source._merge_signature())
-    incoming = source.live_items()
-    before = len(target)
-    if incoming:
-        target.add_batch([key for key, _vec, _meta in incoming],
-                         np.stack([vec for _key, vec, _meta in incoming]),
-                         [dict(meta) for _key, _vec, meta in incoming])
-    if target.model_id is None:
-        target.model_id = source.model_id
-    target.corpus = merge_corpus_stamps(target.corpus, source.corpus)
-    return len(target) - before
 
 
 def merge_corpus_stamps(mine: dict, theirs: dict) -> dict:
@@ -826,13 +929,7 @@ class TableIndex(VectorIndex):
 
     def __init__(self, dim: int, variant: str = "tblcomp1", **kwargs):
         super().__init__(dim, **kwargs)
-        self.variant = variant
-
-    def _params(self) -> dict:
-        return {**super()._params(), "variant": self.variant}
-
-    def _restore_extra(self, params: dict) -> None:
-        self.variant = params.get("variant", "tblcomp1")
+        self.spec.extra["variant"] = variant
 
     @staticmethod
     def table_meta(table: Table) -> dict:
@@ -857,13 +954,6 @@ class TableIndex(VectorIndex):
         index.add_batch(keys, vectors, [cls.table_meta(t) for t in tables])
         return index
 
-    def query_table(self, embedder, table: Table, k: int = 10,
-                    exclude_self: bool = True,
-                    jobs: int | None = None) -> list[SearchHit]:
-        vector = embedder.table_embedding(table, variant=self.variant)
-        exclude = table_fingerprint(table) if exclude_self else None
-        return self.query_vector(vector, k, exclude=exclude, jobs=jobs)
-
 
 class ColumnIndex(VectorIndex):
     """Per-column retrieval over colcomp embeddings (Figure 5b)."""
@@ -872,13 +962,7 @@ class ColumnIndex(VectorIndex):
 
     def __init__(self, dim: int, composite: bool = True, **kwargs):
         super().__init__(dim, **kwargs)
-        self.composite = composite
-
-    def _params(self) -> dict:
-        return {**super()._params(), "composite": self.composite}
-
-    def _restore_extra(self, params: dict) -> None:
-        self.composite = params.get("composite", True)
+        self.spec.extra["composite"] = composite
 
     @staticmethod
     def column_key(table: Table, j: int) -> str:
@@ -908,13 +992,6 @@ class ColumnIndex(VectorIndex):
         index.model_id = embedder.fingerprint()
         index.add_batch(keys, np.stack(vectors), metas)
         return index
-
-    def query_column(self, embedder, table: Table, j: int, k: int = 10,
-                     exclude_self: bool = True,
-                     jobs: int | None = None) -> list[SearchHit]:
-        vector = embedder.column_embedding(table, j, composite=self.composite)
-        exclude = self.column_key(table, j) if exclude_self else None
-        return self.query_vector(vector, k, exclude=exclude, jobs=jobs)
 
 
 _KINDS = {cls.kind: cls for cls in (VectorIndex, TableIndex, ColumnIndex)}

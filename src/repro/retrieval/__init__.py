@@ -1,14 +1,14 @@
 """Retrieval substrate: cosine ranking, LSH blocking, cluster formation."""
 
 from .clustering import centroid_ranking, rank_neighbors, top_k_cluster, topic_centroid
-from .lsh import CosineLSH, merge_ranked
+from .lsh import CosineLSH, gather_top_k, merge_ranked
 from .quantized import (OVERFETCH, MARGIN, approx_scores, quantize_rows,
                         shortlist_size, tie_inclusive_cut)
 from .similarity import cosine_matrix, cosine_similarity, normalize_rows, top_k
 
 __all__ = [
     "cosine_similarity", "cosine_matrix", "normalize_rows", "top_k",
-    "CosineLSH", "merge_ranked",
+    "CosineLSH", "merge_ranked", "gather_top_k",
     "OVERFETCH", "MARGIN", "quantize_rows", "approx_scores",
     "shortlist_size", "tie_inclusive_cut",
     "rank_neighbors", "top_k_cluster", "centroid_ranking", "topic_centroid",

@@ -7,20 +7,19 @@ candidate pairs are only drawn from matching buckets (multiple bands
 raise recall).
 
 There is one query implementation, and it is batched.
-:meth:`CosineLSH.query_many` takes a ``(Q, dim)`` query matrix, hashes
-it with the same one-matmul-per-band pass bulk inserts use
-(:meth:`CosineLSH._key_matrix`), scores every (query, candidate) pair
-with **one** similarity kernel call over the union of candidates
-(:meth:`CosineLSH._rank_many`) and falls back to brute force, per
-query, when blocking under-delivers.  Sharded indexes instead need
-*partial* results — :meth:`CosineLSH.query_partial_many` ranks only the
-blocking candidates and reports how many there were, so a fan-out
-caller can take the fallback decision globally (the per-shard candidate
-count says nothing about the union), re-run the short queries through
-:meth:`CosineLSH.query_brute_many` and heap-merge the per-shard
-rankings with :func:`merge_ranked`.  :meth:`CosineLSH.query` and
-:meth:`CosineLSH.candidates` are the ``Q=1`` forwards the paper's
-column-clustering pipeline calls.
+:meth:`CosineLSH.query_partial_many` takes a ``(Q, dim)`` query
+matrix, hashes it with the same one-matmul-per-band pass bulk inserts
+use (:meth:`CosineLSH._key_matrix`), scores every (query, candidate)
+pair with **one** similarity kernel call over the union of candidates
+(:meth:`CosineLSH._rank_many`) and reports how many candidates there
+were; :meth:`CosineLSH.query_brute_many` ranks every live vector
+instead.  :func:`gather_top_k` turns partials into answers: it alone
+decides, per query and on the candidate total over every shard, when
+blocking under-delivered and the brute-force rankings stand in, then
+heap-merges per-shard rankings (:func:`merge_ranked`).
+:meth:`CosineLSH.query_many` is that gather over this one index;
+:meth:`CosineLSH.query` and :meth:`CosineLSH.candidates` are the
+``Q=1`` forwards the paper's column-clustering pipeline calls.
 
 Both kernels are einsum, whose accumulation depends only on the
 reduction dim: a (query, vector) pair hashes and scores bit-identically
@@ -359,27 +358,25 @@ class CosineLSH:
     def query_many(self, vectors: np.ndarray, k: int,
                    excludes=None, shortlist: int | None = None
                    ) -> list[list[tuple[int, float]]]:
-        """Top-k per query row, falling back to brute force — per
-        query — whenever blocking delivered fewer than ``k`` candidates
-        (the decision reads the pre-shortlist candidate count, so the
-        int8 prefilter never changes when the fallback fires)."""
+        """Top-k per query row: this index's partials as the one
+        ranking :func:`gather_top_k` gathers, so the brute-force
+        fallback is the same rule every index layout runs (it reads the
+        pre-shortlist candidate count, so the int8 prefilter never
+        changes when the fallback fires)."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         matrix = self._as_query_matrix(vectors)
         excludes = self._as_excludes(excludes, len(matrix))
-        partials = self.query_partial_many(matrix, k, excludes=excludes,
-                                           shortlist=shortlist)
-        short = [q for q, (count, _ranked) in enumerate(partials)
-                 if count < k]
-        results = [ranked for _count, ranked in partials]
-        if short:
-            brute = self.query_brute_many(matrix[short], k,
+
+        def brute(short: list[int]) -> list[list[list[tuple[int, float]]]]:
+            return [self.query_brute_many(matrix[short], k,
                                           excludes=[excludes[q]
                                                     for q in short],
-                                          shortlist=shortlist)
-            for q, ranked in zip(short, brute):
-                results[q] = ranked
-        return results
+                                          shortlist=shortlist)]
+
+        return gather_top_k(k, [self.query_partial_many(
+            matrix, k, excludes=excludes, shortlist=shortlist)], brute,
+            merge_ranked)
 
     def query(self, vector: np.ndarray, k: int,
               exclude: int | None = None) -> list[tuple[int, float]]:
@@ -520,8 +517,7 @@ def merge_ranked(rankings: list[list[tuple]], k: int) -> list[tuple]:
     top-k.
 
     Each input must already be sorted best-first (the shape
-    :meth:`CosineLSH.query_partial_many` and
-    ``VectorIndex.query_partial_many`` return per query).  Ties are
+    :meth:`CosineLSH.query_partial_many` returns per query).  Ties are
     broken by ``item`` ascending, matching the single-index sort key —
     for sharded indexes the items are external string keys, so
     equal-score order is content-addressed rather than
@@ -531,3 +527,34 @@ def merge_ranked(rankings: list[list[tuple]], k: int) -> list[tuple]:
         raise ValueError(f"k must be at least 1, got {k}")
     merged = heapq.merge(*rankings, key=lambda pair: (-pair[1], pair[0]))
     return list(islice(merged, k))
+
+
+def gather_top_k(k: int, partials: list[list[tuple[int, list]]], brute,
+                 merge) -> list[list]:
+    """The gather half of every query, over *results* rather than index
+    objects: ``partials[s][q]`` is shard ``s``'s ``(candidate count,
+    best-first ranking)`` for query ``q``, in flat shard order.  A query
+    whose candidate total across all shards is below ``k`` re-runs as
+    brute force on every shard — ``brute(short_rows)`` returns
+    ``rankings[s][i]`` for the ``i``-th short query — and every query's
+    per-shard rankings then reduce through ``merge(rankings, k)``.
+
+    This is the only code that compares a candidate count with ``k``:
+    a bare :class:`CosineLSH`, a single index file, a sharded layout and
+    the cluster coordinator all hand their partials here, so blocking
+    that under-delivers falls back by one rule everywhere.  One ranking
+    (a single file, a one-shard layout) already is the answer, so it
+    skips the heap merge.
+    """
+    n_queries = len(partials[0])
+    rankings = [[ranked for _count, ranked in shard] for shard in partials]
+    short = [q for q in range(n_queries)
+             if sum(shard[q][0] for shard in partials) < k]
+    if short:
+        for shard_rankings, shard_brute in zip(rankings, brute(short)):
+            for q, ranked in zip(short, shard_brute):
+                shard_rankings[q] = ranked
+    if len(rankings) == 1:
+        return [ranked[:k] for ranked in rankings[0]]
+    return [merge([shard[q] for shard in rankings], k)
+            for q in range(n_queries)]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.index import (
     MANIFEST_NAME,
     IndexSpec,
@@ -109,7 +110,7 @@ class TestLegacyFixtures:
     def test_v1_fixture_loads(self):
         index = open_index(FIXTURES / "v1-table.npz")
         assert isinstance(index, TableIndex)
-        assert index.variant == "tblcomp1"
+        assert index.spec.extra["variant"] == "tblcomp1"
         assert index.keys == ["fp-alpha", "fp-bravo", "fp-charlie", "fp-delta"]
         assert index.model_id is None            # pre-v2: unknown checkpoint
         assert index.n_tombstones == 0           # v1 had no tombstones
@@ -204,6 +205,15 @@ class TestManifest:
         assert len(list(path.glob("shard-*.npz"))) == 2
         assert len(open_index(path)) == 12
 
+    def test_manifest_spec_fills_the_kind_default(self, tmp_path):
+        """A table layout's manifest carries its composition parameter,
+        as a table file's payload always has."""
+        spec = IndexSpec(kind="table", dim=8)
+        path = ShardedIndex.create(spec, 2).save(tmp_path / "idx")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        assert manifest["spec"]["variant"] == "tblcomp1"
+        assert open_index(path).spec == read_index_spec(path)[0]
+
     def test_corpus_and_model_id_round_trip(self, tmp_path):
         sharded = small_sharded()
         sharded.corpus = {"dataset": "cancerkg", "n_tables": 12, "seed": 0}
@@ -211,3 +221,50 @@ class TestManifest:
         loaded = open_index(sharded.save(tmp_path / "idx"))
         assert loaded.corpus == sharded.corpus
         assert loaded.model_id == "abc123"
+
+
+def _stamp_kind(path: Path, kind: str) -> None:
+    """Rewrite a saved single file's payload kind, every array kept."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    payload = json.loads(bytes(members["__index__"]).decode("utf-8"))
+    payload["params"]["kind"] = kind
+    members["__index__"] = np.frombuffer(json.dumps(payload).encode("utf-8"),
+                                         dtype=np.uint8)
+    np.savez(path, **members)
+
+
+class TestUnknownKind:
+    """A kind no index class is registered for is refused by every
+    reader with ``index_class``'s message — never opened as a plain
+    vector index, never stamped into a catalog the server would then
+    refuse as stale."""
+
+    def _refused_everywhere(self, path, readers, tmp_path, capsys):
+        for read in readers:
+            with pytest.raises(ValueError,
+                               match="unknown index kind 'tabel'"):
+                read(path)
+        catalog = tmp_path / "catalog"
+        catalog.mkdir()
+        assert main(["catalog", "init", str(catalog)]) == 0
+        capsys.readouterr()
+        assert main(["catalog", "add", str(catalog), "--name", "t",
+                     "--path", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown index kind 'tabel'" in err and err.count("\n") == 1
+
+    def test_single_file(self, tmp_path, capsys):
+        path = small_index().save(tmp_path / "idx.npz")
+        _stamp_kind(path, "tabel")
+        self._refused_everywhere(
+            path, (open_index, VectorIndex.load, read_index_spec),
+            tmp_path, capsys)
+
+    def test_sharded_directory(self, tmp_path, capsys):
+        path = small_sharded().save(tmp_path / "idx")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest["spec"]["kind"] = "tabel"
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        self._refused_everywhere(path, (open_index, read_index_spec),
+                                 tmp_path, capsys)

@@ -154,7 +154,7 @@ class TestTableIndex:
         path = index.save(tmp_path / "tables.npz")
         loaded = TableIndex.load(path)
         assert isinstance(loaded, TableIndex)
-        assert loaded.variant == "row"
+        assert loaded.spec.extra["variant"] == "row"
         before = index.query_table(embedder, corpus[1], k=3)
         after = loaded.query_table(embedder, corpus[1], k=3)
         assert [(h.key, round(h.score, 12)) for h in before] == \
@@ -176,7 +176,7 @@ class TestColumnIndex:
         index = ColumnIndex.build(embedder, corpus)
         path = index.save(tmp_path / "cols.npz")
         loaded = open_index(path)
-        assert isinstance(loaded, ColumnIndex) and loaded.composite
+        assert isinstance(loaded, ColumnIndex) and loaded.spec.extra["composite"]
         before = index.query_column(embedder, corpus[0], 0, k=4)
         after = loaded.query_column(embedder, corpus[0], 0, k=4)
         assert [h.key for h in before] == [h.key for h in after]

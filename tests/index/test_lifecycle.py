@@ -38,7 +38,7 @@ def assert_equivalent(index: VectorIndex, live: dict[str, np.ndarray],
                       queries: list[np.ndarray]) -> None:
     assert set(index.keys[i] for i in index.lsh.live_ids()) == set(live)
     assert len(index) == len(live)
-    reference = build_reference(live, seed=index.seed)
+    reference = build_reference(live, seed=index.spec.seed)
     k = min(5, len(live))
     if not k:        # k < 1 is now a ValueError, and there is nothing to rank
         return
@@ -339,7 +339,7 @@ class TestVersionedFormat:
         index = VectorIndex(dim=4, seed=1)
         vectors = RNG.standard_normal((2, 4))
         index.add_batch(["a", "b"], vectors)
-        payload = json.dumps({"params": index._params(), "keys": index.keys,
+        payload = json.dumps({"params": index.spec.to_params(), "keys": index.keys,
                               "meta": index.meta})
         path = tmp_path / "v1.npz"
         np.savez(path, vectors=index.lsh.vectors(),
@@ -356,7 +356,7 @@ class TestVersionedFormat:
 
         index = VectorIndex(dim=4)
         payload = json.dumps({"format_version": FORMAT_VERSION + 1,
-                              "params": index._params(), "keys": [],
+                              "params": index.spec.to_params(), "keys": [],
                               "meta": [], "tombstones": []})
         path = tmp_path / "future.npz"
         np.savez(path, vectors=index.lsh.vectors(),

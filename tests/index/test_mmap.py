@@ -214,7 +214,7 @@ class TestBandKeyPersistence:
         with np.load(path) as archive:
             assert "band_keys" in archive.files
             band_keys = archive["band_keys"]
-        assert band_keys.shape == (len(index.lsh), index.n_bands)
+        assert band_keys.shape == (len(index.lsh), index.spec.n_bands)
         assert band_keys.dtype == np.int64
         want = np.array(index.lsh._band_keys, dtype=np.int64)
         assert np.array_equal(band_keys, want)

@@ -259,8 +259,6 @@ class TestEnableSurface:
             index.enable_quantized(margin=-1)
         index.enable_quantized(overfetch=1, margin=0)
         assert index.use_quantized
-        index.disable_quantized()
-        assert index.quantized and not index.use_quantized
 
     def test_sharded_enable_rejects_partial_quantization(self):
         sharded = ShardedIndex.create(

@@ -12,13 +12,16 @@ threshold).  Every corpus carries one tombstone.
 
 from __future__ import annotations
 
+import ast
 import functools
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from reference import reference_candidates, reference_top_k
 
+import repro
 from repro.cache import CachedQueryEngine
 from repro.cluster import ClusterHarness, split_layout
 from repro.index import IndexSpec, ShardedIndex, VectorIndex, open_index
@@ -85,8 +88,9 @@ def expected(name: str) -> list[list[tuple[str, float]]]:
             for query, k, exclude in cases]
 
 
-def build(keys, vectors, n_shards: int):
-    if n_shards == 1:
+def build(keys, vectors, n_shards: int | None):
+    """A single file (``n_shards`` None) or a sharded layout."""
+    if n_shards is None:
         index = VectorIndex(dim=DIM, seed=SEED)
     else:
         index = ShardedIndex.create(
@@ -108,19 +112,24 @@ def via_query_many(index, jobs=None):
 def open_mode(mode: str, keys, vectors, tmp_path):
     """Yield ``search(matrix, k, excludes) -> [[(key, score), ...]]``
     for one front door over the corpus."""
-    if mode == "lsh":
+    if mode.startswith("lsh"):
         lsh = CosineLSH(DIM, seed=SEED)
         lsh.add_all(vectors)
         lsh.remove(REMOVED)
         id_of = {key: position for position, key in enumerate(keys)}
 
         def search(matrix, k, excludes):
-            return [[(keys[i], score) for i, score
-                     in lsh.query(row, k, exclude=id_of.get(exclude))]
-                    for row, exclude in zip(matrix, excludes)]
+            ids = [id_of.get(exclude) for exclude in excludes]
+            if mode == "lsh-many":
+                rankings = lsh.query_many(matrix, k, excludes=ids)
+            else:
+                rankings = [lsh.query(row, k, exclude=exclude)
+                            for row, exclude in zip(matrix, ids)]
+            return [[(keys[i], score) for i, score in ranking]
+                    for ranking in rankings]
         yield search
     elif mode == "single":
-        yield via_query_many(build(keys, vectors, 1))
+        yield via_query_many(build(keys, vectors, None))
     elif mode.startswith("sharded"):
         _, n_shards, jobs = mode.split("-")
         yield via_query_many(build(keys, vectors, int(n_shards)),
@@ -129,7 +138,7 @@ def open_mode(mode: str, keys, vectors, tmp_path):
         path = build(keys, vectors, 2).save(tmp_path / "layout")
         yield via_query_many(open_index(path, mmap=True))
     elif mode == "quantized":
-        index = build(keys, vectors, 1)
+        index = build(keys, vectors, None)
         index.quantize()
         index.enable_quantized()
         yield via_query_many(index)
@@ -151,8 +160,9 @@ def open_mode(mode: str, keys, vectors, tmp_path):
         raise AssertionError(mode)
 
 
-MODES = ["lsh", "single", "sharded-2-1", "sharded-2-2", "sharded-5-1",
-         "sharded-5-2", "mmap", "quantized", "cached", "cluster"]
+MODES = ["lsh", "lsh-many", "single", "sharded-1-1", "sharded-2-1",
+         "sharded-2-2", "sharded-5-1", "sharded-5-2", "mmap", "quantized",
+         "cached", "cluster"]
 
 
 @pytest.mark.parametrize("name", ["random", "duplicate-ties",
@@ -190,3 +200,49 @@ def test_the_corpora_reach_what_they_aim_at():
     assert any(total < k for total, k in zip(totals, ks))
     assert any(total == k for total, k in zip(totals, ks))
     assert any(total > k for total, k in zip(totals, ks))
+
+
+def _fallback_comparisons(tree: ast.AST) -> list[str]:
+    """The enclosing function of every ``count < k``-shaped comparison
+    (anything compared ``<``/``<=`` against a bare ``k``, or ``k``
+    ``>``/``>=`` anything but a constant)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if (isinstance(op, (ast.Lt, ast.LtE))
+                        and isinstance(right, ast.Name) and right.id == "k"):
+                    found.append(function)
+                elif (isinstance(op, (ast.Gt, ast.GtE))
+                        and isinstance(left, ast.Name) and left.id == "k"
+                        and not isinstance(right, ast.Constant)):
+                    found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_query_surface_lives_once():
+    """Keeps the copies from growing back: the query, table/column and
+    quantize surface is defined once for every index layout, and the
+    "fewer than k candidates -> brute force" rule lives in
+    ``gather_top_k`` alone — the one threshold the fallback-boundary
+    corpus above pins for every mode."""
+    package = Path(repro.__file__).parent
+    sources = {path: path.read_text()
+               for name in ("index", "cluster", "retrieval")
+               for path in (package / name).rglob("*.py")}
+    for definition in ("def query_vector(", "def query_table(",
+                       "def query_column(", "def enable_quantized(",
+                       "def merge("):
+        assert sum(text.count(definition)
+                   for text in sources.values()) == 1, definition
+    fallbacks = [function for text in sources.values()
+                 for function in _fallback_comparisons(ast.parse(text))]
+    assert fallbacks == ["gather_top_k"]
