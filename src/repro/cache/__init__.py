@@ -7,15 +7,12 @@ every answer-changing request parameter.
 """
 
 from .engine import CacheCounters, CachedQueryEngine, QueryPlan
-from .result_cache import (DEFAULT_CACHE_SIZE, TTLCache, exact_key,
-                           validate_cache_params)
+from .result_cache import TTLCache, exact_key
 
 __all__ = [
     "CacheCounters",
     "CachedQueryEngine",
     "QueryPlan",
-    "DEFAULT_CACHE_SIZE",
     "TTLCache",
     "exact_key",
-    "validate_cache_params",
 ]

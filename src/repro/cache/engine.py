@@ -18,10 +18,9 @@ moved is never stored.
 Threading contract (mirrors the serving layer's single-writer
 discipline): ``lookup``/``store``/``note_bypass`` run on the event-loop
 thread only; the index call for the misses is the GEMM-heavy step and
-runs in an executor thread.  :meth:`CachedQueryEngine.query_many`
-composes them synchronously in exactly the order the dispatcher does —
-it exists so equivalence tests can drive the cache without booting a
-server.
+runs in an executor thread.  The one composition of the three is
+:class:`~repro.serve.dispatcher.MicroBatchDispatcher`: lookup at
+submit, one ``query_many`` per tick for the misses, store at demux.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import time
 
 import numpy as np
 
-from .result_cache import DEFAULT_CACHE_SIZE, TTLCache, exact_key
+from .result_cache import TTLCache, exact_key
 
 
 class CacheCounters:
@@ -87,8 +86,8 @@ class QueryPlan:
 class CachedQueryEngine:
     """Exact result cache in front of one index (see module doc)."""
 
-    def __init__(self, index, *, max_entries: int = DEFAULT_CACHE_SIZE,
-                 ttl: float | None = None, counters: CacheCounters | None = None,
+    def __init__(self, index, *, max_entries: int, ttl: float | None = None,
+                 counters: CacheCounters | None = None,
                  clock=time.monotonic):
         self.index = index
         self.exact = TTLCache(max_entries, ttl, clock)
@@ -152,36 +151,3 @@ class CachedQueryEngine:
             "evictions": self.exact.evictions,
             "expirations": self.exact.expirations,
         }
-
-    # -- synchronous driver (tests, benchmarks) ------------------------
-
-    def query_many(self, vectors: np.ndarray, k: int = 10,
-                   excludes: list | None = None, jobs: int | None = None,
-                   no_cache: bool = False) -> list:
-        """The dispatcher's cache flow, run synchronously: per-query
-        lookup, one ``index.query_many`` for all the misses, then
-        store.  Rankings are identical to ``index.query_many`` on the
-        same inputs (the cache-equivalence property ``tests/cache``
-        pins)."""
-        matrix = np.asarray(vectors, float)
-        if excludes is None:
-            excludes = [None] * len(matrix)
-        if no_cache:
-            self.note_bypass(len(matrix))
-            return self.index.query_many(matrix, k=k, excludes=list(excludes),
-                                         jobs=jobs)
-        results: list = [None] * len(matrix)
-        misses: list[tuple[int, QueryPlan]] = []
-        for q in range(len(matrix)):
-            results[q], plan = self.lookup(matrix[q], k, excludes[q])
-            if plan is not None:
-                misses.append((q, plan))
-        if misses:
-            rows = [q for q, _plan in misses]
-            served = self.index.query_many(
-                matrix[rows], k=k, excludes=[excludes[q] for q in rows],
-                jobs=jobs)
-            for (q, plan), hits in zip(misses, served):
-                results[q] = hits
-                self.store(plan, hits)
-        return results

@@ -5,8 +5,7 @@
 live.  It is deliberately not thread-safe — the serving layer touches
 cache structures only from the event-loop thread (the same single-
 writer discipline :class:`~repro.catalog.handles.CatalogHandle` relies
-on), and the offline driver in :mod:`repro.cache.engine` is
-synchronous.
+on).
 
 :func:`exact_key` is the cache key: a blake2b digest over the
 query vector *bytes* plus every request parameter that changes the
@@ -22,21 +21,6 @@ import time
 from collections import OrderedDict
 
 import numpy as np
-
-#: Default entry bound used by the server and CLI.
-DEFAULT_CACHE_SIZE = 1024
-
-
-def validate_cache_params(size: int, ttl: float | None) -> None:
-    """Raise ``ValueError`` unless ``size``/``ttl`` are usable cache
-    bounds: ``size`` a nonnegative int (0 disables the cache), ``ttl``
-    ``None`` (no expiry) or a positive number of seconds."""
-    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-        raise ValueError(f"cache size must be a nonnegative int, got {size!r}")
-    if ttl is not None and not (isinstance(ttl, (int, float))
-                                and not isinstance(ttl, bool) and ttl > 0):
-        raise ValueError(f"cache ttl must be None or a positive number "
-                         f"of seconds, got {ttl!r}")
 
 
 def exact_key(vector: np.ndarray, k: int, kind: str,
@@ -66,10 +50,15 @@ class TTLCache:
 
     def __init__(self, max_entries: int, ttl: float | None = None,
                  clock=time.monotonic):
-        validate_cache_params(max_entries, ttl)
-        if max_entries < 1:
+        if (not isinstance(max_entries, int) or isinstance(max_entries, bool)
+                or max_entries < 1):
             raise ValueError(f"TTLCache needs max_entries >= 1, got "
-                             f"{max_entries} (size 0 means: no cache at all)")
+                             f"{max_entries!r} (size 0 means: no cache at "
+                             f"all)")
+        if ttl is not None and (not isinstance(ttl, (int, float))
+                                or isinstance(ttl, bool) or ttl <= 0):
+            raise ValueError(f"cache ttl must be None or a positive number "
+                             f"of seconds, got {ttl!r}")
         self.max_entries = max_entries
         self.ttl = ttl
         self._clock = clock

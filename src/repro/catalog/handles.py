@@ -41,8 +41,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.cache import (DEFAULT_CACHE_SIZE, CacheCounters,
-                         validate_cache_params)
+from repro.cache import CacheCounters
 
 from .catalog import Catalog, CatalogEntry
 
@@ -153,107 +152,55 @@ class IndexSlot:
 class CatalogHandle:
     """Open/evict/route façade over a :class:`Catalog`.
 
-    Parameters
-    ----------
-    catalog:
-        The validated catalog to serve.  Must have at least one entry.
-    mmap:
-        How entries are opened (``open_index(..., mmap=...)``).  The
-        default ``True`` is what makes lazy opens and eviction cheap.
-    max_open:
-        Cap on concurrently open *unpinned* entries; ``None`` means
-        unbounded.  When exceeded, the least-recently-used idle slot is
-        evicted; if every other open slot is busy, the cap is exceeded
-        temporarily rather than evicting under in-flight work.
-    quantized:
-        Opt every opened entry into the int8 prefilter tier
-        (``open_index(..., quantized=True)`` semantics: an entry whose
-        layout lacks the sidecar fails its open with the retrofit
-        hint).  ``overfetch``/``margin`` tune the shortlist size; both
-        are only meaningful with ``quantized=True``.
+    ``catalog`` must have at least one entry.  ``config`` is the
+    server's :class:`~repro.serve.config.ServeConfig`, already
+    validated; the handle opens entries by its ``mmap`` and
+    ``quantized`` (+ ``overfetch``/``margin``), evicts by its
+    ``max_open`` — if every other open slot is busy, the cap is
+    exceeded temporarily rather than evicting under in-flight work —
+    and hands it to each slot's result cache and dispatcher.  ``stats``
+    is an optional server-wide batch-stats sink every dispatcher also
+    reports to.
     """
 
-    def __init__(self, catalog: Catalog, *, mmap: bool = True,
-                 max_open: int | None = None, quantized: bool = False,
-                 overfetch: int | None = None, margin: int | None = None):
-        if max_open is not None and max_open < 1:
-            raise ValueError(f"max_open must be at least 1, got {max_open}")
-        if overfetch is not None and overfetch < 1:
-            raise ValueError(f"overfetch must be at least 1, got {overfetch}")
-        if margin is not None and margin < 0:
-            raise ValueError(f"margin must be at least 0, got {margin}")
+    def __init__(self, catalog: Catalog, config, stats=None):
         if not len(catalog):
             raise ValueError("catalog has no entries; add one with "
                              "`catalog add` before serving")
         self.catalog = catalog
-        self.mmap = mmap
-        self.max_open = max_open
-        self.quantized = quantized
-        self.overfetch = overfetch
-        self.margin = margin
+        self.config = config
+        self.stats = stats
         self.slots: dict[str, IndexSlot] = {
             entry.name: IndexSlot(entry) for entry in catalog}
         self._clock = 0
-        self._dispatch_kwargs: dict = {}
-        self._cache_kwargs: dict = {"max_entries": DEFAULT_CACHE_SIZE,
-                                    "ttl": None}
-        self._batch_sink = None
 
     @property
     def cache_enabled(self) -> bool:
         """Whether slots get a result cache when opened.  Distinct from
         a *closed* slot's ``cache is None`` — counters of an evicted
         slot are still meaningful when this is True."""
-        return self._cache_kwargs["max_entries"] >= 1
+        return self.config.cache_size >= 1
 
     @classmethod
-    def for_index(cls, index, name: str = "default") -> "CatalogHandle":
+    def for_index(cls, index, config, stats=None) -> "CatalogHandle":
         """Wrap one already-open index as a single-entry catalog — the
         bare-path ``serve`` mode, preserving the one-index server's
         behaviour exactly.  The slot is *pinned*: it was handed to us
         open with no path to reopen from, so it is never evicted."""
-        entry = CatalogEntry(name=name, path=None, kind=index.kind,
+        entry = CatalogEntry(name="default", path=None, kind=index.kind,
                              model_id=index.model_id, default=True)
         catalog = Catalog.__new__(Catalog)
         catalog.root = None
-        catalog.entries = {name: entry}
-        handle = cls(catalog)
-        slot = handle.slots[name]
+        catalog.entries = {entry.name: entry}
+        handle = cls(catalog, config, stats)
+        slot = handle.slots[entry.name]
         slot.pinned = True
-        slot.index = index
+        handle._attach(slot, index)
         return handle
 
     # ------------------------------------------------------------------
-    # Dispatcher wiring
+    # Per-slot engines
     # ------------------------------------------------------------------
-    def configure_dispatch(self, *, stats=None, max_batch: int = 32,
-                           max_wait_ms: float = 2.0,
-                           jobs: int | None = None,
-                           cache_size: int = DEFAULT_CACHE_SIZE,
-                           cache_ttl: float | None = None,
-                           max_backlog: int | None = None) -> None:
-        """Set the knobs every per-slot dispatcher (and result-cache
-        engine) is created with, plus an optional server-wide
-        batch-stats sink.  ``cache_size`` is the entry bound
-        for each index's cache — 0 disables caching entirely;
-        ``cache_ttl`` expires entries after that many seconds.
-        ``max_backlog`` bounds each slot's pending queue (backpressure:
-        overflow raises ``BacklogFull`` → 429); ``None`` is unbounded.
-        Validates eagerly (the same checks ``MicroBatchDispatcher`` and
-        ``TTLCache`` make) so a bad configuration fails at server
-        construction, not at the first query."""
-        from repro.serve.dispatcher import validate_dispatch_params
-
-        validate_dispatch_params(max_batch=max_batch,
-                                 max_wait_ms=max_wait_ms, jobs=jobs,
-                                 max_backlog=max_backlog)
-        validate_cache_params(cache_size, cache_ttl)
-        self._dispatch_kwargs = {"max_batch": max_batch,
-                                 "max_wait_ms": max_wait_ms, "jobs": jobs,
-                                 "max_backlog": max_backlog}
-        self._cache_kwargs = {"max_entries": cache_size, "ttl": cache_ttl}
-        self._batch_sink = stats
-
     def _make_engine(self, slot: IndexSlot):
         """A fresh cache engine for a just-opened slot (``None`` when
         caching is disabled).  Counters come from the slot's stats so
@@ -262,10 +209,12 @@ class CatalogHandle:
         the index object it fingerprinted."""
         from repro.cache import CachedQueryEngine
 
-        if self._cache_kwargs["max_entries"] < 1:
+        if not self.cache_enabled:
             return None
-        return CachedQueryEngine(slot.index, counters=slot.stats.cache,
-                                 **self._cache_kwargs)
+        return CachedQueryEngine(slot.index,
+                                 max_entries=self.config.cache_size,
+                                 ttl=self.config.cache_ttl,
+                                 counters=slot.stats.cache)
 
     def _make_dispatcher(self, slot: IndexSlot):
         # Runtime import: repro.serve sits *above* repro.catalog in the
@@ -275,10 +224,9 @@ class CatalogHandle:
         from repro.serve.dispatcher import MicroBatchDispatcher
 
         return MicroBatchDispatcher(
-            slot.index,
-            stats=_BatchStatsFanout(slot.stats, self._batch_sink),
-            engine=slot.cache,
-            **self._dispatch_kwargs)
+            slot.index, self.config,
+            stats=_BatchStatsFanout(slot.stats, self.stats),
+            engine=slot.cache)
 
     # ------------------------------------------------------------------
     # Lookup / open / evict
@@ -322,13 +270,8 @@ class CatalogHandle:
         from repro.index import open_index
 
         entry = slot.entry
-        index = open_index(self.catalog.resolve_path(entry), mmap=self.mmap)
-        if self.quantized:
-            # After the open, so a missing sidecar surfaces as the
-            # clear enable_quantized error (with the retrofit hint)
-            # rather than a failed open of an otherwise-good layout.
-            index.enable_quantized(overfetch=self.overfetch,
-                                   margin=self.margin)
+        index = open_index(self.catalog.resolve_path(entry),
+                           mmap=self.config.mmap)
         if index.kind != entry.kind:
             raise ValueError(
                 f"catalog entry {entry.name!r} says kind {entry.kind!r} but "
@@ -341,16 +284,30 @@ class CatalogHandle:
                 f"{entry.model_id!r} but the saved index was built from "
                 f"{index.model_id!r} — the catalog is stale (re-run "
                 f"`catalog add`)")
-        slot.index = index
+        self._attach(slot, index)
         slot.stats.opens += 1
 
+    def _attach(self, slot: IndexSlot, index) -> None:
+        """Make ``index`` the slot's open index, opted into the int8
+        tier when the config says so — the one place that happens, for
+        opened and pinned slots alike.  After the open, so a missing
+        sidecar surfaces as the clear ``enable_quantized`` error (with
+        the retrofit hint) rather than a failed open of an otherwise-
+        good layout."""
+        config = self.config
+        if config.quantized:
+            index.enable_quantized(overfetch=config.overfetch,
+                                   margin=config.margin)
+        slot.index = index
+
     def _evict_over_cap(self, keep: IndexSlot) -> None:
-        if self.max_open is None:
+        max_open = self.config.max_open
+        if max_open is None:
             return
         while True:
             resident = [slot for slot in self.slots.values()
                         if slot.open and not slot.pinned]
-            if len(resident) <= self.max_open:
+            if len(resident) <= max_open:
                 return
             candidates = [slot for slot in resident
                           if slot is not keep and not slot.busy]

@@ -94,19 +94,14 @@ from .eval import (
 #: Count-like flags share one minimum-value rule; each entry is
 #: ``(minimum, message)`` — the messages are word-for-word what the
 #: historical per-command copies printed (tests pin them) — so no
-#: subcommand's wording can drift from the others.  Most flags floor at
-#: 1; ``--margin`` legitimately allows 0 (no extra shortlist slack).
+#: subcommand's wording can drift from the others.  ``serve``'s own
+#: knobs are checked by :class:`~repro.serve.ServeConfig` instead.
 _COUNT_FLAG_MESSAGES = {
     "workers": (1, "--workers must be positive"),
     "jobs": (1, "--jobs must be positive"),
     "shards": (1, "--shards must be at least 1"),
     "k": (1, "-k/--k must be at least 1"),
     "chunk": (1, "--chunk must be at least 1"),
-    "max_batch": (1, "--max-batch must be at least 1"),
-    "max_open": (1, "--max-open must be at least 1"),
-    "max_backlog": (1, "--max-backlog must be at least 1"),
-    "overfetch": (1, "--overfetch must be at least 1"),
-    "margin": (0, "--margin must be at least 0"),
 }
 
 
@@ -164,8 +159,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         vocab_size=args.vocab_size, seed=args.seed,
     )
     for segment, s in stats.items():
-        print(f"  {segment:7s} loss {s.losses[0]:.3f} -> {s.final_loss:.3f} "
-              f"({s.steps} steps)")
+        # A segment whose batches hold no maskable token (webtables'
+        # vmd) trains no step and records no loss.
+        trace = (f"loss {s.losses[0]:.3f} -> {s.final_loss:.3f}" if s.losses
+                 else "no maskable tokens")
+        print(f"  {segment:7s} {trace} ({s.steps} steps)")
     if args.out:
         embedder.save(args.out)
         print(f"Saved checkpoint to {args.out}")
@@ -816,7 +814,7 @@ def _load_serving_catalog(path: str):
     return catalog
 
 
-def _open_serve_target(args: argparse.Namespace):
+def _open_serve_target(args: argparse.Namespace, config):
     """``serve PATH``'s target: a catalog directory's catalog (entries
     open lazily), else the opened layout."""
     from .catalog import Catalog
@@ -824,34 +822,37 @@ def _open_serve_target(args: argparse.Namespace):
 
     if Catalog.handles(args.path):
         return _load_serving_catalog(args.path)
-    return open_index(args.path, mmap=not args.no_mmap)
+    return open_index(args.path, mmap=config.mmap)
 
 
-def _retrieval_server_options(args: argparse.Namespace) -> dict:
-    """``serve``'s tuning flags as ``RetrievalServer`` keywords, for
-    the single process and for every pre-fork worker."""
-    return dict(host=args.host, max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms, jobs=args.jobs,
-                mmap=not args.no_mmap, max_open=args.max_open,
-                cache_size=0 if args.no_cache else args.cache_size,
-                cache_ttl=args.cache_ttl, max_backlog=args.max_backlog,
-                quantized=args.quantized, overfetch=args.overfetch,
-                margin=args.margin)
+def _serve_config(args: argparse.Namespace):
+    """``serve``'s tuning flags as the one validated
+    :class:`~repro.serve.ServeConfig` (``ValueError``, one line per bad
+    flag, if any is refused)."""
+    from .serve import ServeConfig
+
+    return ServeConfig(max_batch=args.max_batch,
+                       max_wait_ms=args.max_wait_ms, jobs=args.jobs,
+                       max_backlog=args.max_backlog,
+                       cache_size=0 if args.no_cache else args.cache_size,
+                       cache_ttl=args.cache_ttl, max_open=args.max_open,
+                       mmap=not args.no_mmap, quantized=args.quantized,
+                       overfetch=args.overfetch, margin=args.margin)
 
 
-def _serve_prefork(args: argparse.Namespace) -> int:
+def _serve_prefork(args: argparse.Namespace, config) -> int:
     """``serve --workers N``: a pre-fork supervisor plus N worker
     processes on one shared port.
 
-    The parent validates the target *cheaply* (manifest/spec reads
-    only — no vector data, no thread pools, nothing unsafe to fork
-    over), binds the listen address once so ``--port 0`` resolves to a
-    single shared port, then forks.  Each worker re-opens the target
-    itself — memory-mapped unless ``--no-mmap``, so all workers map the
-    same shard files and the kernel page cache keeps **one** resident
-    copy of the vectors — and runs the ordinary
-    :class:`~repro.serve.server.RetrievalServer` with its own caches
-    and dispatchers.  SIGTERM/SIGINT drain every worker gracefully; a
+    The parent holds the already-validated ``config``, checks the
+    target *cheaply* (manifest/spec reads only — no vector data, no
+    thread pools, nothing unsafe to fork over), binds the listen
+    address once so ``--port 0`` resolves to a single shared port, then
+    forks.  Each worker re-opens the target itself — memory-mapped
+    unless ``--no-mmap``, so all workers map the same shard files and
+    the kernel page cache keeps **one** resident copy of the vectors —
+    and runs the ordinary :class:`~repro.serve.server.RetrievalServer`
+    under that same config, with its own caches and dispatchers.  SIGTERM/SIGINT drain every worker gracefully; a
     crashed worker is restarted with capped backoff; ``GET /stats``
     answers with per-worker sections plus a fleet aggregate.
     """
@@ -885,11 +886,11 @@ def _serve_prefork(args: argparse.Namespace) -> int:
         # either, so the fleet shuts down instead of crash-looping.
         def build():
             return RetrievalServer(
-                _open_serve_target(args), sock=sock, worker_id=worker_id,
+                _open_serve_target(args, config), args.host, config=config,
+                sock=sock, worker_id=worker_id,
                 stats_dir=supervisor.stats_dir,
                 log_path=(f"{log_base}.worker{worker_id}" if log_base
-                          else None),
-                **_retrieval_server_options(args))
+                          else None))
 
         return _serve_until_signalled(args, build,
                                       label=f"worker {worker_id}: ")
@@ -905,7 +906,7 @@ def _serve_prefork(args: argparse.Namespace) -> int:
     mode = ("SO_REUSEPORT" if REUSEPORT_AVAILABLE
             else "shared inherited socket")
     print(f"Serving {described} with {args.workers} pre-fork workers "
-          f"({mode}, {'mmap' if not args.no_mmap else 'eager'} pages "
+          f"({mode}, {'mmap' if config.mmap else 'eager'} pages "
           f"shared via page cache) on "
           f"http://{args.host}:{supervisor.port} — POST /query, "
           f"GET /healthz, GET /stats (per-worker + aggregate)",
@@ -936,28 +937,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("serve takes exactly one target: a saved index / catalog "
               "path, or --cluster topology.json", file=sys.stderr)
         return 2
-    if _validate_counts(args, "workers", "jobs", "max_batch", "max_open",
-                        "max_backlog", "overfetch", "margin"):
+    # Every refused flag is reported in one pass: --workers here, the
+    # serve knobs by ServeConfig.
+    bad_workers = _validate_counts(args, "workers")
+    try:
+        config = _serve_config(args)
+    except ValueError as error:
+        print(error, file=sys.stderr)
         return 2
-    if args.cluster is not None and args.quantized:
+    if bad_workers:
+        return 2
+    if args.cluster is not None and config.quantized:
         print("--quantized applies to locally opened layouts; a cluster "
               "coordinator's shard servers quantize on their own side",
-              file=sys.stderr)
-        return 2
-    if (args.overfetch is not None or args.margin is not None) \
-            and not args.quantized:
-        print("--overfetch/--margin tune the quantized shortlist and "
-              "require --quantized", file=sys.stderr)
-        return 2
-    if args.max_wait_ms < 0:
-        print("--max-wait-ms must be >= 0", file=sys.stderr)
-        return 2
-    if args.cache_size < 0:
-        print("--cache-size must be >= 0 (0 disables the cache)",
-              file=sys.stderr)
-        return 2
-    if args.cache_ttl is not None and args.cache_ttl <= 0:
-        print("--cache-ttl must be a positive number of seconds",
               file=sys.stderr)
         return 2
     if args.workers > 1:
@@ -966,7 +958,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   "with --cluster; run one coordinator process per port "
                   "instead", file=sys.stderr)
             return 2
-        return _serve_prefork(args)
+        return _serve_prefork(args, config)
     remote = None
     if args.cluster is not None:
         from .cluster import ClusterError, RemoteShardedIndex, Topology
@@ -978,14 +970,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
 
     def build():
-        target = remote if remote is not None else _open_serve_target(args)
-        return RetrievalServer(target, port=args.port,
-                               log_path=args.log_file,
-                               **_retrieval_server_options(args))
+        target = (remote if remote is not None
+                  else _open_serve_target(args, config))
+        return RetrievalServer(target, args.host, args.port, config=config,
+                               log_path=args.log_file)
 
     def banner(server) -> str:
         url = f"http://{args.host}:{server.port}"
-        mode = "mmap" if not args.no_mmap else "eager"
+        mode = "mmap" if config.mmap else "eager"
         if remote is not None:
             return (f"Serving distributed index ({len(remote)} entries, "
                     f"{remote.n_shards} shard(s) across {remote.n_servers} "
@@ -994,13 +986,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if Catalog.handles(args.path):
             catalog = server.handle.catalog
             names = ", ".join(entry.name for entry in catalog)
-            cap = "all resident" if args.max_open is None \
-                else f"max {args.max_open} open"
+            cap = "all resident" if config.max_open is None \
+                else f"max {config.max_open} open"
             return (f"Serving catalog of {len(catalog)} indexes ({names}; "
                     f"default {catalog.default_name!r}, {mode}, {cap}) on "
                     f"{url} — POST /query (optional \"index\" route), "
                     f"GET /indexes, GET /healthz, GET /stats")
-        if args.quantized:
+        if config.quantized:
             mode += ", int8 shortlist + exact rerank"
         index = server.index
         return (f"Serving {index.kind} index ({len(index)} entries, "
@@ -1028,6 +1020,8 @@ def _add_listen_flags(parser: argparse.ArgumentParser, port: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .serve.config import ServeConfig
+
     parser = argparse.ArgumentParser(
         prog="repro.cli",
         description="TabBiN reproduction command-line interface",
@@ -1232,12 +1226,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "backoff; 1 (default) serves single-"
                               "process with no supervisor")
     _add_listen_flags(p_serve, port=8080)
-    p_serve.add_argument("--max-batch", type=int, default=32,
+    p_serve.add_argument("--max-batch", type=int,
+                         default=ServeConfig.max_batch,
                          help="flush a micro-batch once this many queries "
-                              "are pending (default 32)")
-    p_serve.add_argument("--max-wait-ms", type=float, default=2.0,
+                              "are pending (default %(default)s)")
+    p_serve.add_argument("--max-wait-ms", type=float,
+                         default=ServeConfig.max_wait_ms,
                          help="flush a micro-batch this long after its "
-                              "first query arrives (default 2.0)")
+                              "first query arrives (default %(default)s)")
     p_serve.add_argument("--jobs", type=int, default=None,
                          help="fan per-shard work of each micro-batch over "
                               "N threads (sharded layouts)")
@@ -1245,9 +1241,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cap on concurrently open catalog entries "
                               "(LRU-evicted beyond it; default unbounded; "
                               "ignored for a bare index path)")
-    p_serve.add_argument("--cache-size", type=int, default=1024,
+    p_serve.add_argument("--cache-size", type=int,
+                         default=ServeConfig.cache_size,
                          help="per-index result-cache bound: max entries "
-                              "(default 1024; 0 disables caching)")
+                              "(default %(default)s; 0 disables caching)")
     p_serve.add_argument("--cache-ttl", type=float, default=None,
                          help="expire cache entries after this many "
                               "seconds (default: no expiry)")

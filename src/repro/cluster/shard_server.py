@@ -81,10 +81,8 @@ class ShardServer(HttpTransport):
 
     def __init__(self, index, host: str = "127.0.0.1", port: int = 0, *,
                  max_body: int = DEFAULT_MAX_BODY,
-                 drain_timeout: float = 10.0,
                  log_path: str | Path | None = None):
-        super().__init__(host, port, max_body=max_body,
-                         drain_timeout=drain_timeout, log_path=log_path)
+        super().__init__(host, port, max_body=max_body, log_path=log_path)
         self.index = index
         self.shards = local_shards(index)
         self.requests_total = 0

@@ -55,7 +55,8 @@ from pathlib import Path
 import numpy as np
 
 from ..retrieval.lsh import CosineLSH, gather_top_k, merge_ranked
-from ..retrieval.quantized import MARGIN, OVERFETCH, shortlist_size
+from ..retrieval.quantized import (MARGIN, OVERFETCH, shortlist_knob_errors,
+                                   shortlist_size)
 from ..tables.table import Table
 from .fingerprint import table_fingerprint
 from .spec import IndexSpec
@@ -398,10 +399,9 @@ class LocalIndex(IndexSurface):
         prefiltered and exact shards.  Rankings stay bit-identical to
         the exact path as long as the shortlist holds the true top-k
         (the recall contract the equivalence suite pins)."""
-        if overfetch is not None and overfetch < 1:
-            raise ValueError(f"overfetch must be at least 1, got {overfetch}")
-        if margin is not None and margin < 0:
-            raise ValueError(f"margin must be at least 0, got {margin}")
+        errors = shortlist_knob_errors(overfetch, margin)
+        if errors:
+            raise ValueError("; ".join(errors.values()))
         shards = self._shards()
         for position, shard in enumerate(shards):
             if not shard.lsh.quantized:

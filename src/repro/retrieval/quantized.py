@@ -49,16 +49,30 @@ OVERFETCH = 4
 MARGIN = 32
 
 
+def shortlist_knob_errors(overfetch: int | None,
+                          margin: int | None) -> dict[str, str]:
+    """``{knob: message}`` for each shortlist knob out of range:
+    ``overfetch`` must be at least 1, ``margin`` at least 0, and
+    ``None`` (keep the default) always passes.  The one copy of the
+    rule — :func:`shortlist_size` and ``enable_quantized`` raise on it,
+    :class:`~repro.serve.ServeConfig` reports it beside its own."""
+    errors = {}
+    if overfetch is not None and overfetch < 1:
+        errors["overfetch"] = "overfetch must be at least 1"
+    if margin is not None and margin < 0:
+        errors["margin"] = "margin must be at least 0"
+    return errors
+
+
 def shortlist_size(k: int, overfetch: int = OVERFETCH,
                    margin: int = MARGIN) -> int:
     """How many candidates survive the integer prefilter for a top-``k``
     query: ``max(k * overfetch, k + margin)``."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if overfetch < 1:
-        raise ValueError(f"overfetch must be at least 1, got {overfetch}")
-    if margin < 0:
-        raise ValueError(f"margin must be at least 0, got {margin}")
+    errors = shortlist_knob_errors(overfetch, margin)
+    if errors:
+        raise ValueError("; ".join(errors.values()))
     return max(k * overfetch, k + margin)
 
 

@@ -19,10 +19,12 @@ serving process fails, drains and logs the same way.
 
 Start one from the command line with ``python -m repro.cli serve``
 (a bare index path or a catalog directory), or in-process (tests,
-benchmarks) with :class:`ServerThread`.
+benchmarks) with :class:`ServerThread`.  Either way every serve knob
+arrives as one validated :class:`ServeConfig`.
 """
 
-from .dispatcher import MicroBatchDispatcher, validate_dispatch_params
+from .config import ServeConfig
+from .dispatcher import MicroBatchDispatcher
 from .protocol import (
     DEFAULT_MAX_BODY,
     ProtocolError,
@@ -49,9 +51,9 @@ from .transport import LOG_ENV
 
 __all__ = [
     "RetrievalServer", "ServerThread", "MicroBatchDispatcher",
-    "ServerStats", "ProtocolError", "Request", "read_request",
-    "render_response", "parse_query_payload", "parse_json_object",
-    "index_route", "no_cache_flag", "validate_dispatch_params",
+    "ServeConfig", "ServerStats", "ProtocolError", "Request",
+    "read_request", "render_response", "parse_query_payload",
+    "parse_json_object", "index_route", "no_cache_flag",
     "DEFAULT_MAX_BODY", "LOG_ENV",
     "PreforkSupervisor", "RestartBackoff", "REUSEPORT_AVAILABLE",
     "bind_socket", "write_worker_stats", "read_worker_stats",

@@ -34,24 +34,6 @@ from functools import partial
 import numpy as np
 
 
-def validate_dispatch_params(max_batch: int, max_wait_ms: float,
-                             jobs: int | None,
-                             max_backlog: int | None = None) -> None:
-    """The dispatcher's constructor checks, callable up front — the
-    catalog handle creates dispatchers lazily (one per index, on first
-    use), so a bad knob must fail at server construction rather than at
-    the first routed query."""
-    if max_batch < 1:
-        raise ValueError(f"max_batch must be at least 1, got {max_batch}")
-    if max_wait_ms < 0:
-        raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if max_backlog is not None and max_backlog < 1:
-        raise ValueError(f"max_backlog must be at least 1, "
-                         f"got {max_backlog}")
-
-
 class BacklogFull(RuntimeError):
     """The dispatcher's pending queue is at ``max_backlog``: overload
     must shed load (HTTP 429 + ``Retry-After``), not grow the queue
@@ -61,13 +43,13 @@ class BacklogFull(RuntimeError):
     http_status = 429
     retry_after = 1
 
-    def __init__(self, pending: int, max_backlog: int, n_queries: int):
+    def __init__(self, pending: int, limit: int, n_queries: int):
         super().__init__(
             f"dispatcher backlog is full ({pending} queries pending, "
-            f"max_backlog={max_backlog}; this request carries "
+            f"max_backlog={limit}; this request carries "
             f"{n_queries}) — retry shortly")
         self.pending = pending
-        self.max_backlog = max_backlog
+        self.limit = limit
 
 
 class _Pending:
@@ -95,18 +77,13 @@ class MicroBatchDispatcher:
         Anything with the ``query_many(matrix, k=, excludes=, jobs=)``
         surface — a :class:`~repro.index.index.VectorIndex` subclass or
         a :class:`~repro.index.sharded.ShardedIndex`.
-    max_batch:
-        Flush as soon as this many queries are pending (a tick may
-        exceed it only when one request carries a bigger batch than
-        this, in which case that request's overflow rides the next
-        tick).
-    max_wait_ms:
-        Flush this many milliseconds after the *first* query of a tick
-        arrived, even if the batch is not full.  ``0`` flushes on the
-        next loop iteration — lowest latency, smallest batches.
-    jobs:
-        Passed through to ``query_many`` to fan per-shard work over a
-        thread pool inside the tick.
+    config:
+        The :class:`~repro.serve.config.ServeConfig` whose
+        ``max_batch``/``max_wait_ms`` fire a tick, whose ``jobs`` goes
+        to every ``query_many`` and whose ``max_backlog`` bounds the
+        pending queue (see :meth:`submit_many`).
+    stats:
+        Optional sink whose ``record_batch(size)`` counts every tick.
     engine:
         Optional :class:`~repro.cache.engine.CachedQueryEngine` over
         the same index.  With an engine attached, submits look the
@@ -114,33 +91,16 @@ class MicroBatchDispatcher:
         without joining a tick, misses join it and their answers are
         stored at demux.  Cache state is only ever touched on the loop
         thread; the executor threads see plain index calls.
-    max_backlog:
-        Bound on the pending queue.  A request whose rows would push
-        the backlog past this raises :class:`BacklogFull` *before*
-        enqueuing anything (all-or-nothing — no partially admitted
-        requests), which the server answers as 429 + ``Retry-After``.
-        The check is conservative under caching: it counts the
-        request's full row count even though exact hits would never
-        join the queue — at rejection time the backlog is already
-        saturated, so protecting memory wins over admitting maybe-hits.
-        ``None`` (default) keeps the pre-backpressure behaviour:
-        unbounded.
     """
 
-    def __init__(self, index, max_batch: int = 32,
-                 max_wait_ms: float = 2.0, jobs: int | None = None,
-                 stats=None, engine=None, max_backlog: int | None = None):
-        validate_dispatch_params(max_batch, max_wait_ms, jobs, max_backlog)
+    def __init__(self, index, config, stats=None, engine=None):
         if engine is not None and engine.index is not index:
             raise ValueError("cache engine wraps a different index than "
                              "the dispatcher serves")
         self.index = index
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
-        self.jobs = jobs
+        self.config = config
         self.stats = stats
         self.engine = engine
-        self.max_backlog = max_backlog
         #: Queries refused by backpressure (surfaced in ``/stats``).
         self.rejected_total = 0
         self._pending: list[_Pending] = []
@@ -176,16 +136,21 @@ class MicroBatchDispatcher:
 
         With ``max_backlog`` set, a request that would overflow the
         pending queue raises :class:`BacklogFull` before touching any
-        state — the backpressure valve.
+        state — the backpressure valve, all-or-nothing, answered as 429
+        + ``Retry-After``.  It counts the request's full row count even
+        though exact cache hits never join the queue: at rejection time
+        the backlog is already saturated, so protecting memory wins
+        over admitting maybe-hits.
         """
-        if (self.max_backlog is not None
-                and len(self._pending) + len(matrix) > self.max_backlog):
+        config = self.config
+        if (config.max_backlog is not None
+                and len(self._pending) + len(matrix) > config.max_backlog):
             pending = len(self._pending)
             self.rejected_total += len(matrix)
             # Hurry the queue along so the client's Retry-After has a
             # fighting chance of being long enough.
             self.flush_now()
-            raise BacklogFull(pending, self.max_backlog, len(matrix))
+            raise BacklogFull(pending, config.max_backlog, len(matrix))
         loop = asyncio.get_running_loop()
         futures: list[asyncio.Future] = []
         engine = self.engine
@@ -201,10 +166,10 @@ class MicroBatchDispatcher:
                     future.set_result(hits)
                     continue
             self._pending.append(_Pending(vector, k, exclude, future, plan))
-            if len(self._pending) >= self.max_batch:
+            if len(self._pending) >= config.max_batch:
                 self.flush_now()
             elif self._timer is None:
-                self._timer = loop.call_later(self.max_wait_ms / 1000.0,
+                self._timer = loop.call_later(config.max_wait_ms / 1000.0,
                                               self.flush_now)
         return await asyncio.gather(*futures)
 
@@ -246,7 +211,7 @@ class MicroBatchDispatcher:
         try:
             results = await loop.run_in_executor(
                 None, partial(self.index.query_many, matrix, k=k,
-                              excludes=excludes, jobs=self.jobs))
+                              excludes=excludes, jobs=self.config.jobs))
         except Exception as error:
             for item in members:
                 if not item.future.done():

@@ -50,8 +50,8 @@ import threading
 import time
 from pathlib import Path
 
-from ..cache import DEFAULT_CACHE_SIZE
 from ..catalog import Catalog, CatalogHandle
+from .config import ServeConfig
 from .protocol import (
     DEFAULT_MAX_BODY,
     ProtocolError,
@@ -65,67 +65,42 @@ from .protocol import (
 from .stats import ServerStats
 from .transport import HttpTransport
 
+#: Seconds a pre-fork worker's published stats file may lag its live
+#: counters.
+STATS_FLUSH_INTERVAL = 0.25
+
 
 class RetrievalServer(HttpTransport):
     """Serve a catalog of indexes over the shared HTTP transport.
 
-    ``target`` may be a :class:`~repro.catalog.CatalogHandle` (full
-    control over open policy), a :class:`~repro.catalog.Catalog`
-    (wrapped in a handle using ``mmap``/``max_open``), or an already-
-    open index (wrapped as a pinned single-entry catalog — the
-    pre-catalog constructor contract, unchanged)."""
+    ``target`` is a :class:`~repro.catalog.Catalog` (entries open
+    lazily) or an already-open index (wrapped as a pinned single-entry
+    catalog — the pre-catalog constructor contract, unchanged).
+    ``config`` is the :class:`~repro.serve.config.ServeConfig` the
+    catalog handle and every entry's dispatcher and cache run by."""
 
     def __init__(self, target, host: str = "127.0.0.1", port: int = 0, *,
-                 max_batch: int = 32, max_wait_ms: float = 2.0,
-                 jobs: int | None = None, mmap: bool = True,
-                 max_open: int | None = None,
-                 cache_size: int = DEFAULT_CACHE_SIZE,
-                 cache_ttl: float | None = None,
-                 max_backlog: int | None = None,
+                 config: ServeConfig = ServeConfig(),
                  max_body: int = DEFAULT_MAX_BODY,
-                 drain_timeout: float = 10.0,
                  log_path: str | Path | None = None,
                  sock=None, worker_id: int | None = None,
-                 stats_dir: str | Path | None = None,
-                 stats_flush_interval: float = 0.25,
-                 quantized: bool = False,
-                 overfetch: int | None = None,
-                 margin: int | None = None):
-        if isinstance(target, CatalogHandle):
-            self.handle = target
-        elif isinstance(target, Catalog):
-            self.handle = CatalogHandle(target, mmap=mmap, max_open=max_open,
-                                        quantized=quantized,
-                                        overfetch=overfetch, margin=margin)
-        else:
-            if quantized:
-                # A bare index is already open, so the quantized scoring
-                # opt-in applies directly (and a missing sidecar fails
-                # here, at construction, with the retrofit hint).
-                target.enable_quantized(overfetch=overfetch, margin=margin)
-            self.handle = CatalogHandle.for_index(target)
-        super().__init__(host, port, max_body=max_body,
-                         drain_timeout=drain_timeout, log_path=log_path,
-                         sock=sock)
+                 stats_dir: str | Path | None = None):
+        self.config = config
         self.stats = ServerStats()
-        # Validates the knobs eagerly; per-entry dispatchers (and result
-        # caches — cache_size=0 turns caching off) are created lazily by
+        # Per-entry dispatchers and result caches are created lazily by
         # the handle, on each entry's first use.
-        self.handle.configure_dispatch(stats=self.stats, max_batch=max_batch,
-                                       max_wait_ms=max_wait_ms, jobs=jobs,
-                                       cache_size=cache_size,
-                                       cache_ttl=cache_ttl,
-                                       max_backlog=max_backlog)
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
-        self.max_backlog = max_backlog
+        if isinstance(target, Catalog):
+            self.handle = CatalogHandle(target, config, self.stats)
+        else:
+            self.handle = CatalogHandle.for_index(target, config, self.stats)
+        super().__init__(host, port, max_body=max_body, log_path=log_path,
+                         sock=sock)
         # Pre-fork wiring (see repro.serve.prefork): this worker's fleet
         # id and the shared stats directory it publishes its counters
         # into; ``sock`` is its already-bound SO_REUSEPORT socket, or
         # the supervisor's inherited one.
         self._worker_id = worker_id
         self._stats_dir = None if stats_dir is None else Path(stats_dir)
-        self._stats_flush_interval = stats_flush_interval
         self._stats_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -166,7 +141,7 @@ class RetrievalServer(HttpTransport):
             names = ", ".join(slot.name for slot in self.handle)
             self._log(f"catalog: {len(self.handle)} indexes ({names}), "
                       f"default {self.handle.default_name!r}, "
-                      f"max_open={self.handle.max_open}")
+                      f"max_open={self.config.max_open}")
         if self._stats_dir is not None:
             self._publish_stats()
             self._stats_task = asyncio.get_running_loop().create_task(
@@ -265,9 +240,9 @@ class RetrievalServer(HttpTransport):
                            for slot in open_slots),
             "in_flight_batches": sum(slot.dispatcher.n_inflight
                                      for slot in open_slots),
-            "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
-            "max_backlog": self.max_backlog,
+            "max_batch": self.config.max_batch,
+            "max_wait_ms": self.config.max_wait_ms,
+            "max_backlog": self.config.max_backlog,
             # Queries shed by backpressure (each became a 429).
             "rejected": sum(slot.dispatcher.rejected_total
                             for slot in open_slots),
@@ -300,7 +275,7 @@ class RetrievalServer(HttpTransport):
         idle workers skip the rewrite."""
         last_marker = None
         while True:
-            await asyncio.sleep(self._stats_flush_interval)
+            await asyncio.sleep(STATS_FLUSH_INTERVAL)
             marker = (self.stats.requests_total, self.stats.queries_total)
             if marker != last_marker:
                 self._publish_stats()
@@ -407,7 +382,8 @@ class ServerThread:
     Context-manager harness for in-process clients (tests, the serving
     benchmark)::
 
-        with ServerThread(index_or_catalog, max_wait_ms=1.0) as handle:
+        config = ServeConfig(max_wait_ms=1.0)
+        with ServerThread(index_or_catalog, config=config) as handle:
             requests.post(f"http://127.0.0.1:{handle.port}/query", ...)
 
     ``__exit__`` performs the same graceful drain the CLI's signal

@@ -36,6 +36,10 @@ from .protocol import (
 #: to (CI tails it on failure); constructor argument wins over it.
 LOG_ENV = "REPRO_SERVE_LOG"
 
+#: Seconds a drain waits for in-flight requests before force-closing
+#: their connections.
+DRAIN_TIMEOUT = 10.0
+
 
 class _Connection:
     """Per-connection state the drain logic needs: whether the handler
@@ -60,13 +64,11 @@ class HttpTransport:
     :mod:`repro.serve.prefork`)."""
 
     def __init__(self, host: str, port: int, *, max_body: int,
-                 drain_timeout: float, log_path: str | Path | None,
-                 sock=None):
+                 log_path: str | Path | None, sock=None):
         self.host = host
         self._requested_port = port
         self._sock = sock
         self.max_body = max_body
-        self.drain_timeout = drain_timeout
         self._server: asyncio.Server | None = None
         self._connections: set[_Connection] = set()
         self._draining = False
@@ -150,7 +152,7 @@ class HttpTransport:
             if not connection.busy:
                 connection.writer.close()
         await self._flush()
-        deadline = time.monotonic() + self.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while self._connections and time.monotonic() < deadline:
             await self._flush()
             await asyncio.sleep(0.01)

@@ -1,9 +1,10 @@
 """Property layer: cached answers ARE the uncached answers — exactly.
 
 Hypothesis walks random corpora × shard counts {1, 2, 5} × mmap ×
-zipfian query streams through a :class:`CachedQueryEngine` and
-requires every served ranking — keys, bit-equal scores, tie order — to
-match the same index's plain ``query_many``.  Because the stream is
+zipfian query streams through a :class:`CachedQueryEngine` attached
+to the serving dispatcher and requires every served ranking — keys,
+bit-equal scores, tie order — to match the same index's plain
+``query_many``.  Because the stream is
 zipfian, most examples serve a mix of hits and misses in one batch;
 because the corpora are duplicate-dense and the queries include exact
 corpus rows, ties are everywhere a demux bug could hide.
@@ -23,6 +24,7 @@ from cacheutil import (
     save_layout,
     zipfian_stream,
 )
+from dispatchutil import dispatch
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -81,7 +83,7 @@ class TestCachedEqualsUncached:
                          if rng.random() < 0.5 else None
                          for _ in batch] if with_excludes
                         else [None] * len(batch))
-            got = engine.query_many(matrix, k=k, excludes=excludes)
+            got = dispatch(engine, matrix, k, excludes)
             want = index.query_many(matrix, k=k, excludes=excludes)
             assert ranked_many(got) == ranked_many(want)
         counters = engine.counters
@@ -109,7 +111,7 @@ class TestCachedEqualsUncached:
         want = ranked_many(index.query_many(matrix, k=5))
         for round_number in range(repeats):
             bypass = no_cache_round and round_number % 2 == 1
-            got = engine.query_many(matrix, k=5, no_cache=bypass)
+            got = dispatch(engine, matrix, 5, no_cache=bypass)
             assert ranked_many(got) == want
         sizes = engine.sizes()
         if no_cache_round:
@@ -144,13 +146,13 @@ class TestFallbackBoundary:
         k = max(1, total + offset)
         excludes = [keys[0] if exclude_hit else None]
         for _ in range(3):  # miss, then exact hit, then exact hit
-            got = engine.query_many(query, k=k, excludes=excludes)
+            got = dispatch(engine, query, k, excludes)
             want = index.query_many(query, k=k, excludes=excludes)
             assert ranked_many(got) == ranked_many(want)
         # Different k on the same vector: its own entry each, still
         # crossing the boundary correctly.
         for k2 in {max(1, total - 1), max(1, total), total + 1}:
-            got = engine.query_many(query, k=k2, excludes=excludes)
+            got = dispatch(engine, query, k2, excludes)
             want = index.query_many(query, k=k2, excludes=excludes)
             assert ranked_many(got) == ranked_many(want)
 
@@ -165,8 +167,8 @@ class TestExcludeRegression:
         engine = CachedQueryEngine(index, max_entries=16)
         query = vectors[0][None, :]
         top = index.query_many(query, k=3)[0][0].key
-        with_none = engine.query_many(query, k=3, excludes=[None])
-        with_top = engine.query_many(query, k=3, excludes=[top])
+        with_none = dispatch(engine, query, 3, [None])
+        with_top = dispatch(engine, query, 3, [top])
         # Both answers exact...
         assert ranked_many(with_none) == ranked_many(
             index.query_many(query, k=3, excludes=[None]))
@@ -176,10 +178,8 @@ class TestExcludeRegression:
         assert top in [hit.key for hit in with_none[0]]
         assert top not in [hit.key for hit in with_top[0]]
         # Replay both from cache; the entries must not have collided.
-        assert ranked_many(engine.query_many(query, k=3,
-                                             excludes=[None])) \
+        assert ranked_many(dispatch(engine, query, 3, [None])) \
             == ranked_many(with_none)
-        assert ranked_many(engine.query_many(query, k=3,
-                                             excludes=[top])) \
+        assert ranked_many(dispatch(engine, query, 3, [top])) \
             == ranked_many(with_top)
         assert engine.counters.exact_hits == 2

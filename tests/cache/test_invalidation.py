@@ -19,13 +19,14 @@ import urllib.request
 import numpy as np
 import pytest
 from cacheutil import build_index, make_corpus, ranked_many, save_layout
+from dispatchutil import dispatch
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CachedQueryEngine
 from repro.catalog import Catalog, CatalogEntry, CatalogHandle
 from repro.index import IndexSpec, ShardedIndex, VectorIndex, open_index
-from repro.serve import ServerThread
+from repro.serve import ServeConfig, ServerThread
 
 DIM = 12
 SHARD_COUNTS = (1, 2, 5)
@@ -81,7 +82,7 @@ class TestEngineLifecycle:
             # cache may hit or miss, but the answer must match the
             # index's current state exactly.
             batch = pool[rng.integers(0, len(pool), size=2)]
-            got = engine.query_many(batch, k=4)
+            got = dispatch(engine, batch, 4)
             want = index.query_many(batch, k=4)
             assert ranked_many(got) == ranked_many(want)
 
@@ -90,10 +91,10 @@ class TestEngineLifecycle:
         index = build_index(keys, vectors, 1, seed=0)
         engine = CachedQueryEngine(index, max_entries=16)
         query = vectors[0][None, :]
-        top = engine.query_many(query, k=3)[0][0].key
+        top = dispatch(engine, query, 3)[0][0].key
         generation_before = engine.generation
         index.remove(top)
-        after = engine.query_many(query, k=3)
+        after = dispatch(engine, query, 3)
         assert top not in [hit.key for hit in after[0]]
         assert engine.generation > generation_before
         assert ranked_many(after) == ranked_many(index.query_many(query, k=3))
@@ -102,11 +103,11 @@ class TestEngineLifecycle:
         keys, vectors = make_corpus(n=30, dim=DIM, seed=6)
         index = build_index(keys, vectors, 1, seed=0)
         engine = CachedQueryEngine(index, max_entries=16)
-        engine.query_many(vectors[::3][:3], k=3)  # 3 distinct vectors
+        dispatch(engine, vectors[::3][:3], 3)  # 3 distinct vectors
         assert engine.sizes()["exact_entries"] == 3
         index.compact()  # no tombstones: may or may not bump
         index.remove(keys[0])  # definitely bumps
-        engine.query_many(vectors[9:10], k=3)
+        dispatch(engine, vectors[9:10], 3)
         sizes = engine.sizes()
         # Only the post-bump query's entry remains.
         assert sizes["exact_entries"] == 1
@@ -145,7 +146,8 @@ class TestServerLifecycle:
         requests: /stats shows the bump and the cached entry is gone."""
         keys, vectors = make_corpus(n=40, dim=DIM, seed=9)
         index = build_index(keys, vectors, 1, seed=0)
-        with ServerThread(index, max_wait_ms=1.0) as thread:
+        with ServerThread(index,
+                          config=ServeConfig(max_wait_ms=1.0)) as thread:
             port = thread.server.port
             query = [float(x) for x in vectors[0]]
             first = post_query(port, {"vector": query, "k": 3})
@@ -166,7 +168,8 @@ class TestServerLifecycle:
         only in ``exclude`` must not share a cache entry."""
         keys, vectors = make_corpus(n=40, dim=DIM, seed=10)
         index = build_index(keys, vectors, 1, seed=0)
-        with ServerThread(index, max_wait_ms=1.0) as thread:
+        with ServerThread(index,
+                          config=ServeConfig(max_wait_ms=1.0)) as thread:
             port = thread.server.port
             query = [float(x) for x in vectors[0]]
             plain = post_query(port, {"vector": query, "k": 3})
@@ -184,7 +187,7 @@ class TestServerLifecycle:
 
 
 class TestCatalogEviction:
-    def make_handle(self, tmp_path, max_open=1):
+    def make_handle(self, tmp_path, cache_size=16):
         paths = {}
         for position, name in enumerate(("alpha", "beta")):
             keys, vectors = make_corpus(n=36, dim=DIM, seed=20 + position)
@@ -195,9 +198,8 @@ class TestCatalogEviction:
             catalog.add(CatalogEntry(name=name, path=path.name,
                                      kind="vector",
                                      default=(name == "alpha")))
-        handle = CatalogHandle(catalog, mmap=True, max_open=max_open)
-        handle.configure_dispatch(cache_size=16)
-        return handle
+        return CatalogHandle(catalog, ServeConfig(max_open=1,
+                                                  cache_size=cache_size))
 
     def test_eviction_drops_cache_with_dispatcher(self, tmp_path):
         handle = self.make_handle(tmp_path)
@@ -217,18 +219,17 @@ class TestCatalogEviction:
         handle = self.make_handle(tmp_path)
         alpha = handle.get("alpha")
         keys, vectors = make_corpus(n=36, dim=DIM, seed=20)
-        alpha.cache.query_many(vectors[:2], k=3)
+        dispatch(alpha.cache, vectors[:2], 3)
         assert alpha.stats.cache.misses == 2
         handle.get("beta")
         reopened = handle.get("alpha")
         assert reopened.stats.cache.misses == 2, \
             "cache counters live on the stats, not the engine"
-        reopened.cache.query_many(vectors[:2], k=3)
+        dispatch(reopened.cache, vectors[:2], 3)
         assert reopened.stats.cache.misses == 4
 
     def test_cache_size_zero_disables_caching(self, tmp_path):
-        handle = self.make_handle(tmp_path)
-        handle.configure_dispatch(cache_size=0)
+        handle = self.make_handle(tmp_path, cache_size=0)
         assert not handle.cache_enabled
         slot = handle.get("alpha")
         assert slot.cache is None
@@ -241,7 +242,8 @@ class TestCatalogEviction:
         keys, vectors = make_corpus(n=36, dim=DIM, seed=20)
         path = save_layout(tmp_path, keys, vectors, 1, seed=20)
         index = open_index(path)
-        with ServerThread(index, cache_size=0) as handle:
+        with ServerThread(index,
+                          config=ServeConfig(cache_size=0)) as handle:
             reply = post_query(handle.port,
                                {"vector": vectors[0].tolist(), "k": 3})
             assert len(reply["hits"]) == 3
@@ -249,13 +251,6 @@ class TestCatalogEviction:
         section = next(iter(stats["indexes"].values()))
         assert section["queries"] == 1
         assert "cache" not in section
-
-    def test_bad_cache_knobs_fail_eagerly(self, tmp_path):
-        handle = self.make_handle(tmp_path)
-        with pytest.raises(ValueError, match="cache size"):
-            handle.configure_dispatch(cache_size=-1)
-        with pytest.raises(ValueError, match="cache ttl"):
-            handle.configure_dispatch(cache_ttl=0)
 
 
 class TestManifestGeneration:

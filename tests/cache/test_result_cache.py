@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.cache import CacheCounters, TTLCache, exact_key
-from repro.cache.result_cache import validate_cache_params
 
 
 class TestTTLCache:
@@ -132,13 +131,6 @@ class TestTTLCache:
     def test_bad_bounds_are_rejected(self, size, ttl):
         with pytest.raises(ValueError):
             TTLCache(size, ttl)
-
-    def test_size_zero_is_valid_for_validation_only(self):
-        # 0 means "caching disabled" at the engine level; the params
-        # validator accepts it, the storage constructor does not.
-        validate_cache_params(0, None)
-        with pytest.raises(ValueError):
-            TTLCache(0)
 
 
 class TestExactKey:

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.catalog import Catalog, CatalogEntry, CatalogHandle
 from repro.index import VectorIndex, open_index
+from repro.serve import ServeConfig
 
 DIM = 12
 
@@ -28,7 +29,7 @@ def two_entry_handle(tmp_path, n_shards=1, **kwargs) -> CatalogHandle:
         layouts[name] = save_layout(tmp_path, keys, vectors, n_shards,
                                     seed=position, name=name)
     catalog = write_catalog(tmp_path, layouts, default="alpha")
-    return CatalogHandle(catalog, **kwargs)
+    return CatalogHandle(catalog, ServeConfig(**kwargs))
 
 
 class TestLazyOpen:
@@ -57,20 +58,11 @@ class TestLazyOpen:
 
     def test_empty_catalog_is_rejected_with_a_hint(self, tmp_path):
         with pytest.raises(ValueError, match="catalog add"):
-            CatalogHandle(Catalog(root=tmp_path))
+            CatalogHandle(Catalog(root=tmp_path), ServeConfig())
 
     def test_bad_max_open_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_open"):
             two_entry_handle(tmp_path, max_open=0)
-
-    def test_bad_dispatch_knobs_fail_eagerly(self, tmp_path):
-        handle = two_entry_handle(tmp_path)
-        with pytest.raises(ValueError, match="max_batch"):
-            handle.configure_dispatch(max_batch=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            handle.configure_dispatch(max_wait_ms=-1)
-        with pytest.raises(ValueError, match="jobs"):
-            handle.configure_dispatch(jobs=0)
 
 
 class TestLruEviction:
@@ -137,7 +129,7 @@ class TestBareIndexWrapper:
         keys, vectors = make_corpus(n=30, dim=DIM, seed=9)
         index = VectorIndex(dim=DIM, seed=0)
         index.add_batch(keys, vectors)
-        handle = CatalogHandle.for_index(index)
+        handle = CatalogHandle.for_index(index, ServeConfig())
         slot = handle.get()
         assert slot.index is index and slot.pinned
         assert handle.default_name == "default"
@@ -147,7 +139,7 @@ class TestBareIndexWrapper:
         keys, vectors = make_corpus(n=30, dim=DIM, seed=9)
         index = VectorIndex(dim=DIM, seed=0)
         index.add_batch(keys, vectors)
-        handle = CatalogHandle.for_index(index)
+        handle = CatalogHandle.for_index(index, ServeConfig())
         assert handle.evict("default") is False
         assert handle.get().index is index
 
@@ -158,7 +150,7 @@ class TestStaleCatalogErrors:
         path = save_layout(tmp_path, keys, vectors, 1)
         catalog = Catalog([CatalogEntry(name="x", path=path.name,
                                         kind="table")], root=tmp_path)
-        handle = CatalogHandle(catalog)
+        handle = CatalogHandle(catalog, ServeConfig())
         with pytest.raises(ValueError, match="catalog is stale"):
             handle.get("x")
 
@@ -173,13 +165,13 @@ class TestStaleCatalogErrors:
                                         model_id="ckpt-old")],
                           root=tmp_path)
         with pytest.raises(ValueError, match="catalog is stale"):
-            CatalogHandle(catalog).get("x")
+            CatalogHandle(catalog, ServeConfig()).get("x")
 
     def test_missing_layout_propagates_file_not_found(self, tmp_path):
         catalog = Catalog([CatalogEntry(name="x", path="gone.npz",
                                         kind="vector")], root=tmp_path)
         with pytest.raises(FileNotFoundError):
-            CatalogHandle(catalog).get("x")
+            CatalogHandle(catalog, ServeConfig()).get("x")
 
 
 class TestReopenEqualsFirstOpen:
@@ -214,7 +206,7 @@ class TestReopenEqualsFirstOpen:
         catalog, paths = layouts[n_shards]
         rng = np.random.default_rng(seed)
         queries = rng.standard_normal((3, DIM))
-        handle = CatalogHandle(catalog, mmap=mmap, max_open=1)
+        handle = CatalogHandle(catalog, ServeConfig(mmap=mmap, max_open=1))
 
         def rankings(name):
             hits_lists = handle.get(name).index.query_many(queries, k=k)

@@ -18,7 +18,7 @@ import json
 from catutil import make_corpus, save_layout, write_catalog
 
 from repro.catalog import Catalog, CatalogHandle
-from repro.serve import ServerThread
+from repro.serve import ServeConfig, ServerThread
 
 from urllib import request as urllib_request
 
@@ -44,8 +44,8 @@ def _two_handles(tmp_path) -> tuple[CatalogHandle, CatalogHandle]:
     keys, vectors = make_corpus(n=60, dim=DIM, seed=5)
     path = save_layout(tmp_path, keys, vectors, 2, seed=5, name="shared")
     catalog = write_catalog(tmp_path, {"shared": path}, default="shared")
-    return (CatalogHandle(Catalog.load(tmp_path)),
-            CatalogHandle(Catalog.load(tmp_path)))
+    return (CatalogHandle(Catalog.load(tmp_path), ServeConfig()),
+            CatalogHandle(Catalog.load(tmp_path), ServeConfig()))
 
 
 class TestHandleIndependence:
@@ -92,8 +92,9 @@ class TestServedWorkerIsolation:
         from repro.index import open_index
 
         query = {"vector": vectors[0].tolist(), "k": 5}
-        with ServerThread(open_index(path), max_wait_ms=0.5) as worker_a, \
-                ServerThread(open_index(path), max_wait_ms=0.5) as worker_b:
+        config = ServeConfig(max_wait_ms=0.5)
+        with ServerThread(open_index(path), config=config) as worker_a, \
+                ServerThread(open_index(path), config=config) as worker_b:
             first_a = _post_query(worker_a.port, query)
             repeat_a = _post_query(worker_a.port, query)
             first_b = _post_query(worker_b.port, query)

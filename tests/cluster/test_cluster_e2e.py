@@ -24,7 +24,7 @@ from clusterutil import (
 
 from repro.cluster import ClusterHarness, split_layout
 from repro.index import open_index
-from repro.serve import ServerThread
+from repro.serve import ServeConfig, ServerThread
 
 DIM = 16
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -47,7 +47,8 @@ def stack(tmp_path_factory):
     paths = split_layout(local_path, tmp / "split", 2)
     with ClusterHarness(paths) as harness:
         remote = harness.connect(retries=1, backoff=0.01, timeout=10.0)
-        with ServerThread(remote, max_wait_ms=1.0) as server:
+        with ServerThread(remote,
+                          config=ServeConfig(max_wait_ms=1.0)) as server:
             yield (open_index(local_path, mmap=True), harness, remote,
                    server, vectors)
 

@@ -18,6 +18,7 @@ and the identity checks `connect()` performs.
 import numpy as np
 import pytest
 from clusterutil import make_corpus, query_pool, ranked, save_layout
+from dispatchutil import dispatch
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -182,8 +183,8 @@ class TestGenerationAndCache:
                 retries=1)
             try:
                 engine = CachedQueryEngine(remote, max_entries=32)
-                first = engine.query_many(vectors[:2], k=4)
-                again = engine.query_many(vectors[:2], k=4)
+                first = dispatch(engine, vectors[:2], 4)
+                again = dispatch(engine, vectors[:2], 4)
                 assert [ranked(h) for h in first] == \
                        [ranked(h) for h in again]
                 # Second pass is served purely from the cache.
@@ -202,12 +203,12 @@ class TestGenerationAndCache:
                 retries=1)
             try:
                 engine = CachedQueryEngine(remote, max_entries=32)
-                engine.query_many(vectors[:1], k=4)
+                dispatch(engine, vectors[:1], 4)
                 # Mutate the shard: a near-duplicate of the query lands
                 # at the top.  The cached entry must not be served.
                 index.add("winner", vectors[0])
                 remote.query_many(vectors[1:2], k=1)  # observe new gen
-                served = engine.query_many(vectors[:1], k=4)[0]
+                served = dispatch(engine, vectors[:1], 4)[0]
                 assert ranked(served) == ranked(
                     remote.query_many(vectors[:1], k=4)[0])
                 assert "winner" in {hit.key for hit in served}

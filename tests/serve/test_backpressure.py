@@ -22,12 +22,8 @@ from serveutil import (
 )
 
 from repro.index import open_index
-from repro.serve import ServerThread
-from repro.serve.dispatcher import (
-    BacklogFull,
-    MicroBatchDispatcher,
-    validate_dispatch_params,
-)
+from repro.serve import ServeConfig, ServerThread
+from repro.serve.dispatcher import BacklogFull, MicroBatchDispatcher
 
 DIM = 24
 
@@ -40,26 +36,14 @@ def layout(tmp_path_factory):
 
 
 class TestDispatcherBacklog:
-    def test_validate_rejects_bad_backlog(self):
-        with pytest.raises(ValueError, match="max_backlog"):
-            validate_dispatch_params(32, 2.0, None, max_backlog=0)
-        validate_dispatch_params(32, 2.0, None, max_backlog=1)
-        validate_dispatch_params(32, 2.0, None, max_backlog=None)
-
-    def test_constructor_rejects_bad_backlog(self, layout):
-        path, _vectors = layout
-        index = open_index(path)
-        with pytest.raises(ValueError, match="max_backlog"):
-            MicroBatchDispatcher(index, max_backlog=-1)
-
     def test_overflow_raises_backlog_full(self, layout):
         path, vectors = layout
         index = open_index(path)
 
         async def run():
-            dispatcher = MicroBatchDispatcher(index, max_batch=64,
-                                              max_wait_ms=1000.0,
-                                              max_backlog=2)
+            config = ServeConfig(max_batch=64, max_wait_ms=1000.0,
+                                 max_backlog=2)
+            dispatcher = MicroBatchDispatcher(index, config)
             with pytest.raises(BacklogFull) as excinfo:
                 await dispatcher.submit_many(
                     vectors[:3], 5, [None] * 3)
@@ -87,8 +71,8 @@ class TestDispatcherBacklog:
         index = open_index(path)
 
         async def run():
-            dispatcher = MicroBatchDispatcher(index, max_batch=256,
-                                              max_wait_ms=0.0)
+            dispatcher = MicroBatchDispatcher(
+                index, ServeConfig(max_batch=256, max_wait_ms=0.0))
             results = await dispatcher.submit_many(
                 vectors[:60], 3, [None] * 60)
             assert len(results) == 60
@@ -104,8 +88,9 @@ class TestServedBackpressure:
         path, _vectors = layout
         # max_wait_ms high + max_batch high: enqueued work sits in the
         # pending queue, so the backlog bound is the only valve.
-        with ServerThread(open_index(path, mmap=True), max_batch=64,
-                          max_wait_ms=50.0, max_backlog=4) as handle:
+        config = ServeConfig(max_batch=64, max_wait_ms=50.0, max_backlog=4)
+        with ServerThread(open_index(path, mmap=True),
+                          config=config) as handle:
             yield handle
 
     def test_oversized_request_is_429_with_retry_after(self, layout,

@@ -32,7 +32,7 @@ from serveutil import (
 
 from repro.catalog import Catalog, CatalogEntry
 from repro.index import open_index
-from repro.serve import ServerThread
+from repro.serve import ServeConfig, ServerThread
 
 DIM = 16
 N_QUERIES = 6
@@ -73,8 +73,8 @@ def cache_soak(tmp_path_factory):
                     expected[(name, q, k, exclude)] = offline_ranking(hits)
         queries[name + ":top"] = top_keys
     catalog.save()
-    with ServerThread(catalog, max_wait_ms=2.0, max_batch=16,
-                      cache_size=64) as handle:
+    config = ServeConfig(max_wait_ms=2.0, max_batch=16, cache_size=64)
+    with ServerThread(catalog, config=config) as handle:
         yield handle, queries, expected
 
 

@@ -85,11 +85,12 @@ def offline_want(catalog_dir, name, queries, k):
     return [offline_ranking(hits) for hits in index.query_many(queries, k=k)]
 
 
-def server_thread(catalog_dir, **kwargs):
-    from repro.serve import ServerThread
+def server_thread(catalog_dir, **knobs):
+    from repro.serve import ServeConfig, ServerThread
 
-    kwargs.setdefault("max_wait_ms", 1.0)
-    return ServerThread(Catalog.load(catalog_dir), **kwargs)
+    knobs.setdefault("max_wait_ms", 1.0)
+    return ServerThread(Catalog.load(catalog_dir),
+                        config=ServeConfig(**knobs))
 
 
 class TestRouting:
@@ -159,9 +160,10 @@ class TestRouting:
             catalog.add(CatalogEntry(name=name, path=f"{name}.npz",
                                      kind="vector"))
         catalog.save()
-        from repro.serve import ServerThread
+        from repro.serve import ServeConfig, ServerThread
 
-        with ServerThread(catalog, max_wait_ms=1.0) as handle:
+        with ServerThread(catalog,
+                          config=ServeConfig(max_wait_ms=1.0)) as handle:
             status, payload = post_query(
                 handle.port, {"vector": [0.0] * 4, "index": "wide"})
             assert status == 400 and "expects 12" in payload["error"]
@@ -196,14 +198,15 @@ class TestWireBackCompat:
         catalogs sends the same bytes and receives the same bytes,
         whether the server wraps a bare index or a catalog whose
         default is that index."""
-        from repro.serve import ServerThread
+        from repro.serve import ServeConfig, ServerThread
 
         bodies = [json.dumps({"vector": queries[0].tolist(),
                               "k": 5}).encode(),
                   json.dumps({"vectors": queries.tolist(), "k": 3,
                               "excludes": [None] * len(queries)}).encode()]
         bare = open_index(catalog_dir / "tables.npz", mmap=True)
-        with ServerThread(bare, max_wait_ms=1.0) as bare_handle:
+        with ServerThread(bare,
+                          config=ServeConfig(max_wait_ms=1.0)) as bare_handle:
             bare_responses = [self.raw_query(bare_handle.port, body)
                               for body in bodies]
         with server_thread(catalog_dir) as cat_handle:
@@ -215,7 +218,7 @@ class TestWireBackCompat:
         """The response body is exactly ``render_response(200,
         json_body({"hits": format_hits(offline)}))`` — the wire shape
         PR 5 promised, reconstructed independently of the server."""
-        from repro.serve import ServerThread
+        from repro.serve import ServeConfig, ServerThread
         from repro.serve.protocol import format_hits, json_body
 
         index = open_index(catalog_dir / "tables.npz", mmap=True)
@@ -223,7 +226,8 @@ class TestWireBackCompat:
         want_hits = offline.query_many(queries[:1], k=5)[0]
         want_body = json_body({"hits": format_hits(want_hits)})
         body = json.dumps({"vector": queries[0].tolist(), "k": 5}).encode()
-        with ServerThread(index, max_wait_ms=1.0) as handle:
+        with ServerThread(index,
+                          config=ServeConfig(max_wait_ms=1.0)) as handle:
             raw = self.raw_query(handle.port, body)
         assert raw.partition(b"\r\n\r\n")[2] == want_body
 

@@ -44,7 +44,7 @@ from serveutil import (
 from repro.cluster import ShardServerThread
 from repro.cluster.shard_server import local_shards
 from repro.index import FORMAT_VERSION, open_index
-from repro.serve import ServerThread
+from repro.serve import ServeConfig, ServerThread
 
 DIM = 24
 
@@ -56,15 +56,16 @@ class FrontTransport:
 
     @staticmethod
     def boot(index, **kwargs):
-        return ServerThread(index, max_wait_ms=1.0, **kwargs)
+        return ServerThread(index, config=ServeConfig(max_wait_ms=1.0),
+                            **kwargs)
 
     @staticmethod
     def boot_holding(index):
         """A started server that holds a query in flight — parked in a
         30-second micro-batch window only a drain's flush cuts short —
         and a wait for one to be held."""
-        handle = ServerThread(index, max_wait_ms=30_000.0,
-                              max_batch=1024).start()
+        config = ServeConfig(max_wait_ms=30_000.0, max_batch=1024)
+        handle = ServerThread(index, config=config).start()
 
         def wait_until_held():
             deadline = time.monotonic() + 10
@@ -161,7 +162,7 @@ class TestServedEqualsOffline:
         want = [offline_ranking(hits)
                 for hits in offline.query_many(queries, k=5)]
         with ServerThread(open_index(path, mmap=mmap),
-                          max_wait_ms=1.0) as handle:
+                          config=ServeConfig(max_wait_ms=1.0)) as handle:
             status, payload = post_query(
                 handle.port, {"vectors": queries.tolist(), "k": 5})
         assert status == 200
@@ -178,7 +179,7 @@ class TestServedEqualsOffline:
         want = [offline_ranking(hits)
                 for hits in offline.query_many(queries, k=4)]
         with ServerThread(open_index(path, mmap=True),
-                          max_wait_ms=1.0) as handle:
+                          config=ServeConfig(max_wait_ms=1.0)) as handle:
             for row, expected in zip(queries, want):
                 status, payload = post_query(
                     handle.port, {"vector": row.tolist(), "k": 4})
@@ -192,7 +193,7 @@ class TestServedEqualsOffline:
         want = offline_ranking(
             offline.query_many(vectors[:1], k=5, excludes=[keys[0]])[0])
         with ServerThread(open_index(path, mmap=True),
-                          max_wait_ms=1.0) as handle:
+                          config=ServeConfig(max_wait_ms=1.0)) as handle:
             status, payload = post_query(
                 handle.port, {"vector": vectors[0].tolist(), "k": 5,
                               "exclude": keys[0]})
@@ -223,8 +224,9 @@ class TestServedEqualsOffline:
             except Exception as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
 
-        with ServerThread(open_index(path, mmap=True), max_wait_ms=20.0,
-                          max_batch=64) as handle:
+        config = ServeConfig(max_wait_ms=20.0, max_batch=64)
+        with ServerThread(open_index(path, mmap=True),
+                          config=config) as handle:
             threads = [threading.Thread(target=client, args=(k, q))
                        for k in ks for q in range(len(queries))]
             for thread in threads:
@@ -354,7 +356,7 @@ class TestHealthAndStats:
         keys, vectors = corpus
         path = save_layout(tmp_path, keys, vectors, 1)
         with ServerThread(open_index(path, mmap=True),
-                          max_wait_ms=1.0) as handle:
+                          config=ServeConfig(max_wait_ms=1.0)) as handle:
             post_query(handle.port, {"vectors": queries.tolist(), "k": 3})
             post_query(handle.port, {"vector": queries[0].tolist()})
             http_request(handle.port, "POST", "/query", b"{bad")
@@ -381,8 +383,9 @@ class TestHealthAndStats:
             assert post_query(handle.port, {"vector": queries[q].tolist(),
                                             "k": 3})[0] == 200
 
-        with ServerThread(open_index(path, mmap=True), max_batch=1,
-                          max_wait_ms=50.0, cache_size=0) as handle:
+        config = ServeConfig(max_batch=1, max_wait_ms=50.0, cache_size=0)
+        with ServerThread(open_index(path, mmap=True),
+                          config=config) as handle:
             status, _payload = post_query(
                 handle.port, {"vectors": queries.tolist(), "k": 3})
             assert status == 200

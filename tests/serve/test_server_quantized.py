@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.index import open_index
-from repro.serve import ServerThread
+from repro.serve import ServeConfig, ServerThread
 
 from serveutil import http_request, make_corpus, save_layout
 
@@ -51,7 +51,7 @@ def test_served_quantized_equals_offline_unquantized(tmp_path, n_shards):
 
     target = open_index(path, mmap=True, quantized=True)
     assert target.use_quantized
-    with ServerThread(target, max_wait_ms=1.0) as handle:
+    with ServerThread(target, config=ServeConfig(max_wait_ms=1.0)) as handle:
         got = [post_query(handle.port, query, 6) for query in queries]
         # Cache hit path must serve the same (identical) ranking.
         again = post_query(handle.port, queries[0], 6)
@@ -67,7 +67,7 @@ def test_healthz_and_stats_report_quantization(tmp_path):
     quantized.save(path)
 
     with ServerThread(open_index(path, mmap=True, quantized=True),
-                      max_wait_ms=1.0) as handle:
+                      config=ServeConfig(max_wait_ms=1.0)) as handle:
         status, body = http_request(handle.port, "GET", "/healthz")
         assert status == 200
         health = json.loads(body)
@@ -85,7 +85,7 @@ def test_unquantized_server_reports_false(tmp_path):
     keys, vectors = make_corpus(n=30, dim=16, seed=8)
     path = save_layout(tmp_path, keys, vectors, 1, seed=0)
     with ServerThread(open_index(path, mmap=True),
-                      max_wait_ms=1.0) as handle:
+                      config=ServeConfig(max_wait_ms=1.0)) as handle:
         status, body = http_request(handle.port, "GET", "/healthz")
         assert status == 200
         health = json.loads(body)
@@ -103,7 +103,7 @@ def test_sidecar_without_opt_in_serves_fp_path(tmp_path):
     quantized.save(path)
     want = offline_rankings(path, vectors[:3], k=5)
     with ServerThread(open_index(path, mmap=True),
-                      max_wait_ms=1.0) as handle:
+                      config=ServeConfig(max_wait_ms=1.0)) as handle:
         health = json.loads(http_request(handle.port, "GET", "/healthz")[1])
         assert health["quantized"] is True
         assert health["quantized_scoring"] is False
@@ -115,4 +115,4 @@ def test_server_thread_rejects_missing_sidecar(tmp_path):
     keys, vectors = make_corpus(n=30, dim=16, seed=10)
     path = save_layout(tmp_path, keys, vectors, 1, seed=0)
     with pytest.raises(ValueError, match="quantize"):
-        ServerThread(open_index(path), quantized=True)
+        ServerThread(open_index(path), config=ServeConfig(quantized=True))

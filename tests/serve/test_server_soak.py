@@ -35,7 +35,7 @@ from serveutil import (
 )
 
 from repro.index import open_index
-from repro.serve import ServerThread
+from repro.serve import ServeConfig, ServerThread
 
 DIM = 16
 N_QUERIES = 12
@@ -69,8 +69,8 @@ def soak_server(tmp_path_factory, corpus, queries):
     keys, vectors = corpus
     path = save_layout(tmp_path_factory.mktemp("soak"), keys, vectors, 2)
     expected = _expected(open_index(path), queries)
-    with ServerThread(open_index(path, mmap=True), max_wait_ms=5.0,
-                      max_batch=16) as handle:
+    config = ServeConfig(max_wait_ms=5.0, max_batch=16)
+    with ServerThread(open_index(path, mmap=True), config=config) as handle:
         yield handle, expected
 
 
@@ -154,8 +154,8 @@ class TestTwoIndexSoak:
                                      kind="vector"))
             expected[name] = _expected(index, queries)
         catalog.save()
-        with ServerThread(catalog, max_wait_ms=2.0, max_batch=8,
-                          max_open=1) as handle:
+        config = ServeConfig(max_wait_ms=2.0, max_batch=8, max_open=1)
+        with ServerThread(catalog, config=config) as handle:
             yield handle, expected, {name: prefix for name, (prefix, _rows)
                                      in slices.items()}
 
@@ -229,8 +229,9 @@ class TestThreadSweep:
             finally:
                 conn.close()
 
-        with ServerThread(open_index(path, mmap=True), max_wait_ms=2.0,
-                          max_batch=8) as handle:
+        config = ServeConfig(max_wait_ms=2.0, max_batch=8)
+        with ServerThread(open_index(path, mmap=True),
+                          config=config) as handle:
             threads = [threading.Thread(target=client, args=(workload,))
                        for workload in workloads]
             for thread in threads:

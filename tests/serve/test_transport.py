@@ -15,7 +15,7 @@ from serveutil import http_request_full, make_corpus, save_layout
 import repro
 from repro.cluster import RemoteShardedIndex, ShardServerThread, Topology
 from repro.index import open_index
-from repro.serve import ServerThread
+from repro.serve import ServeConfig, ServerThread
 
 DIM = 8
 
@@ -68,7 +68,8 @@ def test_retry_after_comes_from_the_failure_not_the_status(layout):
         Topology.from_addresses([("127.0.0.1", shard.port)]),
         retries=0, timeout=5.0)
     try:
-        with ServerThread(remote, max_wait_ms=1.0) as front:
+        with ServerThread(remote,
+                          config=ServeConfig(max_wait_ms=1.0)) as front:
             async def nonsense(request):
                 return 200, {"shards": "not a list"}, 0
 

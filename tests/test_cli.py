@@ -38,6 +38,21 @@ class TestTrainEvaluate:
         out = capsys.readouterr().out
         assert "Saved checkpoint" in out
 
+    def test_train_saves_when_a_segment_records_no_loss(self, tmp_path,
+                                                        capsys):
+        """webtables' vmd batches hold no maskable token, so that
+        segment trains no step; the summary must still print and the
+        checkpoint still be written."""
+        from repro.core import TabBiNConfig, TabBiNEmbedder
+
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "webtables", "--n-tables", "8", "--steps", "2",
+                     "--out", str(ckpt)]) == 0
+        out = capsys.readouterr().out
+        assert "no maskable tokens (0 steps)" in out
+        assert "Saved checkpoint" in out
+        TabBiNEmbedder.load(ckpt, TabBiNConfig.small())
+
     def test_evaluate_from_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         main(["train", "cancerkg", "--n-tables", "8", "--steps", "2",

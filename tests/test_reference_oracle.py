@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dispatchutil import dispatch
 from reference import reference_candidates, reference_top_k
 
 import repro
@@ -146,7 +147,7 @@ def open_mode(mode: str, keys, vectors, tmp_path):
         engine = CachedQueryEngine(build(keys, vectors, 2), max_entries=512)
 
         def search(matrix, k, excludes):
-            miss, hit = (engine.query_many(matrix, k=k, excludes=excludes)
+            miss, hit = (dispatch(engine, matrix, k, excludes)
                          for _ in range(2))
             assert miss == hit
             return [[(h.key, h.score) for h in hits] for hits in hit]
