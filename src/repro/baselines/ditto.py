@@ -91,15 +91,11 @@ class DittoMatcher(Module):
         return losses
 
     def predict(self, pairs: list[EntityPair], batch_size: int = 16) -> list[int]:
-        was_training = self.training
-        self.eval()
         out: list[int] = []
-        try:
+        with self.inference():
             for start in range(0, len(pairs), batch_size):
                 logits = self(pairs[start:start + batch_size])
                 out.extend(int(i) for i in logits.data.argmax(axis=-1))
-        finally:
-            self.train(was_training)
         return out
 
     def evaluate_f1(self, pairs: list[EntityPair]) -> float:

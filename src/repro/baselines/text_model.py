@@ -183,12 +183,8 @@ class TextMLM:
         if len(ids) == 0:
             return np.zeros(self.encoder.hidden)
         token_ids, valid = self._pad([ids], self.tokenizer.vocab.pad_id)
-        was_training = self.encoder.training
-        self.encoder.eval()
-        try:
+        with self.encoder.inference():
             hidden = self.encoder(token_ids, valid)
-        finally:
-            self.encoder.train(was_training)
         vector = hidden.data[0, valid[0]].mean(axis=0)
         self._cache[text] = vector
         return vector

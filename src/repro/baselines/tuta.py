@@ -254,12 +254,8 @@ class TutaEmbedder:
         token_ids, numeric, rows, cols, depths, valid = self._pad(
             [arrays], self.tokenizer.vocab.pad_id
         )
-        was_training = self.model.training
-        self.model.eval()
-        try:
+        with self.model.inference():
             hidden = self.model(token_ids, numeric, rows, cols, depths, valid)
-        finally:
-            self.model.train(was_training)
         return hidden.data[0], arrays["cell_ids"], arrays["refs"]
 
     def _table_pool(self, table: Table) -> dict[str, np.ndarray]:
@@ -312,12 +308,8 @@ class TutaEmbedder:
         token_ids, numeric, rows, cols, depths, valid = self._pad(
             [arrays], vocab.pad_id
         )
-        was_training = self.model.training
-        self.model.eval()
-        try:
+        with self.model.inference():
             hidden = self.model(token_ids, numeric, rows, cols, depths, valid)
-        finally:
-            self.model.train(was_training)
         vector = hidden.data[0, valid[0]].mean(axis=0)
         self._cache[key] = vector
         return vector

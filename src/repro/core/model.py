@@ -111,12 +111,8 @@ class TabBiNModel(Module):
         :class:`~repro.index.store.EmbeddingStore`, which batches by
         length so padding (and the ``(B, n, n)`` masks) stay small.
         """
-        was_training = self.training
-        self.eval()
-        try:
+        with self.inference():
             hidden, _valid = self.forward(sequences)
-        finally:
-            self.train(was_training)
         states = hidden.data
         out: list[dict] = []
         for b, seq in enumerate(sequences):

@@ -303,16 +303,16 @@ class TabBiNSerializer:
         """
         refs: list[CellRef] = []
         keyed: dict[tuple, int] = {}
-        resolved: list[_TokenSpec] = []
         for spec in specs:
             if spec.cell_index == -2:
                 key = (spec.group_id, spec.span, spec.coords)
                 if key not in keyed:
                     keyed[key] = len(refs)
                     refs.append(self._ref_for(spec, segment))
-                spec = _TokenSpec(**{**spec.__dict__, "cell_index": keyed[key]})
-            resolved.append(spec)
-        return self._assemble(resolved, refs, segment)
+                # Each spec sits in exactly one sequence, so re-keying in
+                # place is safe (``_nested_specs`` mutates the same way).
+                spec.cell_index = keyed[key]
+        return self._assemble(specs, refs, segment)
 
     @staticmethod
     def _ref_for(spec: _TokenSpec, segment: str) -> CellRef:

@@ -107,12 +107,8 @@ class MetadataClassifier:
         return losses
 
     def predict_proba(self, lines: list[np.ndarray]) -> np.ndarray:
-        was_training = self.model.training
-        self.model.eval()
-        try:
+        with self.model.inference():
             logits = self.model(Tensor(self._pad(lines)))
-        finally:
-            self.model.train(was_training)
         return 1.0 / (1.0 + np.exp(-logits.data))
 
     def predict(self, lines: list[np.ndarray],

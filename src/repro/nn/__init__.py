@@ -4,9 +4,11 @@ The execution environment has no deep-learning framework, so the paper's
 entire model stack is built on this package.  Public surface:
 
 - :class:`~repro.nn.tensor.Tensor` and free functions (``concatenate``,
-  ``stack``, ``embedding_lookup``, ``where``, ``zeros`` ...)
-- layers: :class:`Module`, :class:`Linear`, :class:`Embedding`,
-  :class:`LayerNorm`, :class:`Dropout`, :class:`Sequential`
+  ``stack``, ``embedding_lookup``, ``where``, ``zeros`` ...), plus the
+  :func:`no_grad` context
+- layers: :class:`Module` (with :meth:`Module.inference`),
+  :class:`Linear`, :class:`Embedding`, :class:`LayerNorm`,
+  :class:`Dropout`, :class:`Sequential`
 - :class:`MultiHeadSelfAttention` with visibility-mask support
 - :class:`TransformerEncoder` / :class:`TransformerEncoderLayer`
 - :class:`GRU` / :class:`BiGRU`, :class:`Conv1d` for metadata classifiers
@@ -42,6 +44,7 @@ from .tensor import (
     Tensor,
     concatenate,
     embedding_lookup,
+    no_grad,
     ones,
     randn,
     stack,
@@ -53,7 +56,7 @@ from .transformer import FeedForward, TransformerEncoder, TransformerEncoderLaye
 
 __all__ = [
     "Tensor", "tensor", "zeros", "ones", "randn", "concatenate", "stack",
-    "embedding_lookup", "where",
+    "embedding_lookup", "where", "no_grad",
     "Module", "Parameter", "ModuleList", "Sequential", "Linear", "Embedding",
     "LayerNorm", "Dropout",
     "MultiHeadSelfAttention", "FeedForward", "TransformerEncoder",

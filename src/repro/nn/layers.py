@@ -7,9 +7,11 @@ architecture needs (linear, embedding, layer norm, dropout).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from .tensor import Tensor, embedding_lookup
+from .tensor import Tensor, embedding_lookup, no_grad
 
 
 class Module:
@@ -59,6 +61,24 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    @contextmanager
+    def inference(self):
+        """Run the block in eval mode with no autograd graph.
+
+        The one switch every inference path goes through: eval mode is
+        entered only if the module is training, :func:`no_grad` is
+        entered, and both are restored on exit, exceptions included.
+        """
+        training = self.training
+        if training:
+            self.eval()
+        try:
+            with no_grad():
+                yield
+        finally:
+            if training:
+                self.train()
 
     # -- (de)serialization ----------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:

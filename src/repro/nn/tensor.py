@@ -9,14 +9,44 @@ top of this :class:`Tensor`.
 The design follows the familiar define-by-run style: every operation
 records a backward closure, and :meth:`Tensor.backward` runs a topological
 sweep.  Broadcasting is fully supported; gradients flowing into a
-broadcast operand are summed back to the operand's shape.
+broadcast operand are summed back to the operand's shape.  Inside
+:func:`no_grad` nothing is recorded, so inference builds no graph.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
+
+
+class _GradMode(threading.local):
+    """Per-thread switch: does an operation record its backward graph?"""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Record no autograd graph in this thread until the block exits.
+
+    Operations still compute the same values, but return bare tensors
+    with no parents, no backward closure and ``requires_grad=False``.
+    Other threads are unaffected; nesting and exceptions restore the
+    previous setting.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _as_array(value, dtype=DEFAULT_DTYPE) -> np.ndarray:
@@ -114,6 +144,8 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+        if not _grad_mode.enabled:
+            return Tensor(data)
         requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
@@ -287,9 +319,12 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation, as in BERT)."""
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (self.data + 0.044715 * self.data ** 3)
+        x = self.data
+        # A product, not ``x ** 3``: numpy's power leaves its SIMD path on
+        # mixed-sign input and costs about 10x more per element.
+        inner = c * (x + 0.044715 * ((x * x) * x))
         t = np.tanh(inner)
-        out_data = 0.5 * self.data * (1.0 + t)
+        out_data = 0.5 * x * (1.0 + t)
 
         def backward(grad):
             if self.requires_grad:
