@@ -35,21 +35,23 @@ def main() -> None:
     lsh = CosineLSH(dim=vectors.shape[1], n_planes=8, n_bands=6, seed=0)
     lsh.add_all(vectors)
 
-    for query_id in (0, len(lake) // 2, len(lake) - 1):
+    query_ids = [0, len(lake) // 2, len(lake) - 1]
+    candidates = lsh.candidates_many(vectors[query_ids])
+    rankings = lsh.query_many(vectors[query_ids], k=3, excludes=query_ids)
+    for query_id, cands, ranked in zip(query_ids, candidates, rankings):
         query = lake[query_id]
         print(f"\nQuery: [{query.topic}] {query.caption[:58]}")
-        candidates = lsh.candidates(vectors[query_id])
-        print(f"   LSH blocking: {len(candidates)}/{len(lake)} candidates")
-        for idx, sim in lsh.query(vectors[query_id], k=3, exclude=query_id):
+        print(f"   LSH blocking: {len(cands)}/{len(lake)} candidates")
+        for idx, sim in ranked:
             hit = lake[idx]
             marker = "*" if hit.topic == query.topic else " "
             print(f"   {marker} {sim:.3f}  [{hit.topic}] {hit.caption[:52]}")
 
     # Recall sanity: the top hit usually shares the query's topic.
-    hits = 0
-    for query_id in range(len(lake)):
-        top = lsh.query(vectors[query_id], k=1, exclude=query_id)
-        hits += bool(top) and lake[top[0][0]].topic == lake[query_id].topic
+    everyone = list(range(len(lake)))
+    tops = lsh.query_many(vectors, k=1, excludes=everyone)
+    hits = sum(lake[top[0][0]].topic == lake[query_id].topic
+               for query_id, top in zip(everyone, tops))
     print(f"\nTop-1 same-topic rate across the lake: {hits / len(lake):.0%}")
 
 

@@ -9,7 +9,7 @@ Subpackages
 ``repro.metadata``   bi-GRU / CNN metadata classifiers and heuristics
 ``repro.core``       the TabBiN model, pre-training, composite embeddings
 ``repro.baselines``  TUTA-like, BioBERT-like, Word2Vec, DITTO-like, LLM+RAG
-``repro.retrieval``  LSH blocking, cosine top-k, cluster formation
+``repro.retrieval``  exact cosine top-k, LSH blocking, the int8 tier
 ``repro.index``      batched embedding store + persistent table/column indexes
 ``repro.eval``       MAP/MRR/F1 metrics and the CC/TC/EC task runners
 ``repro.datasets``   synthetic corpus generators for the five datasets

@@ -162,35 +162,26 @@ def llm_column_clustering(corpus, llm: SimulatedLLM, k: int = 20,
                           max_queries: int | None = 30,
                           seed: int = 0):
     """CC via LLM ranking of serialized columns (Table 14 protocol)."""
-    from ..eval.metrics import mean_average_precision, mean_reciprocal_rank
-    from ..eval.tasks import TaskResult, collect_columns
+    from ..eval.tasks import TaskResult, _sample, collect_columns
     from .adapters import serialize_column
 
     refs = collect_columns(corpus)
     texts = [serialize_column(corpus[r.table_index], r.column) for r in refs]
     concepts = [r.concept for r in refs]
-    rng = np.random.default_rng(seed)
-    query_ids = range(len(refs)) if max_queries is None else sorted(
-        rng.choice(len(refs), size=min(max_queries, len(refs)), replace=False)
-    )
+    counts = Counter(concepts)
     relevance, totals = [], []
-    for q in query_ids:
+    for q in _sample(len(refs), max_queries, seed):
         others = [i for i in range(len(texts)) if i != q]
         order = llm.rank(texts[q], [texts[i] for i in others])
         ranked = [others[i] for i in order[:k]]
         relevance.append([concepts[i] == concepts[q] for i in ranked])
-        totals.append(sum(1 for c in concepts if c == concepts[q]) - 1)
-    return TaskResult(
-        map_at_k=mean_average_precision(relevance, k, totals),
-        mrr_at_k=mean_reciprocal_rank(relevance, k),
-        n_queries=len(relevance), k=k,
-    )
+        totals.append(counts[concepts[q]] - 1)
+    return TaskResult.from_relevance(relevance, totals, k)
 
 
 def llm_table_clustering(corpus, llm: SimulatedLLM, k: int = 20,
                          seed: int = 0):
     """TC via LLM ranking against per-topic example tables."""
-    from ..eval.metrics import mean_average_precision, mean_reciprocal_rank
     from ..eval.tasks import TaskResult
     from .adapters import serialize_table
 
@@ -208,8 +199,4 @@ def llm_table_clustering(corpus, llm: SimulatedLLM, k: int = 20,
         ranked = [others[i] for i in order[:k]]
         relevance.append([topics[i] == topic for i in ranked])
         totals.append(len(members) - 1)
-    return TaskResult(
-        map_at_k=mean_average_precision(relevance, k, totals),
-        mrr_at_k=mean_reciprocal_rank(relevance, k),
-        n_queries=len(relevance), k=k,
-    )
+    return TaskResult.from_relevance(relevance, totals, k)

@@ -119,12 +119,11 @@ class Word2Vec:
 
     def most_similar(self, word: str, k: int = 5) -> list[tuple[str, float]]:
         """Nearest vocabulary words by cosine similarity."""
-        from ..retrieval.similarity import cosine_matrix
+        from ..retrieval.similarity import top_k
 
         v = self.vector(word)
         if v is None:
             return []
-        sims = cosine_matrix(v[None, :], self.w_in)[0]
-        sims[self.vocab[word.lower()]] = -np.inf
-        order = np.argsort(-sims)[:k]
-        return [(self.inverse_vocab[i], float(sims[i])) for i in order]
+        [ranked] = top_k(v[None, :], self.w_in, k,
+                         excludes=[self.vocab[word.lower()]])
+        return [(self.inverse_vocab[i], score) for i, score in ranked]

@@ -9,13 +9,13 @@ human annotators).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..retrieval.clustering import centroid_ranking, rank_neighbors, topic_centroid
-from ..retrieval.lsh import CosineLSH
+from ..retrieval.similarity import normalize_rows, top_k
 from ..tables.table import Table
 from .metrics import mean_average_precision, mean_reciprocal_rank
 
@@ -31,6 +31,24 @@ class TaskResult:
 
     def __str__(self) -> str:
         return f"{self.map_at_k:.2f}/{self.mrr_at_k:.2f}"
+
+    @classmethod
+    def from_relevance(cls, relevance: list[list[bool]], totals: list[int],
+                       k: int) -> "TaskResult":
+        """Score ranked relevance lists, one per query; ``totals[i]`` is
+        query ``i``'s relevant count, the AP@k normalizer."""
+        return cls(map_at_k=mean_average_precision(relevance, k, totals),
+                   mrr_at_k=mean_reciprocal_rank(relevance, k),
+                   n_queries=len(relevance), k=k)
+
+
+def _relevance(queries: np.ndarray, query_labels: list, vectors: np.ndarray,
+               labels: list, k: int, excludes=None) -> list[list[bool]]:
+    """Rank ``vectors`` against every query row in one batched call and
+    flag which of each query's top-k share its label."""
+    return [[labels[i] == label for i, _s in ranked]
+            for label, ranked in zip(query_labels,
+                                     top_k(queries, vectors, k, excludes))]
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +80,7 @@ def column_clustering(corpus: list[Table],
                       embed_column: Callable[[Table, int], np.ndarray],
                       columns: list[ColumnRef] | None = None,
                       k: int = 20, max_queries: int | None = None,
-                      use_lsh: bool = False, seed: int = 0) -> TaskResult:
+                      seed: int = 0) -> TaskResult:
     """CC: rank columns against each query column; relevant = same
     concept (the schema-matching correspondence the paper targets)."""
     columns = columns if columns is not None else collect_columns(corpus)
@@ -71,30 +89,18 @@ def column_clustering(corpus: list[Table],
     vectors = np.stack([
         embed_column(corpus[ref.table_index], ref.column) for ref in columns
     ])
-    lsh = None
-    if use_lsh:
-        lsh = CosineLSH(dim=vectors.shape[1], n_planes=6, n_bands=6, seed=seed)
-        lsh.add_all(vectors)
     concepts = [ref.concept for ref in columns]
-    counts: dict[str, int] = {}
-    for concept in concepts:
-        counts[concept] = counts.get(concept, 0) + 1
-    query_ids = _sample(len(columns), max_queries, seed)
-    relevance, totals = [], []
-    for q in query_ids:
-        total = counts[concepts[q]] - 1
-        if total < 1:
-            continue  # nothing to retrieve for a singleton concept
-        neighbors = rank_neighbors(q, vectors, k=k, lsh=lsh)
-        relevance.append([concepts[i] == concepts[q] for i in neighbors])
-        totals.append(total)
-    if not relevance:
+    counts = Counter(concepts)
+    # A singleton concept has nothing to retrieve, so it is never a query.
+    query_ids = [q for q in _sample(len(columns), max_queries, seed)
+                 if counts[concepts[q]] > 1]
+    if not query_ids:
         raise ValueError("no query column has a same-concept counterpart")
-    return TaskResult(
-        map_at_k=mean_average_precision(relevance, k, totals),
-        mrr_at_k=mean_reciprocal_rank(relevance, k),
-        n_queries=len(relevance), k=k,
-    )
+    query_concepts = [concepts[q] for q in query_ids]
+    relevance = _relevance(vectors[query_ids], query_concepts, vectors,
+                           concepts, k, excludes=query_ids)
+    return TaskResult.from_relevance(
+        relevance, [counts[c] - 1 for c in query_concepts], k)
 
 
 # ----------------------------------------------------------------------
@@ -114,24 +120,27 @@ def table_clustering(corpus: list[Table],
     vectors = np.stack([embed_table(corpus[i]) for i in labeled])
     topics = [corpus[i].topic for i in labeled]
     rng = np.random.default_rng(seed)
-    relevance, totals = [], []
+    centroids, query_topics, totals = [], [], []
     for topic in sorted(set(topics)):
         members = [i for i, t in enumerate(topics) if t == topic]
         if len(members) < 2:
             continue
         seeds = list(rng.choice(members, size=min(centroid_seeds, len(members)),
                                 replace=False))
-        centroid = topic_centroid(vectors, seeds)
-        ranked = centroid_ranking(centroid, vectors, k=k)
-        relevance.append([topics[i] == topic for i in ranked])
+        centroids.append(topic_centroid(vectors, seeds))
+        query_topics.append(topic)
         totals.append(len(members))
-    if not relevance:
+    if not centroids:
         raise ValueError("no topic had at least two tables")
-    return TaskResult(
-        map_at_k=mean_average_precision(relevance, k, totals),
-        mrr_at_k=mean_reciprocal_rank(relevance, k),
-        n_queries=len(relevance), k=k,
-    )
+    relevance = _relevance(np.stack(centroids), query_topics, vectors, topics, k)
+    return TaskResult.from_relevance(relevance, totals, k)
+
+
+def topic_centroid(vectors: np.ndarray, member_ids: list[int]) -> np.ndarray:
+    """Centroid embedding of a topic: the mean of its members' vectors."""
+    if not member_ids:
+        raise ValueError("cannot build a centroid from no members")
+    return normalize_rows(vectors[member_ids]).mean(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -177,23 +186,23 @@ def entity_clustering(entities: list[EntityRef],
         raise ValueError("need at least two entities")
     vectors = np.stack([embed_entity(e.text) for e in entities])
     types = [e.entity_type for e in entities]
-    query_ids = _sample(len(entities), max_queries, seed)
-    per_type: dict[str, list[tuple[list[bool], int]]] = {}
-    for q in query_ids:
-        neighbors = rank_neighbors(q, vectors, k=k)
-        rel = [types[i] == types[q] for i in neighbors]
-        total = sum(1 for t in types if t == types[q]) - 1
-        if total > 0:
-            per_type.setdefault(types[q], []).append((rel, total))
-    maps, mrrs = [], []
-    for entity_type in sorted(per_type):
-        rels = [r for r, _t in per_type[entity_type]]
-        tots = [t for _r, t in per_type[entity_type]]
-        maps.append(mean_average_precision(rels, k, tots))
-        mrrs.append(mean_reciprocal_rank(rels, k))
+    counts = Counter(types)
+    # A singleton type has nothing to retrieve, so it is never a query.
+    query_ids = [q for q in _sample(len(entities), max_queries, seed)
+                 if counts[types[q]] > 1]
+    query_types = [types[q] for q in query_ids]
+    relevance = _relevance(vectors[query_ids], query_types, vectors, types,
+                           k, excludes=query_ids)
+    by_type: dict[str, list[list[bool]]] = {}
+    for rel, entity_type in zip(relevance, query_types):
+        by_type.setdefault(entity_type, []).append(rel)
+    per_type = [TaskResult.from_relevance(rels, [counts[t] - 1] * len(rels), k)
+                for t, rels in sorted(by_type.items())]
+    if not per_type:
+        return TaskResult(map_at_k=0.0, mrr_at_k=0.0, n_queries=0, k=k)
     return TaskResult(
-        map_at_k=float(np.mean(maps)) if maps else 0.0,
-        mrr_at_k=float(np.mean(mrrs)) if mrrs else 0.0,
+        map_at_k=float(np.mean([r.map_at_k for r in per_type])),
+        mrr_at_k=float(np.mean([r.mrr_at_k for r in per_type])),
         n_queries=len(query_ids), k=k,
     )
 

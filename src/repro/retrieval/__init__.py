@@ -1,6 +1,6 @@
-"""Retrieval substrate: cosine ranking, LSH blocking, cluster formation."""
+"""Retrieval substrate: batched exact cosine top-k (the CC/TC/EC
+ranking) and the LSH index that blocks serving queries."""
 
-from .clustering import centroid_ranking, rank_neighbors, top_k_cluster, topic_centroid
 from .lsh import CosineLSH, gather_top_k, merge_ranked
 from .quantized import (OVERFETCH, MARGIN, approx_scores, quantize_rows,
                         shortlist_size, tie_inclusive_cut)
@@ -11,5 +11,4 @@ __all__ = [
     "CosineLSH", "merge_ranked", "gather_top_k",
     "OVERFETCH", "MARGIN", "quantize_rows", "approx_scores",
     "shortlist_size", "tie_inclusive_cut",
-    "rank_neighbors", "top_k_cluster", "centroid_ranking", "topic_centroid",
 ]

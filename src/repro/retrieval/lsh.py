@@ -4,7 +4,12 @@ Section 4.1: "We use LSH-based blocking [28] to avoid quadratic
 complexity for the entire dataset" when clustering the hundreds of
 thousands of columns.  Signs of random projections bucket vectors so
 candidate pairs are only drawn from matching buckets (multiple bands
-raise recall).
+raise recall).  Here blocking serves the index and serving layers.  The
+CC/TC/EC task runners rank exactly with
+:func:`repro.retrieval.similarity.top_k`: at every size measured (up to
+20k rows) blocking them took longer than the exact ranking and lost
+about a fifth of the true top-20 (README, "Does each layer pay for
+itself?").
 
 There is one query implementation, and it is batched.
 :meth:`CosineLSH.query_partial_many` takes a ``(Q, dim)`` query
@@ -17,9 +22,7 @@ instead.  :func:`gather_top_k` turns partials into answers: it alone
 decides, per query and on the candidate total over every shard, when
 blocking under-delivered and the brute-force rankings stand in, then
 heap-merges per-shard rankings (:func:`merge_ranked`).
-:meth:`CosineLSH.query_many` is that gather over this one index;
-:meth:`CosineLSH.query` and :meth:`CosineLSH.candidates` are the
-``Q=1`` forwards the paper's column-clustering pipeline calls.
+:meth:`CosineLSH.query_many` is that gather over this one index.
 
 Both kernels are einsum, whose accumulation depends only on the
 reduction dim: a (query, vector) pair hashes and scores bit-identically
@@ -201,10 +204,6 @@ class CosineLSH:
         """All non-tombstoned ids in insertion order."""
         return [i for i in range(len(self._vectors)) if i not in self._removed]
 
-    def candidates(self, vector: np.ndarray) -> set[int]:
-        """Ids sharing at least one band bucket with ``vector``."""
-        return self.candidates_many(np.asarray(vector, float)[None, :])[0]
-
     def candidates_many(self, vectors: np.ndarray) -> list[set[int]]:
         """Per-query candidate sets for a whole ``(Q, dim)`` matrix —
         the band keys come from one matmul per band
@@ -377,14 +376,6 @@ class CosineLSH:
         return gather_top_k(k, [self.query_partial_many(
             matrix, k, excludes=excludes, shortlist=shortlist)], brute,
             merge_ranked)
-
-    def query(self, vector: np.ndarray, k: int,
-              exclude: int | None = None) -> list[tuple[int, float]]:
-        """Top-k cosine neighbours of one vector: the ``Q=1`` case of
-        :meth:`query_many`, brute-force fallback included, so results
-        never silently shrink."""
-        return self.query_many(np.asarray(vector, float)[None, :], k,
-                               excludes=[exclude])[0]
 
     def __len__(self) -> int:
         return len(self._vectors)

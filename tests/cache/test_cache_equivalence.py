@@ -139,9 +139,9 @@ class TestFallbackBoundary:
         # The global LSH candidate total for this query decides the
         # boundary; pin k right at it (clamped to >= 1).
         if n_shards == 1:
-            total = len(index.lsh.candidates(query[0]))
+            total = len(index.lsh.candidates_many(query)[0])
         else:
-            total = sum(len(shard.lsh.candidates(query[0]))
+            total = sum(len(shard.lsh.candidates_many(query)[0])
                         for shard in index.shards)
         k = max(1, total + offset)
         excludes = [keys[0] if exclude_hit else None]

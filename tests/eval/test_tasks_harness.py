@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.eval import (
+    EntityRef,
     ResultsTable,
     collect_columns,
     collect_entities,
@@ -55,11 +56,6 @@ class TestColumnClustering:
         result = column_clustering(CORPUS, lambda t, j: embed(t, j),
                                    max_queries=25)
         assert result.map_at_k < 0.6
-
-    def test_lsh_blocking_keeps_oracle_strong(self):
-        result = column_clustering(CORPUS, oracle_column_embedder(),
-                                   max_queries=15, use_lsh=True)
-        assert result.map_at_k > 0.9
 
     def test_predicate_filters_columns(self):
         numeric_cols = collect_columns(
@@ -139,6 +135,16 @@ class TestEntityClustering:
     def test_requires_entities(self):
         with pytest.raises(ValueError):
             entity_clustering([], lambda t: np.ones(2))
+
+    def test_singleton_type_is_not_a_scored_query(self):
+        """A type with one entry has nothing to retrieve: it is neither
+        scored nor counted in ``n_queries``."""
+        vectors = {"a1": [1.0, 0.0], "a2": [1.0, 0.1], "b": [0.0, 1.0]}
+        entities = [EntityRef("a1", "A"), EntityRef("a2", "A"),
+                    EntityRef("b", "B")]
+        result = entity_clustering(entities, lambda t: np.array(vectors[t]))
+        assert result.n_queries == 2
+        assert (result.map_at_k, result.mrr_at_k) == (1.0, 1.0)
 
 
 class TestResultsTable:

@@ -69,7 +69,9 @@ class TestVectorIndex:
         if layout == "lsh":
             index = CosineLSH(dim=4)
             index.add_all(vectors)
-            query = index.query
+
+            def query(vector, k):   # a one-row query_many, as callers send
+                return index.query_many(np.asarray(vector)[None, :], k)
         else:
             index = (VectorIndex(dim=4) if layout == "single" else
                      ShardedIndex.create(IndexSpec(kind="vector", dim=4), 2))

@@ -382,7 +382,7 @@ class TestLSHRemoval:
         vectors = RNG.standard_normal((4, 8))
         lsh.add_all(vectors)
         lsh.remove(1)
-        assert 1 not in lsh.candidates(vectors[1])
+        assert 1 not in lsh.candidates_many(vectors[1:2])[0]
 
     def test_counters_and_live_ids(self):
         lsh = CosineLSH(dim=4, seed=0)
@@ -422,5 +422,5 @@ class TestLSHRemoval:
         # Simulate the desync: sneak the removed id back into a bucket.
         key = next(iter(lsh._tables[0]), 0)
         lsh._tables[0].setdefault(key, []).append(1)
-        assert 1 not in lsh.candidates(vectors[1])
-        assert 1 not in [i for i, _s in lsh.query(vectors[1], k=3)]
+        assert 1 not in lsh.candidates_many(vectors[1:2])[0]
+        assert 1 not in [i for i, _s in lsh.query_many(vectors[1:2], k=3)[0]]

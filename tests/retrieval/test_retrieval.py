@@ -1,21 +1,56 @@
-"""Cosine similarity, LSH blocking, and cluster formation tests."""
+"""Cosine similarity, batched exact top-k, and LSH blocking tests."""
+
+import math
 
 import numpy as np
 import pytest
+from reference import cosine
 
+from repro.eval.tasks import topic_centroid
 from repro.retrieval import (
     CosineLSH,
-    centroid_ranking,
     cosine_matrix,
     cosine_similarity,
     normalize_rows,
-    rank_neighbors,
+    similarity,
     top_k,
-    top_k_cluster,
-    topic_centroid,
 )
 
 RNG = np.random.default_rng(9)
+
+
+def _top_k_cases():
+    """``name -> (items, queries, k, excludes)`` for the reference pin."""
+    rng = np.random.default_rng(21)
+    items = rng.standard_normal((40, 5))
+    items[[9, 17, 23, 31]] = items[2]   # planted duplicates: exact ties
+    with_nan = items.copy()
+    with_nan[6, 0] = np.nan
+    return {
+        "random": (items, rng.standard_normal((3, 5)), 5, None),
+        "duplicates": (items, items[[2, 0, 17]], 3, None),
+        "zero-query": (items, np.zeros((2, 5)), 30, None),
+        "exclude": (items, items[[2, 0, 1]], 5, [2, 0, None]),
+        "k-ge-n": (items, items[:3], 40, None),
+        "exclude-k-ge-n": (items, items[:3], 50, [0, None, 2]),
+        "non-finite": (with_nan, items[:3], 40, [None, 1, None]),
+    }
+
+
+TOP_K_CASES = _top_k_cases()
+
+
+def reference_rankings(queries, items, k, excludes):
+    """Every finite, non-excluded row scored by ``reference.cosine``,
+    sorted by ``(-score, id)``, cut at ``k``."""
+    out = []
+    for query, exclude in zip(queries.tolist(), excludes):
+        scored = [(i, cosine(query, item))
+                  for i, item in enumerate(items.tolist()) if i != exclude]
+        scored = sorted(((i, s) for i, s in scored if math.isfinite(s)),
+                        key=lambda pair: (-pair[1], pair[0]))
+        out.append(scored[:k])
+    return out
 
 
 class TestSimilarity:
@@ -43,31 +78,31 @@ class TestSimilarity:
         assert m.shape == (3, 3)
         assert np.allclose(np.diag(m), 1.0)
 
-    def test_top_k_excludes_query(self):
-        items = np.eye(4)
-        result = top_k(items[0], items, k=3, exclude=0)
-        assert 0 not in [i for i, _s in result]
+    @pytest.mark.parametrize("case", list(TOP_K_CASES))
+    def test_top_k_matches_reference(self, case, monkeypatch):
+        """Ids in ``(-score, id)`` order as the naive reference ranks
+        them (ties by index, excluded and non-finite rows never
+        returned, short only when fewer rows remain), and a Q-row call
+        bit-equal to Q one-row calls across query blocks."""
+        items, queries, k, excludes = TOP_K_CASES[case]
+        excludes_or_none = excludes or [None] * len(queries)
+        monkeypatch.setattr(similarity, "QUERY_BLOCK", 2)
+        got = top_k(queries, items, k, excludes)
+        want = reference_rankings(queries, items, k, excludes_or_none)
+        assert [[i for i, _s in r] for r in got] == \
+            [[i for i, _s in r] for r in want]
+        for got_r, want_r in zip(got, want):
+            assert [s for _i, s in got_r] == \
+                pytest.approx([s for _i, s in want_r], abs=1e-12)
+        assert got == [top_k(row[None, :], items, k, [exclude])[0]
+                       for row, exclude in zip(queries, excludes_or_none)]
 
-    def test_top_k_orders_by_similarity(self):
-        items = np.array([[1, 0], [0.9, 0.1], [0, 1.0]])
-        result = top_k(np.array([1.0, 0.0]), items, k=3)
-        assert [i for i, _s in result][:2] == [0, 1]
-
-    def test_top_k_caps_at_collection_size(self):
-        items = RNG.standard_normal((3, 4))
-        assert len(top_k(items[0], items, k=10)) == 3
-
-    def test_top_k_with_exclusion_still_returns_k(self):
-        """Regression: the excluded self-match used to occupy a slot in
-        the top-k slice and get filtered afterwards, shrinking results."""
-        items = RNG.standard_normal((10, 4))
-        result = top_k(items[0], items, k=5, exclude=0)
-        assert len(result) == 5
-        assert 0 not in [i for i, _s in result]
-
-    def test_top_k_exclusion_caps_at_remaining(self):
+    def test_top_k_rejects_bad_shapes(self):
         items = RNG.standard_normal((4, 3))
-        assert len(top_k(items[0], items, k=10, exclude=0)) == 3
+        with pytest.raises(ValueError, match="query matrix"):
+            top_k(items[0], items, k=2)
+        with pytest.raises(ValueError, match="align"):
+            top_k(items[:2], items, k=2, excludes=[0])
 
 
 class TestLSH:
@@ -77,7 +112,7 @@ class TestLSH:
         lsh.add(base)
         lsh.add(base + RNG.standard_normal(16) * 0.01)
         lsh.add(-base)
-        candidates = lsh.candidates(base)
+        [candidates] = lsh.candidates_many(base[None, :])
         assert 0 in candidates and 1 in candidates
 
     def test_query_finds_planted_duplicates(self):
@@ -91,11 +126,10 @@ class TestLSH:
         vectors = np.vstack([base, noisy])
         lsh = CosineLSH(dim=12, n_planes=6, n_bands=8, seed=1)
         lsh.add_all(vectors)
-        hits = 0
-        for q in range(20):
-            got = lsh.query(vectors[q], k=1, exclude=q)[0][0]
-            want = top_k(vectors[q], vectors, k=1, exclude=q)[0][0]
-            hits += got == want
+        excludes = list(range(20))
+        got = lsh.query_many(vectors[:20], k=1, excludes=excludes)
+        want = top_k(vectors[:20], vectors, k=1, excludes=excludes)
+        hits = sum(g[0][0] == w[0][0] for g, w in zip(got, want))
         assert hits >= 18  # LSH is approximate; near-duplicates must hit
 
     def test_fallback_to_bruteforce_when_few_candidates(self):
@@ -103,7 +137,7 @@ class TestLSH:
         vectors = RNG.standard_normal((10, 8))
         lsh.add_all(vectors)
         # Even if buckets are tiny, query returns k results.
-        assert len(lsh.query(vectors[0], k=5, exclude=0)) == 5
+        assert len(lsh.query_many(vectors[:1], k=5, excludes=[0])[0]) == 5
 
     def test_dimension_check(self):
         lsh = CosineLSH(dim=8)
@@ -119,11 +153,11 @@ class TestLSH:
         [(n_candidates, ranked)] = lsh.query_partial_many(vectors[:1], k=5)
         assert len(ranked) <= n_candidates          # no brute-force top-up
         assert ranked == sorted(ranked, key=lambda p: (-p[1], p[0]))
-        # query() == partial when candidates suffice, brute force otherwise
+        # query_many == partial when candidates suffice, brute force otherwise
         if n_candidates >= 5:
-            assert lsh.query(vectors[0], k=5) == ranked
+            assert lsh.query_many(vectors[:1], k=5) == [ranked]
         else:
-            assert [lsh.query(vectors[0], k=5)] \
+            assert lsh.query_many(vectors[:1], k=5) \
                 == lsh.query_brute_many(vectors[:1], k=5)
         # merging the single partial with empties reproduces it
         assert merge_ranked([ranked, [], []], 5) == ranked
@@ -137,7 +171,7 @@ class TestLSH:
         lsh.add_all(vectors)
         queries = RNG.standard_normal((6, 8))
         for k in (1, 3, 12, 35):
-            want = [lsh.query(q, k=k) for q in queries]
+            want = [lsh.query_many(q[None, :], k=k)[0] for q in queries]
             got = lsh.query_many(queries, k=k)
             assert [[i for i, _s in r] for r in got] == \
                 [[i for i, _s in r] for r in want]
@@ -147,7 +181,7 @@ class TestLSH:
         # candidates are bit-identical, so counts agree too
         partials = lsh.query_partial_many(queries, 5)
         for (count, _r), q in zip(partials, queries):
-            assert count == len(lsh.candidates(q))
+            assert count == len(lsh.candidates_many(q[None, :])[0])
 
     def test_query_many_excludes_and_validation(self):
         lsh = CosineLSH(dim=8, n_planes=4, n_bands=2, seed=0)
@@ -178,7 +212,7 @@ class TestLSH:
         lsh = CosineLSH(dim=4)
         lsh.add(np.ones(4))
         with pytest.raises(ValueError, match="at least 1"):
-            lsh.query(np.ones(4), k=0)
+            lsh.query_many(np.ones((1, 4)), k=0)
         with pytest.raises(ValueError, match="at least 1"):
             lsh.query_brute_many(np.ones((1, 4)), k=0)
 
@@ -210,7 +244,8 @@ class TestLSH:
         assert ids == list(range(25))
         assert bulk._tables == one._tables
         query = RNG.standard_normal(10)
-        assert bulk.candidates(query) == one.candidates(query)
+        assert bulk.candidates_many(query[None, :]) \
+            == one.candidates_many(query[None, :])
 
     def test_add_all_returns_offset_ids(self):
         lsh = CosineLSH(dim=4)
@@ -235,7 +270,8 @@ class TestLSH:
         matrix[:] = -100.0
         single[:] = -100.0
         assert np.allclose(lsh.vectors(), 1.0)
-        assert lsh.query(np.ones(4), k=3)[0][1] == pytest.approx(1.0)
+        assert lsh.query_many(np.ones((1, 4)), k=3)[0][0][1] \
+            == pytest.approx(1.0)
 
     def test_vectors_accessor(self):
         lsh = CosineLSH(dim=3)
@@ -247,32 +283,14 @@ class TestLSH:
 
 
 class TestClustering:
-    def test_rank_neighbors_without_lsh(self):
-        vectors = np.eye(5)
-        neighbors = rank_neighbors(0, vectors, k=3)
-        assert len(neighbors) == 3
-        assert 0 not in neighbors
-
-    def test_rank_neighbors_with_lsh_matches_top1(self):
-        vectors = RNG.standard_normal((40, 10))
-        lsh = CosineLSH(dim=10, n_planes=5, n_bands=8, seed=2)
-        lsh.add_all(vectors)
-        plain = rank_neighbors(3, vectors, k=1)
-        blocked = rank_neighbors(3, vectors, k=1, lsh=lsh)
-        assert plain[0] == blocked[0]
-
-    def test_top_k_cluster_is_neighbor_list(self):
-        vectors = RNG.standard_normal((10, 4))
-        assert top_k_cluster(2, vectors, k=4) == rank_neighbors(2, vectors, k=4)
-
     def test_centroid_ranking_prefers_members(self):
         cluster = RNG.standard_normal(6) * 0.1 + np.array([5, 0, 0, 0, 0, 0])
         members = np.stack([cluster + RNG.standard_normal(6) * 0.1 for _ in range(4)])
         outliers = RNG.standard_normal((4, 6)) + np.array([0, 5, 0, 0, 0, 0])
         vectors = np.vstack([members, outliers])
         centroid = topic_centroid(vectors, [0, 1])
-        ranked = centroid_ranking(centroid, vectors, k=4)
-        assert set(ranked) == {0, 1, 2, 3}
+        [ranked] = top_k(centroid[None, :], vectors, k=4)
+        assert {i for i, _s in ranked} == {0, 1, 2, 3}
 
     def test_topic_centroid_requires_members(self):
         with pytest.raises(ValueError):

@@ -124,7 +124,8 @@ def open_mode(mode: str, keys, vectors, tmp_path):
             if mode == "lsh-many":
                 rankings = lsh.query_many(matrix, k, excludes=ids)
             else:
-                rankings = [lsh.query(row, k, exclude=exclude)
+                rankings = [lsh.query_many(row[None, :], k,
+                                           excludes=[exclude])[0]
                             for row, exclude in zip(matrix, ids)]
             return [[(keys[i], score) for i, score in ranking]
                     for ranking in rankings]
