@@ -78,6 +78,34 @@ class TestSimilarity:
         assert m.shape == (3, 3)
         assert np.allclose(np.diag(m), 1.0)
 
+    def test_top_k_excludes_query(self):
+        items = np.eye(4)
+        [result] = top_k(items[:1], items, k=3, excludes=[0])
+        assert 0 not in [i for i, _s in result]
+
+    def test_top_k_orders_by_similarity(self):
+        items = np.array([[1, 0], [0.9, 0.1], [0, 1.0]])
+        [result] = top_k(np.array([[1.0, 0.0]]), items, k=3)
+        assert [i for i, _s in result][:2] == [0, 1]
+
+    def test_top_k_caps_at_collection_size(self):
+        items = RNG.standard_normal((3, 4))
+        [result] = top_k(items[:1], items, k=10)
+        assert len(result) == 3
+
+    def test_top_k_with_exclusion_still_returns_k(self):
+        """Regression: the excluded self-match used to occupy a slot in
+        the top-k slice and get filtered afterwards, shrinking results."""
+        items = RNG.standard_normal((10, 4))
+        [result] = top_k(items[:1], items, k=5, excludes=[0])
+        assert len(result) == 5
+        assert 0 not in [i for i, _s in result]
+
+    def test_top_k_exclusion_caps_at_remaining(self):
+        items = RNG.standard_normal((4, 3))
+        [result] = top_k(items[:1], items, k=10, excludes=[0])
+        assert len(result) == 3
+
     @pytest.mark.parametrize("case", list(TOP_K_CASES))
     def test_top_k_matches_reference(self, case, monkeypatch):
         """Ids in ``(-score, id)`` order as the naive reference ranks
