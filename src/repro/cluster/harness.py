@@ -42,8 +42,7 @@ def split_layout(source, root: str | Path, n_servers: int) -> list[Path]:
     servers serve either transparently."""
     if not hasattr(source, "kind"):
         source = open_index(source)
-    shards = (list(source.shards) if isinstance(source, ShardedIndex)
-              else [source])
+    shards = source._shards()
     if n_servers < 1:
         raise ValueError(f"n_servers must be at least 1, got {n_servers}")
     if n_servers > len(shards):

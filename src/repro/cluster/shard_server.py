@@ -43,7 +43,6 @@ import asyncio
 from functools import partial
 from pathlib import Path
 
-from ..index import ShardedIndex
 from ..serve.protocol import (
     DEFAULT_MAX_BODY,
     ProtocolError,
@@ -58,9 +57,7 @@ from ..serve.transport import HttpTransport
 def local_shards(index) -> list:
     """The flat list of single shards behind ``index`` — the units the
     wire protocol reports per-shard partials for."""
-    if isinstance(index, ShardedIndex):
-        return list(index.shards)
-    return [index]
+    return list(index._shards())
 
 
 def index_spec_payload(index) -> dict:

@@ -150,27 +150,6 @@ def _load_member(path: Path, name: str, mmap: bool) -> np.ndarray:
         return archive[name]
 
 
-#: Embedder installed in each ``build_sharded`` worker process by the
-#: pool initializer, so each worker unpickles the (cache-primed)
-#: embedder once instead of per partition.
-_BUILD_EMBEDDER = None
-
-
-def _init_build_worker(embedder) -> None:
-    global _BUILD_EMBEDDER
-    _BUILD_EMBEDDER = embedder
-
-
-def _build_partition(cls, partition: list, batch_size: int | None,
-                     build_kwargs: dict):
-    """One per-shard build in a worker process (top-level so it pickles
-    under every multiprocessing start method).  The global precompute
-    already primed the shipped embedder's cache, so this composes
-    vectors without any encoder forwards."""
-    return cls.build(_BUILD_EMBEDDER, partition, batch_size=batch_size,
-                     **build_kwargs)
-
-
 @dataclass(frozen=True)
 class SearchHit:
     """One ranked neighbour: external key, cosine score, display metadata."""
@@ -674,7 +653,6 @@ class VectorIndex(LocalIndex):
     @classmethod
     def build_sharded(cls, embedder, tables: list[Table], shards: int = 4,
                       workers: int | None = None,
-                      build_workers: int | None = None,
                       batch_size: int | None = None, **build_kwargs):
         """Map-reduce corpus build: partition tables by fingerprint hash
         (the same routing :class:`~repro.index.sharded.ShardedIndex`
@@ -683,14 +661,9 @@ class VectorIndex(LocalIndex):
         ordinary ``cls.build`` per partition and assemble the shards
         under one :class:`~repro.index.sharded.ShardedIndex`.
 
-        ``workers`` also fans the **per-partition builds** across a
-        ``ProcessPoolExecutor`` (override with ``build_workers`` to
-        control the two stages separately): the embedder — with the
-        cache the one global precompute just primed — ships to each
-        worker once via the pool initializer, so the in-worker builds
-        are pure cache hits and compose vectors from exactly the pooled
-        vectors the serial path would use.  Built shards are gathered by
-        partition position; results match serial builds exactly.
+        The per-partition builds run serially: the one global precompute
+        primed the embedder's cache, so each is pure cache hits and
+        composes vectors from exactly the pooled vectors.
 
         Only meaningful on subclasses that define ``build`` (``TableIndex``
         / ``ColumnIndex``); extra keyword arguments (``variant``,
@@ -702,11 +675,6 @@ class VectorIndex(LocalIndex):
             raise ValueError(f"shards must be at least 1, got {shards}")
         if not tables:
             raise ValueError("cannot build an index over an empty corpus")
-        if build_workers is None:
-            build_workers = workers
-        if build_workers is not None and build_workers < 1:
-            raise ValueError(f"build_workers must be at least 1, "
-                             f"got {build_workers}")
         # Map step: one batched encode over the full corpus primes the
         # content-addressed cache, so the per-partition builds below are
         # pure cache hits (encode_corpus skips cached tables).
@@ -714,28 +682,10 @@ class VectorIndex(LocalIndex):
         partitions: list[list[Table]] = [[] for _ in range(shards)]
         for table in tables:
             partitions[shard_of(table_fingerprint(table), shards)].append(table)
-        occupied = [(position, partition)
-                    for position, partition in enumerate(partitions)
-                    if partition]
-        built: dict[int, VectorIndex] = {}
-        if build_workers is not None and build_workers > 1 and len(occupied) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                    max_workers=min(build_workers, len(occupied)),
-                    initializer=_init_build_worker,
-                    initargs=(embedder,)) as pool:
-                futures = {position: pool.submit(_build_partition, cls,
-                                                 partition, batch_size,
-                                                 build_kwargs)
-                           for position, partition in occupied}
-                built = {position: future.result()
-                         for position, future in futures.items()}
-        else:
-            for position, partition in occupied:
-                built[position] = cls.build(embedder, partition,
-                                            batch_size=batch_size,
-                                            **build_kwargs)
+        built = {position: cls.build(embedder, partition,
+                                     batch_size=batch_size, **build_kwargs)
+                 for position, partition in enumerate(partitions)
+                 if partition}
         # Reduce step: empty partitions (small corpora, skewed hashes)
         # become empty shards with the same spec, so routing stays
         # aligned with the shard count.

@@ -141,17 +141,6 @@ class EmbeddingStore:
         # read-mostly query path does not serialize.
         self._lock = threading.Lock()
 
-    def __getstate__(self):
-        # Locks don't pickle; build_sharded ships the (cache-primed)
-        # store to per-shard build workers.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

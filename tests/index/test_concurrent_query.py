@@ -2,9 +2,8 @@
 
 The engine's contract is that every new execution mode is purely an
 executor change: ``query_many`` (one hashing matmul per band + one
-similarity GEMM per shard), ``jobs=N`` thread fan-out, and
-``build_sharded(build_workers=M)`` process fan-out must all reproduce
-the serial single-query / serial-build results exactly — rankings, tie
+similarity GEMM per shard) and ``jobs=N`` thread fan-out must both
+reproduce the serial single-query results exactly — rankings, tie
 breaks, and the globally-decided brute-force fallback included.
 
 Property-based layer (hypothesis): random corpora × shard counts
@@ -25,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import IndexSpec, ShardedIndex, TableIndex, VectorIndex
+from repro.index import IndexSpec, ShardedIndex, VectorIndex
 
 DIM = 16
 SHARD_COUNTS = (1, 2, 5)
@@ -258,35 +257,3 @@ class TestConcurrentReads:
         with ThreadPoolExecutor(max_workers=8) as pool:
             done = list(pool.map(hammer, range(8)))
         assert done == [10] * 8     # every thread ran every check
-
-
-class TestParallelShardBuilds:
-    def test_build_workers_matches_serial_bitwise(self, embedder, corpus):
-        """build_workers only changes the executor: per-shard keys and
-        dense vectors must be byte-identical to the serial build."""
-        serial = TableIndex.build_sharded(embedder, corpus, shards=3)
-        parallel = TableIndex.build_sharded(embedder, corpus, shards=3,
-                                            build_workers=2)
-        assert parallel.n_shards == serial.n_shards
-        assert parallel.model_id == serial.model_id
-        for ours, theirs in zip(parallel.shards, serial.shards):
-            assert ours.keys == theirs.keys
-            assert np.array_equal(ours.lsh.vectors(), theirs.lsh.vectors())
-        for table in corpus:
-            assert ranked(parallel.query_table(embedder, table, k=3)) == \
-                ranked(serial.query_table(embedder, table, k=3))
-
-    def test_build_workers_defaults_to_workers(self, embedder, corpus):
-        """workers=N alone fans both the encode batches and the
-        per-shard builds (the documented single-knob behaviour)."""
-        serial = TableIndex.build_sharded(embedder, corpus, shards=2)
-        combined = TableIndex.build_sharded(embedder, corpus, shards=2,
-                                            workers=2)
-        for ours, theirs in zip(combined.shards, serial.shards):
-            assert ours.keys == theirs.keys
-            assert np.array_equal(ours.lsh.vectors(), theirs.lsh.vectors())
-
-    def test_bad_build_workers_rejected(self, embedder, corpus):
-        with pytest.raises(ValueError, match="build_workers"):
-            TableIndex.build_sharded(embedder, corpus, shards=2,
-                                     build_workers=0)

@@ -29,8 +29,9 @@ def test_sockets_and_signals_live_once():
     assert sum(text.count("def _handle_connection")
                for text in sources) == 1
     assert sum(text.count("class _Connection") for text in sources) == 1
-    cli = (Path(repro.__file__).parent / "cli.py").read_text()
-    assert cli.count("add_signal_handler") == 1
+    cli = [path.read_text()
+           for path in (Path(repro.__file__).parent / "cli").glob("*.py")]
+    assert sum(text.count("add_signal_handler") for text in cli) == 1
 
 
 @pytest.fixture()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -492,7 +492,7 @@ class TestIndexLifecycleCLI:
 
 class TestConcurrentQueryCLI:
     """`index query --batch FILE --jobs N` (many queries per call, JSON
-    lines out) and `index build --jobs N` (parallel per-shard builds)."""
+    lines out)."""
 
     @pytest.fixture(scope="class")
     def built(self, tmp_path_factory):
@@ -634,38 +634,6 @@ class TestConcurrentQueryCLI:
                      "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial_out
 
-    def test_build_jobs_requires_shards(self, tmp_path, capsys):
-        assert main(["index", "build", "cancerkg", "--n-tables", "6",
-                     "--steps", "0", "--out", str(tmp_path / "idx"),
-                     "--jobs", "2"]) == 2
-        assert "requires --shards" in capsys.readouterr().err
-        assert not (tmp_path / "idx").exists()
-
-    def test_build_invalid_jobs_rejected_up_front(self, tmp_path, capsys):
-        assert main(["index", "build", "cancerkg", "--n-tables", "6",
-                     "--steps", "0", "--out", str(tmp_path / "idx"),
-                     "--shards", "2", "--jobs", "0"]) == 2
-        assert "--jobs must be positive" in capsys.readouterr().err
-
-    def test_build_with_jobs_matches_serial_sharded_build(self, built,
-                                                          tmp_path, capsys):
-        """--jobs only changes the executor: the emitted sharded layout
-        must be entry-for-entry identical to the serial build."""
-        import numpy as np
-
-        from repro.index import open_index
-
-        out = tmp_path / "par"
-        assert main(["index", "build", "cancerkg", "--n-tables", "6",
-                     "--steps", "0", "--vocab-size", "300",
-                     "--out", str(out), "--shards", "2", "--jobs", "2"]) == 0
-        capsys.readouterr()
-        serial = open_index(built / "tables")
-        parallel = open_index(out / "tables")
-        for ours, theirs in zip(parallel.shards, serial.shards):
-            assert ours.keys == theirs.keys
-            assert np.array_equal(ours.lsh.vectors(), theirs.lsh.vectors())
-
 
 class TestBatchStreaming:
     """`index query --batch` streams JSON lines as chunks complete
@@ -711,7 +679,7 @@ class TestBatchStreaming:
         import json as json_mod
         import sys as sys_mod
 
-        import repro.index as index_mod
+        import repro.cli.index as index_mod
 
         buffer = io.StringIO()
         lines_at_call: list[int] = []
@@ -868,3 +836,64 @@ class TestIndexQuantizeCLI:
         got = [[(h.key, h.score) for h in hits]
                for hits in reopened.query_many(vectors[:3], k=5)]
         assert got == want
+
+
+class TestCommandModules:
+    """Each command group's module is imported only when one of its
+    commands parses, and a refusal is one stderr message plus exit 2."""
+
+    def test_stats_leaves_the_serving_stack_unimported(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "from repro.cli import main\n"
+                "assert main(['stats', 'webtables', '--n-tables', '4']) == 0\n"
+                "print(sorted(name for name in sys.modules if name in\n"
+                "    ('repro.serve', 'repro.catalog', 'repro.cache',\n"
+                "     'repro.cluster')))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("command", [
+        [name] if group is None else [group, name]
+        for group, name, _module, _help in _COMMANDS])
+    def test_every_command_parses_its_help(self, command, capsys):
+        """--help loads the command's module, so an entry that names a
+        missing module or function fails here."""
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([*command, "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            f"usage: repro.cli {' '.join(command)}")
+
+    def test_refusal_is_one_stderr_message_and_exit_2(self, monkeypatch,
+                                                      capsys):
+        from repro.cli import CliError, corpus
+
+        def refuse(args):
+            raise CliError("refused: first line\nsecond line")
+
+        monkeypatch.setattr(corpus, "cmd_stats", refuse)
+        assert main(["stats", "webtables"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "refused: first line\nsecond line\n"
+        assert captured.out == ""
+
+    def test_a_bug_in_a_command_keeps_its_traceback(self, monkeypatch):
+        from repro.cli import corpus
+
+        def broken(args):
+            raise KeyError("a bug, not a refusal")
+
+        monkeypatch.setattr(corpus, "cmd_stats", broken)
+        with pytest.raises(KeyError, match="a bug, not a refusal"):
+            main(["stats", "webtables"])

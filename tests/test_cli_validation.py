@@ -24,9 +24,12 @@ CASES = [
      "--workers must be positive"),
     (["index", "build", "webtables", "--out", "x", "--shards", "0"],
      "--shards must be at least 1"),
-    (["index", "build", "webtables", "--out", "x", "--shards", "2",
-      "--jobs", "0"],
-     "--jobs must be positive"),
+    (["index", "build", "webtables", "--out", "x", "--batch-size", "0"],
+     "--batch-size must be at least 1"),
+    # evaluate
+    (["evaluate", "webtables", "--k", "0"], "-k/--k must be at least 1"),
+    (["evaluate", "webtables", "--max-queries", "0"],
+     "--max-queries must be at least 1"),
     # index query
     (["index", "query", "webtables", "--index", "x", "--k", "0"],
      "-k/--k must be at least 1"),

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import _serve_config, build_parser
+from repro.cli import build_parser
+from repro.cli.serving import _serve_config
 from repro.serve import ServeConfig
 
 # (field, bad keywords, the flag wording the error line carries)
