@@ -1,18 +1,15 @@
 """Server-side result cache: one exact tier, generation-scoped.
 
-See :mod:`repro.cache.engine` for the design contract; the one-line
-version is that cached answers are *bit-identical* to the uncached
-path — a hit replays the stored ranking under a fingerprint that covers
-every answer-changing request parameter.
+The storage (:class:`TTLCache`), the key (:func:`exact_key`) and the
+tallies (:class:`CacheCounters`) live in :mod:`.result_cache`; the one
+owner of an index's cache is its
+:class:`~repro.serve.dispatcher.MicroBatchDispatcher`, which looks each
+row up at submit and stores each answer at demux.  Cached answers are
+*bit-identical* to the uncached path — a hit replays the stored ranking
+under a fingerprint that covers every answer-changing request
+parameter, the index generation included.
 """
 
-from .engine import CacheCounters, CachedQueryEngine, QueryPlan
-from .result_cache import TTLCache, exact_key
+from .result_cache import CacheCounters, TTLCache, exact_key
 
-__all__ = [
-    "CacheCounters",
-    "CachedQueryEngine",
-    "QueryPlan",
-    "TTLCache",
-    "exact_key",
-]
+__all__ = ["CacheCounters", "TTLCache", "exact_key"]

@@ -1,11 +1,12 @@
-"""Bounded TTL-LRU maps and query fingerprinting for the result cache.
+"""Bounded TTL-LRU maps, query fingerprinting and hit counters for
+the result cache.
 
 :class:`TTLCache` is the storage primitive behind the cache: a plain
 ``OrderedDict`` in LRU order with an optional per-entry time-to-
 live.  It is deliberately not thread-safe — the serving layer touches
 cache structures only from the event-loop thread (the same single-
 writer discipline :class:`~repro.catalog.handles.CatalogHandle` relies
-on).
+on).  :class:`CacheCounters` tallies what the cache answered.
 
 :func:`exact_key` is the cache key: a blake2b digest over the
 query vector *bytes* plus every request parameter that changes the
@@ -119,3 +120,41 @@ class TTLCache:
         dropped = len(self._data)
         self._data.clear()
         return dropped
+
+
+class CacheCounters:
+    """Hit/miss/bypass tallies for one index's cache.
+
+    Held by the catalog slot's :class:`~repro.catalog.handles.IndexStats`
+    (not by the dispatcher that owns the cache) so the counts survive
+    LRU eviction of the index itself.  The consistency invariant the
+    soak tests pin: ``exact_hits + misses + bypassed == queries_total``.
+    """
+
+    __slots__ = ("exact_hits", "misses", "bypassed")
+
+    def __init__(self):
+        self.exact_hits = 0
+        self.misses = 0
+        self.bypassed = 0
+
+    def record(self, event: str, n: int = 1) -> None:
+        if event == "exact":
+            self.exact_hits += n
+        elif event == "miss":
+            self.misses += n
+        elif event == "bypass":
+            self.bypassed += n
+        else:
+            raise ValueError(f"unknown cache event {event!r}")
+
+    def snapshot(self) -> dict:
+        served = self.exact_hits + self.misses
+        return {
+            "exact_hits": self.exact_hits,
+            # Retired tier; the key stays because /stats readers sum it.
+            "semantic_hits": 0,
+            "misses": self.misses,
+            "bypassed": self.bypassed,
+            "hit_rate": self.exact_hits / served if served else 0.0,
+        }

@@ -14,10 +14,10 @@ Each slot gets its **own** :class:`~repro.serve.dispatcher.
 MicroBatchDispatcher`, created with the index on first use: distinct
 indexes never share batch ticks, so one entry's traffic can never ride
 (or delay) another's GEMM, and per-index batch shapes stay observable.
-The dispatcher binds the open index object, so it lives and dies with
-the open handle; the slot's :class:`IndexStats` survives eviction,
-which is how ``/stats`` can report lifetime opens/evictions/queries
-per entry.
+The dispatcher binds the open index object and owns its result cache,
+so both live and die with the open handle; the slot's
+:class:`IndexStats` survives eviction, which is how ``/stats`` can
+report lifetime opens/evictions/queries/cache hits per entry.
 
 Everything here runs on the server's event-loop thread (the same
 single-writer discipline as :class:`~repro.serve.stats.ServerStats`),
@@ -49,12 +49,13 @@ from .catalog import Catalog, CatalogEntry
 class IndexStats:
     """Lifetime per-entry counters; survives eviction/reopen cycles.
 
-    ``cache`` is the entry's :class:`~repro.cache.engine.CacheCounters`:
-    it lives *here* rather than on the cache engine so hit/miss/bypass
-    tallies survive eviction (the engine itself is dropped with the
-    index — each reopen gets a cold cache but warm counters).  The
-    invariant the soak tests pin: ``exact_hits + misses + bypassed ==
-    queries_total``."""
+    ``cache`` is the entry's :class:`~repro.cache.CacheCounters`, which
+    every dispatcher the slot builds tallies into: it lives *here*
+    rather than on the dispatcher that owns the cache so hit/miss/bypass
+    tallies survive eviction (the dispatcher and its cache are dropped
+    with the index — each reopen gets a cold cache but warm counters).
+    The invariant the soak tests pin: ``exact_hits + misses + bypassed
+    == queries_total``."""
 
     __slots__ = ("requests_total", "queries_total", "opens", "evictions",
                  "batches_dispatched", "max_batch_size", "_batch_size_sum",
@@ -98,37 +99,21 @@ class IndexStats:
         }
 
 
-class _BatchStatsFanout:
-    """Forward ``record_batch`` to the slot's own stats *and* the
-    server-wide :class:`~repro.serve.stats.ServerStats` — global batch
-    shapes keep meaning "all ticks" while per-index shapes separate."""
-
-    __slots__ = ("sinks",)
-
-    def __init__(self, *sinks):
-        self.sinks = [sink for sink in sinks if sink is not None]
-
-    def record_batch(self, size: int) -> None:
-        for sink in self.sinks:
-            sink.record_batch(size)
-
-
 class IndexSlot:
-    """One catalog entry's runtime state: open index + dispatcher +
-    result-cache engine when resident, ``None`` when closed; stats
-    always.  Cache, dispatcher and index share one lifetime — eviction
-    drops all three together, so a stale cache can never outlive (or
-    precede) the index object its entries were computed against."""
+    """One catalog entry's runtime state: open index + dispatcher (with
+    its result cache) when resident, ``None`` when closed; stats always.
+    Dispatcher and index share one lifetime — eviction drops both
+    together, so a stale cache can never outlive (or precede) the index
+    object its entries were computed against."""
 
-    __slots__ = ("entry", "stats", "index", "dispatcher", "cache",
-                 "last_used", "pinned")
+    __slots__ = ("entry", "stats", "index", "dispatcher", "last_used",
+                 "pinned")
 
     def __init__(self, entry: CatalogEntry, pinned: bool = False):
         self.entry = entry
         self.stats = IndexStats()
         self.index = None
         self.dispatcher = None
-        self.cache = None
         self.last_used = 0
         self.pinned = pinned
 
@@ -158,9 +143,10 @@ class CatalogHandle:
     ``quantized`` (+ ``overfetch``/``margin``), evicts by its
     ``max_open`` — if every other open slot is busy, the cap is
     exceeded temporarily rather than evicting under in-flight work —
-    and hands it to each slot's result cache and dispatcher.  ``stats``
-    is an optional server-wide batch-stats sink every dispatcher also
-    reports to.
+    and hands it to each slot's dispatcher, which sizes its result cache
+    by it.  ``stats`` is an optional server-wide batch-stats sink every
+    dispatcher also reports to — global batch shapes keep meaning "all
+    ticks" while per-index shapes separate.
     """
 
     def __init__(self, catalog: Catalog, config, stats=None):
@@ -173,13 +159,6 @@ class CatalogHandle:
         self.slots: dict[str, IndexSlot] = {
             entry.name: IndexSlot(entry) for entry in catalog}
         self._clock = 0
-
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether slots get a result cache when opened.  Distinct from
-        a *closed* slot's ``cache is None`` — counters of an evicted
-        slot are still meaningful when this is True."""
-        return self.config.cache_size >= 1
 
     @classmethod
     def for_index(cls, index, config, stats=None) -> "CatalogHandle":
@@ -199,34 +178,21 @@ class CatalogHandle:
         return handle
 
     # ------------------------------------------------------------------
-    # Per-slot engines
+    # Per-slot dispatchers
     # ------------------------------------------------------------------
-    def _make_engine(self, slot: IndexSlot):
-        """A fresh cache engine for a just-opened slot (``None`` when
-        caching is disabled).  Counters come from the slot's stats so
-        they accumulate across eviction/reopen cycles; the cache
-        *contents* start cold on every open — an engine never outlives
-        the index object it fingerprinted."""
-        from repro.cache import CachedQueryEngine
-
-        if not self.cache_enabled:
-            return None
-        return CachedQueryEngine(slot.index,
-                                 max_entries=self.config.cache_size,
-                                 ttl=self.config.cache_ttl,
-                                 counters=slot.stats.cache)
-
     def _make_dispatcher(self, slot: IndexSlot):
+        """A fresh dispatcher for a just-opened slot.  Its cache
+        *contents* start cold on every open; its counters are the
+        slot's, so they accumulate across eviction/reopen cycles."""
         # Runtime import: repro.serve sits *above* repro.catalog in the
         # layering (the server imports this module), so importing it at
         # module scope here would be circular.  By the time a dispatcher
         # is actually needed both packages are fully initialised.
         from repro.serve.dispatcher import MicroBatchDispatcher
 
-        return MicroBatchDispatcher(
-            slot.index, self.config,
-            stats=_BatchStatsFanout(slot.stats, self.stats),
-            engine=slot.cache)
+        sinks = [sink for sink in (slot.stats, self.stats) if sink is not None]
+        return MicroBatchDispatcher(slot.index, self.config, stats=sinks,
+                                    counters=slot.stats.cache)
 
     # ------------------------------------------------------------------
     # Lookup / open / evict
@@ -259,7 +225,6 @@ class CatalogHandle:
         if not slot.open:
             self._open(slot)
         if slot.dispatcher is None:
-            slot.cache = self._make_engine(slot)
             slot.dispatcher = self._make_dispatcher(slot)
         self._clock += 1
         slot.last_used = self._clock
@@ -319,12 +284,11 @@ class CatalogHandle:
             self._evict(min(candidates, key=lambda slot: slot.last_used))
 
     def _evict(self, slot: IndexSlot) -> None:
-        # Index, dispatcher and cache go together: a cache keyed
-        # against this open's id space must not survive into the next
-        # open (counters live on slot.stats and do survive).
+        # Index and dispatcher (with its cache) go together: a cache
+        # keyed against this open's id space must not survive into the
+        # next open (counters live on slot.stats and do survive).
         slot.index = None
         slot.dispatcher = None
-        slot.cache = None
         slot.stats.evictions += 1
 
     def evict(self, name: str) -> bool:

@@ -98,7 +98,9 @@ async def _read_client_response(reader: asyncio.StreamReader
     keep_alive)``.  The client half of what ``repro.serve.protocol``
     does for requests — shard servers always answer with
     ``Content-Length`` framing (they are ours), so no chunked support
-    is needed."""
+    is needed.  A status code or length that is not a number (or a
+    negative length) raises ``ValueError``: the peer answered, but not
+    in HTTP."""
     line = await reader.readline()
     if not line:
         raise ConnectionError("EOF before status line")
@@ -117,6 +119,8 @@ async def _read_client_response(reader: asyncio.StreamReader
         if sep:
             headers[name.strip().lower()] = value.strip()
     length = int(headers.get("content-length", "0"))
+    if length < 0:
+        raise ValueError(f"negative Content-Length {length}")
     body = await reader.readexactly(length) if length else b""
     keep = headers.get("connection", "keep-alive").lower() != "close"
     return status, body, keep
@@ -179,7 +183,8 @@ class RemoteShard:
         Connection failures and per-attempt timeouts retry (the shard
         may be restarting — recovery must not need a coordinator
         restart); a 503 retries too (the server was draining).  Any
-        other non-200 is :class:`ShardProtocolError` — terminal,
+        other non-200, a reply that is not HTTP, and a 200 whose body
+        is not a JSON object are :class:`ShardProtocolError` — terminal,
         retrying cannot fix a wrong-version server.  Retries exhausted
         is :class:`ShardUnavailable`, naming the shard."""
         timeout = self.timeout if timeout is None else timeout
@@ -214,17 +219,28 @@ class RemoteShard:
                     self.flush_pool()
                 cause = error
                 continue
+            except ValueError as error:
+                self._close(conn)
+                raise ShardProtocolError(
+                    str(self.address),
+                    f"malformed HTTP response: {error}") from None
             if status == 200:
                 if keep:
                     self._release(conn)
                 else:
                     self._close(conn)
                 try:
-                    return json.loads(data)
+                    reply = json.loads(data)
                 except json.JSONDecodeError as error:
                     raise ShardProtocolError(
                         str(self.address),
                         f"200 with undecodable body: {error}") from None
+                if not isinstance(reply, dict):
+                    raise ShardProtocolError(
+                        str(self.address),
+                        f"200 body is a JSON {type(reply).__name__}, "
+                        f"not an object")
+                return reply
             self._close(conn)
             if status == 503:
                 # Draining/restarting: exactly what backoff is for.

@@ -24,11 +24,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def cosine_matrix(queries: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities, shape ``(len(queries), len(items))``."""
-    return normalize_rows(queries) @ normalize_rows(items).T
-
-
 def top_k(queries: np.ndarray, items: np.ndarray, k: int,
           excludes=None) -> list[list[tuple[int, float]]]:
     """The ``k`` most cosine-similar rows of ``items`` for every row of

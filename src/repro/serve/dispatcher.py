@@ -24,6 +24,12 @@ coalescing the next tick's requests while the current tick computes.
 Results are demultiplexed back onto per-request futures by position —
 each request sees exactly its own rows and nothing else (the soak tests
 hammer this with duplicate-vector ties from many threads).
+
+The dispatcher owns its index's exact result cache, on the event-loop
+thread only: rows are looked up at submit (a hit never joins a tick)
+and answers stored at demux.  A lookup that sees ``index.generation``
+move clears the cache, the generation is part of every key, and an
+answer is stored only if the index is still at its lookup's generation.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import asyncio
 from functools import partial
 
 import numpy as np
+
+from repro.cache import CacheCounters, TTLCache, exact_key
 
 
 class BacklogFull(RuntimeError):
@@ -53,19 +61,20 @@ class BacklogFull(RuntimeError):
 
 
 class _Pending:
-    """One enqueued query awaiting its tick.  ``plan`` is the cache
-    engine's :class:`~repro.cache.engine.QueryPlan` from the submit-time
-    lookup (``None`` when the cache is off or the request bypassed it
-    with ``no_cache``) — cache hits never become ``_Pending`` at all."""
+    """One enqueued query awaiting its tick, with the cache key its
+    lookup missed under and that lookup's index generation (``None``
+    when the cache is off or bypassed; hits never become ``_Pending``)."""
 
-    __slots__ = ("vector", "k", "exclude", "future", "plan")
+    __slots__ = ("vector", "k", "exclude", "future", "fingerprint",
+                 "generation")
 
-    def __init__(self, vector, k, exclude, future, plan=None):
+    def __init__(self, vector, k, exclude, future, fingerprint, generation):
         self.vector = vector
         self.k = k
         self.exclude = exclude
         self.future = future
-        self.plan = plan
+        self.fingerprint = fingerprint
+        self.generation = generation
 
 
 class MicroBatchDispatcher:
@@ -75,32 +84,35 @@ class MicroBatchDispatcher:
     ----------
     index:
         Anything with the ``query_many(matrix, k=, excludes=, jobs=)``
-        surface — a :class:`~repro.index.index.VectorIndex` subclass or
-        a :class:`~repro.index.sharded.ShardedIndex`.
+        surface plus the ``kind`` and ``generation`` the result cache
+        keys on — a :class:`~repro.index.index.VectorIndex` subclass, a
+        :class:`~repro.index.sharded.ShardedIndex` or a cluster
+        coordinator's remote index.
     config:
         The :class:`~repro.serve.config.ServeConfig` whose
         ``max_batch``/``max_wait_ms`` fire a tick, whose ``jobs`` goes
-        to every ``query_many`` and whose ``max_backlog`` bounds the
-        pending queue (see :meth:`submit_many`).
+        to every ``query_many``, whose ``max_backlog`` bounds the
+        pending queue (see :meth:`submit_many`) and whose
+        ``cache_size``/``cache_ttl`` size the result cache (``cache``
+        is ``None`` when ``cache_size`` is 0).
     stats:
-        Optional sink whose ``record_batch(size)`` counts every tick.
-    engine:
-        Optional :class:`~repro.cache.engine.CachedQueryEngine` over
-        the same index.  With an engine attached, submits look the
-        cache up on the event-loop thread: hits resolve immediately
-        without joining a tick, misses join it and their answers are
-        stored at demux.  Cache state is only ever touched on the loop
-        thread; the executor threads see plain index calls.
+        Sinks whose ``record_batch(size)`` counts every tick.
+    counters:
+        The :class:`~repro.cache.CacheCounters` the cache tallies its
+        hits, misses and bypasses into (a fresh one by default).  Pass
+        one that outlives the dispatcher to keep counts across reopens.
     """
 
-    def __init__(self, index, config, stats=None, engine=None):
-        if engine is not None and engine.index is not index:
-            raise ValueError("cache engine wraps a different index than "
-                             "the dispatcher serves")
+    def __init__(self, index, config, stats=(), counters=None):
         self.index = index
         self.config = config
-        self.stats = stats
-        self.engine = engine
+        self.stats = tuple(stats)
+        self.counters = CacheCounters() if counters is None else counters
+        self.cache = (TTLCache(config.cache_size, config.cache_ttl)
+                      if config.cache_size else None)
+        #: The index generation the cache's entries were computed at,
+        #: re-synced (clearing the cache if it moved) at every lookup.
+        self.generation = index.generation
         #: Queries refused by backpressure (surfaced in ``/stats``).
         self.rejected_total = 0
         self._pending: list[_Pending] = []
@@ -129,10 +141,10 @@ class MicroBatchDispatcher:
         Rows join the shared pending list individually, so one client's
         batch coalesces with other clients' concurrent singles; results
         come back aligned with the rows.  A failed tick propagates its
-        exception to every affected caller.  With a cache engine
-        attached, exact hits resolve here without joining a tick;
-        ``no_cache`` rows skip the cache entirely (neither read nor
-        written) and are counted as bypassed.
+        exception to every affected caller.  With the cache on, exact
+        hits resolve here without joining a tick; ``no_cache`` rows
+        skip the cache entirely (neither read nor written) and are
+        counted as bypassed.
 
         With ``max_backlog`` set, a request that would overflow the
         pending queue raises :class:`BacklogFull` before touching any
@@ -153,19 +165,30 @@ class MicroBatchDispatcher:
             raise BacklogFull(pending, config.max_backlog, len(matrix))
         loop = asyncio.get_running_loop()
         futures: list[asyncio.Future] = []
-        engine = self.engine
-        if engine is not None and no_cache:
-            engine.note_bypass(len(matrix))
+        cache = None if no_cache else self.cache
+        if no_cache and self.cache is not None:
+            self.counters.record("bypass", len(matrix))
         for vector, exclude in zip(matrix, excludes):
             future = loop.create_future()
             futures.append(future)
-            plan = None
-            if engine is not None and not no_cache:
-                hits, plan = engine.lookup(vector, k, exclude)
+            fingerprint = generation = None
+            if cache is not None:
+                # Read per row: a lifecycle op between two rows of one
+                # request must clear the cache before the next lookup.
+                generation = self.index.generation
+                if generation != self.generation:
+                    cache.clear()
+                    self.generation = generation
+                fingerprint = exact_key(vector, k, self.index.kind,
+                                        exclude, generation)
+                hits = cache.get(fingerprint)
                 if hits is not None:
+                    self.counters.record("exact")
                     future.set_result(hits)
                     continue
-            self._pending.append(_Pending(vector, k, exclude, future, plan))
+                self.counters.record("miss")
+            self._pending.append(_Pending(vector, k, exclude, future,
+                                          fingerprint, generation))
             if len(self._pending) >= config.max_batch:
                 self.flush_now()
             elif self._timer is None:
@@ -206,8 +229,8 @@ class MicroBatchDispatcher:
         loop = asyncio.get_running_loop()
         matrix = np.stack([item.vector for item in members])
         excludes = [item.exclude for item in members]
-        if self.stats is not None:
-            self.stats.record_batch(len(members))
+        for sink in self.stats:
+            sink.record_batch(len(members))
         try:
             results = await loop.run_in_executor(
                 None, partial(self.index.query_many, matrix, k=k,
@@ -220,11 +243,12 @@ class MicroBatchDispatcher:
             # Demux strictly by position: row i of the group's matrix
             # is member i's query, so member i gets result i.  Stores
             # happen here — back on the event-loop thread — honoring
-            # the cache's single-writer contract; the engine drops them
-            # if the index generation moved since lookup.
+            # the cache's single-writer contract, and only while the
+            # index is still at the generation the lookup saw.
             for item, hits in zip(members, results):
-                if item.plan is not None:
-                    self.engine.store(item.plan, hits)
+                if (item.fingerprint is not None
+                        and item.generation == self.index.generation):
+                    self.cache.put(item.fingerprint, hits)
                 if not item.future.done():
                     item.future.set_result(hits)
 

@@ -111,11 +111,6 @@ class RetrievalServer(HttpTransport):
         """The default entry's open index."""
         return self.handle.get().index
 
-    @property
-    def dispatcher(self):
-        """The default entry's dispatcher."""
-        return self.handle.get().dispatcher
-
     # ------------------------------------------------------------------
     # Transport hooks
     # ------------------------------------------------------------------
@@ -315,11 +310,14 @@ class RetrievalServer(HttpTransport):
                                                   False))
             described["quantized_scoring"] = bool(
                 getattr(slot.index, "use_quantized", False))
-        if not self.handle.cache_enabled:
+        if not self.config.cache_size:
             described.pop("cache")
-        elif slot.cache is not None:
-            described["cache"] = dict(described["cache"],
-                                      **slot.cache.sizes())
+        elif slot.dispatcher is not None:
+            cache = slot.dispatcher.cache
+            # semantic_entries: a retired tier, kept for /stats readers.
+            described["cache"].update(
+                exact_entries=len(cache), semantic_entries=0,
+                evictions=cache.evictions, expirations=cache.expirations)
         return described
 
     def _describe_slot(self, slot) -> dict:

@@ -1,8 +1,8 @@
 """Property layer: cached answers ARE the uncached answers — exactly.
 
 Hypothesis walks random corpora × shard counts {1, 2, 5} × mmap ×
-zipfian query streams through a :class:`CachedQueryEngine` attached
-to the serving dispatcher and requires every served ranking — keys,
+zipfian query streams through the result cache of the serving
+:class:`~repro.serve.MicroBatchDispatcher` and requires every served ranking — keys,
 bit-equal scores, tie order — to match the same index's plain
 ``query_many``.  Because the stream is
 zipfian, most examples serve a mix of hits and misses in one batch;
@@ -24,11 +24,10 @@ from cacheutil import (
     save_layout,
     zipfian_stream,
 )
-from dispatchutil import dispatch
+from dispatchutil import cached, dispatch
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CachedQueryEngine
 from repro.index import open_index
 
 DIM = 12
@@ -60,7 +59,7 @@ class TestCachedEqualsUncached:
                                                cache_entries, with_excludes):
         path, keys, vectors = layouts[n_shards]
         index = open_index(path, mmap=mmap)
-        engine = CachedQueryEngine(index, max_entries=cache_entries)
+        dispatcher = cached(index, cache_entries)
         rng = np.random.default_rng(seed)
         # Pool: exact corpus rows (score-1 ties), tiny jitters of them
         # (near-duplicates must never share an entry), fresh gaussians.
@@ -83,10 +82,10 @@ class TestCachedEqualsUncached:
                          if rng.random() < 0.5 else None
                          for _ in batch] if with_excludes
                         else [None] * len(batch))
-            got = dispatch(engine, matrix, k, excludes)
+            got = dispatch(dispatcher, matrix, k, excludes)
             want = index.query_many(matrix, k=k, excludes=excludes)
             assert ranked_many(got) == ranked_many(want)
-        counters = engine.counters
+        counters = dispatcher.counters
         assert counters.exact_hits + counters.misses == len(stream)
         if stream_len > len(pool) * 2 and cache_entries >= len(pool):
             # A zipfian stream much longer than its pool must actually
@@ -105,18 +104,17 @@ class TestCachedEqualsUncached:
         them still serve exact answers."""
         path, _keys, _vectors = layouts[n_shards]
         index = open_index(path, mmap=True)
-        engine = CachedQueryEngine(index, max_entries=16)
+        dispatcher = cached(index, 16)
         rng = np.random.default_rng(seed)
         matrix = rng.standard_normal((3, DIM))
         want = ranked_many(index.query_many(matrix, k=5))
         for round_number in range(repeats):
             bypass = no_cache_round and round_number % 2 == 1
-            got = dispatch(engine, matrix, 5, no_cache=bypass)
+            got = dispatch(dispatcher, matrix, 5, no_cache=bypass)
             assert ranked_many(got) == want
-        sizes = engine.sizes()
         if no_cache_round:
-            assert engine.counters.bypassed == 3 * (repeats // 2)
-        assert sizes["exact_entries"] <= 3
+            assert dispatcher.counters.bypassed == 3 * (repeats // 2)
+        assert len(dispatcher.cache) <= 3
 
 
 class TestFallbackBoundary:
@@ -134,7 +132,7 @@ class TestFallbackBoundary:
         rng = np.random.default_rng(seed)
         keys, vectors = make_corpus(n=24, dim=DIM, seed=seed % 97)
         index = build_index(keys, vectors, n_shards, seed=0)
-        engine = CachedQueryEngine(index, max_entries=16)
+        dispatcher = cached(index, 16)
         query = vectors[int(rng.integers(0, len(keys)))][None, :]
         # The global LSH candidate total for this query decides the
         # boundary; pin k right at it (clamped to >= 1).
@@ -146,29 +144,29 @@ class TestFallbackBoundary:
         k = max(1, total + offset)
         excludes = [keys[0] if exclude_hit else None]
         for _ in range(3):  # miss, then exact hit, then exact hit
-            got = dispatch(engine, query, k, excludes)
+            got = dispatch(dispatcher, query, k, excludes)
             want = index.query_many(query, k=k, excludes=excludes)
             assert ranked_many(got) == ranked_many(want)
         # Different k on the same vector: its own entry each, still
         # crossing the boundary correctly.
         for k2 in {max(1, total - 1), max(1, total), total + 1}:
-            got = dispatch(engine, query, k2, excludes)
+            got = dispatch(dispatcher, query, k2, excludes)
             want = index.query_many(query, k=k2, excludes=excludes)
             assert ranked_many(got) == ranked_many(want)
 
 
 class TestExcludeRegression:
-    """The latent-hazard fix at engine level: two requests differing
+    """The latent-hazard fix at dispatcher level: two requests differing
     only in ``exclude`` must not share a cache entry."""
 
     def test_exclude_variants_are_cached_separately(self):
         keys, vectors = make_corpus(n=60, dim=DIM, seed=3)
         index = build_index(keys, vectors, 1, seed=0)
-        engine = CachedQueryEngine(index, max_entries=16)
+        dispatcher = cached(index, 16)
         query = vectors[0][None, :]
         top = index.query_many(query, k=3)[0][0].key
-        with_none = dispatch(engine, query, 3, [None])
-        with_top = dispatch(engine, query, 3, [top])
+        with_none = dispatch(dispatcher, query, 3, [None])
+        with_top = dispatch(dispatcher, query, 3, [top])
         # Both answers exact...
         assert ranked_many(with_none) == ranked_many(
             index.query_many(query, k=3, excludes=[None]))
@@ -178,8 +176,8 @@ class TestExcludeRegression:
         assert top in [hit.key for hit in with_none[0]]
         assert top not in [hit.key for hit in with_top[0]]
         # Replay both from cache; the entries must not have collided.
-        assert ranked_many(dispatch(engine, query, 3, [None])) \
+        assert ranked_many(dispatch(dispatcher, query, 3, [None])) \
             == ranked_many(with_none)
-        assert ranked_many(dispatch(engine, query, 3, [top])) \
+        assert ranked_many(dispatch(dispatcher, query, 3, [top])) \
             == ranked_many(with_top)
-        assert engine.counters.exact_hits == 2
+        assert dispatcher.counters.exact_hits == 2

@@ -3,9 +3,10 @@ unreachable — no stale result, ever.
 
 Three levels:
 
-- engine: hypothesis interleaves ``remove``/``compact``/``merge`` with
-  cached query traffic and requires each answer to equal a fresh
-  ``query_many`` against the index's *current* state;
+- dispatcher: hypothesis interleaves ``remove``/``compact``/``merge`` with
+  cached query traffic through the serving dispatcher and requires
+  each answer to equal a fresh ``query_many`` against the index's
+  *current* state;
 - server: a lifecycle op between requests is observable as a
   generation bump in ``/stats`` and the next served answer reflects it;
 - catalog: LRU eviction drops the cache together with the dispatcher
@@ -19,11 +20,10 @@ import urllib.request
 import numpy as np
 import pytest
 from cacheutil import build_index, make_corpus, ranked_many, save_layout
-from dispatchutil import dispatch
+from dispatchutil import cached, dispatch
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CachedQueryEngine
 from repro.catalog import Catalog, CatalogEntry, CatalogHandle
 from repro.index import IndexSpec, ShardedIndex, VectorIndex, open_index
 from repro.serve import ServeConfig, ServerThread
@@ -59,7 +59,7 @@ class TestEngineLifecycle:
         rng = np.random.default_rng(seed)
         keys, vectors = make_corpus(n=36, dim=DIM, seed=seed % 89)
         index = build_index(keys, vectors, n_shards, seed=0)
-        engine = CachedQueryEngine(index, max_entries=32)
+        dispatcher = cached(index, 32)
         live = list(keys)
         extra_keys, extra_vectors = make_corpus(n=6, dim=DIM,
                                                 seed=(seed % 89) + 1)
@@ -82,49 +82,63 @@ class TestEngineLifecycle:
             # cache may hit or miss, but the answer must match the
             # index's current state exactly.
             batch = pool[rng.integers(0, len(pool), size=2)]
-            got = dispatch(engine, batch, 4)
+            got = dispatch(dispatcher, batch, 4)
             want = index.query_many(batch, k=4)
             assert ranked_many(got) == ranked_many(want)
 
     def test_removed_key_disappears_from_cached_answers(self):
         keys, vectors = make_corpus(n=30, dim=DIM, seed=5)
         index = build_index(keys, vectors, 1, seed=0)
-        engine = CachedQueryEngine(index, max_entries=16)
+        dispatcher = cached(index, 16)
         query = vectors[0][None, :]
-        top = dispatch(engine, query, 3)[0][0].key
-        generation_before = engine.generation
+        top = dispatch(dispatcher, query, 3)[0][0].key
+        generation_before = dispatcher.generation
         index.remove(top)
-        after = dispatch(engine, query, 3)
+        after = dispatch(dispatcher, query, 3)
         assert top not in [hit.key for hit in after[0]]
-        assert engine.generation > generation_before
+        assert dispatcher.generation > generation_before
         assert ranked_many(after) == ranked_many(index.query_many(query, k=3))
 
     def test_generation_change_clears_the_cache(self):
         keys, vectors = make_corpus(n=30, dim=DIM, seed=6)
         index = build_index(keys, vectors, 1, seed=0)
-        engine = CachedQueryEngine(index, max_entries=16)
-        dispatch(engine, vectors[::3][:3], 3)  # 3 distinct vectors
-        assert engine.sizes()["exact_entries"] == 3
+        dispatcher = cached(index, 16)
+        dispatch(dispatcher, vectors[::3][:3], 3)  # 3 distinct vectors
+        assert len(dispatcher.cache) == 3
         index.compact()  # no tombstones: may or may not bump
         index.remove(keys[0])  # definitely bumps
-        dispatch(engine, vectors[9:10], 3)
-        sizes = engine.sizes()
+        dispatch(dispatcher, vectors[9:10], 3)
         # Only the post-bump query's entry remains.
-        assert sizes["exact_entries"] == 1
+        assert len(dispatcher.cache) == 1
 
     def test_store_against_moved_generation_is_dropped(self):
-        """The submit-to-tick race: a plan looked up before a lifecycle
+        """The submit-to-tick race: a row looked up before a lifecycle
         op must not store its (stale) result after it."""
         keys, vectors = make_corpus(n=30, dim=DIM, seed=7)
         index = build_index(keys, vectors, 1, seed=0)
-        engine = CachedQueryEngine(index, max_entries=16)
-        vector = vectors[0]
-        hits, plan = engine.lookup(vector, 3, None)
-        assert hits is None
-        results = index.query_many(vector[None, :], k=3)
-        index.remove(keys[0])  # generation moves between run and store
-        engine.store(plan, results[0])
-        assert engine.sizes()["exact_entries"] == 0
+
+        class MutatedMidTick:
+            """``index``, whose generation moves between the tick's
+            ``query_many`` and the store at demux."""
+
+            kind = index.kind
+
+            @property
+            def generation(self):
+                return index.generation
+
+            def query_many(self, matrix, **kwargs):
+                results = index.query_many(matrix, **kwargs)
+                index.remove(keys[0])
+                return results
+
+        dispatcher = cached(MutatedMidTick(), 16)
+        before = index.generation
+        [hits] = dispatch(dispatcher, vectors[:1], 3)
+        assert dispatcher.counters.misses == 1
+        assert index.generation > before
+        assert len(hits) == 3
+        assert len(dispatcher.cache) == 0
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_sharded_generation_survives_rebalance(self, n_shards):
@@ -182,12 +196,14 @@ class TestServerLifecycle:
             assert post_query(port, {"vector": query, "k": 3,
                                      "exclude": top}) == excluded
             cache = http_get(port, "/stats")["indexes"]["default"]["cache"]
-            assert cache["exact_hits"] == 2
-            assert cache["misses"] == 2
+            assert cache == {
+                "exact_hits": 2, "semantic_hits": 0, "misses": 2,
+                "bypassed": 0, "hit_rate": 0.5, "exact_entries": 2,
+                "semantic_entries": 0, "evictions": 0, "expirations": 0}
 
 
 class TestCatalogEviction:
-    def make_handle(self, tmp_path, cache_size=16):
+    def make_handle(self, tmp_path, cache_size=16, cache_ttl=None):
         paths = {}
         for position, name in enumerate(("alpha", "beta")):
             keys, vectors = make_corpus(n=36, dim=DIM, seed=20 + position)
@@ -199,41 +215,56 @@ class TestCatalogEviction:
                                      kind="vector",
                                      default=(name == "alpha")))
         return CatalogHandle(catalog, ServeConfig(max_open=1,
-                                                  cache_size=cache_size))
+                                                  cache_size=cache_size,
+                                                  cache_ttl=cache_ttl))
 
     def test_eviction_drops_cache_with_dispatcher(self, tmp_path):
         handle = self.make_handle(tmp_path)
         alpha = handle.get("alpha")
-        assert alpha.cache is not None and alpha.dispatcher is not None
-        alpha.cache.exact.put(b"sentinel", ["entry"])
+        assert alpha.dispatcher is not None
+        assert alpha.dispatcher.cache is not None
+        alpha.dispatcher.cache.put(b"sentinel", ["entry"])
         handle.get("beta")  # max_open=1: evicts alpha
         assert not alpha.open
-        assert alpha.cache is None
         assert alpha.dispatcher is None
         reopened = handle.get("alpha")
-        assert reopened.cache is not None
-        assert reopened.cache.exact.get(b"sentinel") is None, \
+        assert reopened.dispatcher.cache is not None
+        assert reopened.dispatcher.cache.get(b"sentinel") is None, \
             "a reopened slot must start with a cold cache"
 
     def test_counters_survive_eviction(self, tmp_path):
         handle = self.make_handle(tmp_path)
         alpha = handle.get("alpha")
         keys, vectors = make_corpus(n=36, dim=DIM, seed=20)
-        dispatch(alpha.cache, vectors[:2], 3)
+        dispatch(alpha.dispatcher, vectors[:2], 3)
         assert alpha.stats.cache.misses == 2
         handle.get("beta")
         reopened = handle.get("alpha")
         assert reopened.stats.cache.misses == 2, \
-            "cache counters live on the stats, not the engine"
-        dispatch(reopened.cache, vectors[:2], 3)
+            "cache counters live on the stats, not the dispatcher"
+        dispatch(reopened.dispatcher, vectors[:2], 3)
         assert reopened.stats.cache.misses == 4
 
     def test_cache_size_zero_disables_caching(self, tmp_path):
         handle = self.make_handle(tmp_path, cache_size=0)
-        assert not handle.cache_enabled
         slot = handle.get("alpha")
-        assert slot.cache is None
-        assert slot.dispatcher.engine is None
+        assert slot.dispatcher.cache is None
+
+    def test_serve_config_reaches_the_cache(self, tmp_path):
+        """``--cache-size``/``--cache-ttl`` travel through ServeConfig
+        and the handle to the slot's cache; with size 0 nothing is
+        counted, not even a ``no_cache`` request."""
+        slot = self.make_handle(tmp_path, cache_size=4,
+                                cache_ttl=30.0).get("alpha")
+        assert slot.dispatcher.cache.max_entries == 4
+        assert slot.dispatcher.cache.ttl == 30.0
+        slot = self.make_handle(tmp_path, cache_size=0).get("alpha")
+        _keys, vectors = make_corpus(n=36, dim=DIM, seed=20)
+        dispatch(slot.dispatcher, vectors[:2], 3)
+        dispatch(slot.dispatcher, vectors[:2], 3, no_cache=True)
+        assert slot.stats.cache.snapshot() == {
+            "exact_hits": 0, "semantic_hits": 0, "misses": 0,
+            "bypassed": 0, "hit_rate": 0.0}
 
     def test_disabled_cache_has_no_stats_section(self, tmp_path):
         """A no-cache server omits the per-index ``cache`` section from

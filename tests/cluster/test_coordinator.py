@@ -15,17 +15,21 @@ A second class pins the composition surfaces: generation propagation
 and the identity checks `connect()` performs.
 """
 
+import asyncio
+
 import numpy as np
 import pytest
 from clusterutil import make_corpus, query_pool, ranked, save_layout
-from dispatchutil import dispatch
+from dispatchutil import cached, dispatch
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CachedQueryEngine
 from repro.cluster import (
     ClusterHarness,
+    RemoteShard,
     RemoteShardedIndex,
+    ShardAddress,
+    ShardProtocolError,
     ShardServerThread,
     Topology,
     TopologyError,
@@ -182,14 +186,14 @@ class TestGenerationAndCache:
                 Topology.from_addresses([("127.0.0.1", handle.port)]),
                 retries=1)
             try:
-                engine = CachedQueryEngine(remote, max_entries=32)
-                first = dispatch(engine, vectors[:2], 4)
-                again = dispatch(engine, vectors[:2], 4)
+                dispatcher = cached(remote, 32)
+                first = dispatch(dispatcher, vectors[:2], 4)
+                again = dispatch(dispatcher, vectors[:2], 4)
                 assert [ranked(h) for h in first] == \
                        [ranked(h) for h in again]
                 # Second pass is served purely from the cache.
-                assert engine.counters.exact_hits == 2
-                assert engine.counters.misses == 2
+                assert dispatcher.counters.exact_hits == 2
+                assert dispatcher.counters.misses == 2
                 assert ranked(first[0]) == ranked(
                     remote.query_many(vectors[:1], k=4)[0])
             finally:
@@ -202,18 +206,55 @@ class TestGenerationAndCache:
                 Topology.from_addresses([("127.0.0.1", handle.port)]),
                 retries=1)
             try:
-                engine = CachedQueryEngine(remote, max_entries=32)
-                dispatch(engine, vectors[:1], 4)
+                dispatcher = cached(remote, 32)
+                dispatch(dispatcher, vectors[:1], 4)
                 # Mutate the shard: a near-duplicate of the query lands
                 # at the top.  The cached entry must not be served.
                 index.add("winner", vectors[0])
                 remote.query_many(vectors[1:2], k=1)  # observe new gen
-                served = dispatch(engine, vectors[:1], 4)[0]
+                served = dispatch(dispatcher, vectors[:1], 4)[0]
                 assert ranked(served) == ranked(
                     remote.query_many(vectors[:1], k=4)[0])
                 assert "winner" in {hit.key for hit in served}
             finally:
                 remote.close()
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 abc OK\r\nContent-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]",
+    ], ids=["status-not-a-number", "length-not-a-number",
+            "negative-length", "body-not-an-object"])
+    def test_is_a_protocol_error_without_retry(self, reply):
+        """A peer that answers, but not as a shard server does, is a
+        terminal :class:`ShardProtocolError` (a clean 503 behind
+        ``serve``), never a bare exception and never retried."""
+        answered = []
+
+        async def answer(reader, writer):
+            answered.append(await reader.readuntil(b"\r\n\r\n"))
+            writer.write(reply)
+            await writer.drain()
+            writer.close()
+
+        async def run():
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            remote = RemoteShard(ShardAddress("127.0.0.1", port),
+                                 timeout=5.0, retries=2, backoff=0.0)
+            try:
+                with pytest.raises(ShardProtocolError):
+                    await remote.request("GET", "/healthz")
+            finally:
+                remote.flush_pool()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(run())
+        assert len(answered) == 1
 
 
 class TestConnectValidation:

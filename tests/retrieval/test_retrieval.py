@@ -9,7 +9,6 @@ from reference import cosine
 from repro.eval.tasks import topic_centroid
 from repro.retrieval import (
     CosineLSH,
-    cosine_matrix,
     cosine_similarity,
     normalize_rows,
     similarity,
@@ -71,12 +70,6 @@ class TestSimilarity:
         assert np.allclose(np.linalg.norm(normed, axis=1), 1.0)
         zeros = normalize_rows(np.zeros((2, 3)))
         assert np.allclose(zeros, 0.0)
-
-    def test_cosine_matrix_shape_and_values(self):
-        a = RNG.standard_normal((3, 6))
-        m = cosine_matrix(a, a)
-        assert m.shape == (3, 3)
-        assert np.allclose(np.diag(m), 1.0)
 
     def test_top_k_excludes_query(self):
         items = np.eye(4)

@@ -19,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dispatchutil import dispatch
+from dispatchutil import cached, dispatch
 from reference import reference_candidates, reference_top_k
 
 import repro
-from repro.cache import CachedQueryEngine
 from repro.cluster import ClusterHarness, split_layout
 from repro.index import IndexSpec, ShardedIndex, VectorIndex, open_index
 from repro.retrieval import CosineLSH
@@ -145,15 +144,15 @@ def open_mode(mode: str, keys, vectors, tmp_path):
         index.enable_quantized()
         yield via_query_many(index)
     elif mode == "cached":
-        engine = CachedQueryEngine(build(keys, vectors, 2), max_entries=512)
+        dispatcher = cached(build(keys, vectors, 2), 512)
 
         def search(matrix, k, excludes):
-            miss, hit = (dispatch(engine, matrix, k, excludes)
+            miss, hit = (dispatch(dispatcher, matrix, k, excludes)
                          for _ in range(2))
             assert miss == hit
             return [[(h.key, h.score) for h in hits] for hits in hit]
         yield search
-        assert engine.counters.exact_hits > 0
+        assert dispatcher.counters.exact_hits > 0
     elif mode == "cluster":
         paths = split_layout(build(keys, vectors, 5), tmp_path / "cluster", 2)
         with ClusterHarness(paths) as cluster:
