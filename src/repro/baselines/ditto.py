@@ -14,7 +14,7 @@ import numpy as np
 
 from ..datasets.magellan import EntityPair
 from ..eval.metrics import f1_score
-from ..nn import Adam, Linear, Module, clip_grad_norm, cross_entropy
+from ..nn import Linear, Module, cross_entropy, epoch_batches, fit, pad_batch
 from ..text.tokenizer import WordPieceTokenizer
 from .text_model import TextEncoder
 
@@ -51,44 +51,23 @@ class DittoMatcher(Module):
                + [vocab.sep_id] + self.tokenizer.encode(pair.right))
         return np.array(ids[: self.max_len], dtype=np.int64)
 
-    def _batch(self, pairs: list[EntityPair]) -> tuple[np.ndarray, np.ndarray]:
-        encoded = [self._encode_pair(p) for p in pairs]
-        n = max(len(e) for e in encoded)
-        token_ids = np.full((len(encoded), n), self.tokenizer.vocab.pad_id,
-                            dtype=np.int64)
-        valid = np.zeros((len(encoded), n), dtype=bool)
-        for i, ids in enumerate(encoded):
-            token_ids[i, : len(ids)] = ids
-            valid[i, : len(ids)] = True
-        return token_ids, valid
-
     def forward(self, pairs: list[EntityPair]):
-        token_ids, valid = self._batch(pairs)
+        token_ids, valid = pad_batch([self._encode_pair(p) for p in pairs],
+                                     self.tokenizer.vocab.pad_id)
         hidden = self.encoder(token_ids, valid)
         return self.head(hidden[:, 0, :])  # [CLS] state
 
     # ------------------------------------------------------------------
     def fit(self, pairs: list[EntityPair], epochs: int = 3,
             batch_size: int = 8, lr: float = 3e-4, seed: int = 0) -> list[float]:
-        rng = np.random.default_rng(seed)
-        optimizer = Adam(self.parameters(), lr=lr)
-        losses: list[float] = []
-        self.train()
-        order = np.arange(len(pairs))
-        for _ in range(epochs):
-            rng.shuffle(order)
-            for start in range(0, len(order), batch_size):
-                chunk = [pairs[i] for i in order[start:start + batch_size]]
-                labels = np.array([p.label for p in chunk], dtype=np.int64)
-                logits = self(chunk)
-                loss = cross_entropy(logits, labels)
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(self.parameters(), 1.0)
-                optimizer.step()
-                losses.append(float(loss.data))
-        self.eval()
-        return losses
+        def loss_of(chunk):
+            batch = [pairs[i] for i in chunk]
+            labels = np.array([p.label for p in batch], dtype=np.int64)
+            return cross_entropy(self(batch), labels)
+
+        batches = epoch_batches(len(pairs), epochs, batch_size,
+                                np.random.default_rng(seed))
+        return fit(self, batches, loss_of, lr, clip=1.0)
 
     def predict(self, pairs: list[EntityPair], batch_size: int = 16) -> list[int]:
         out: list[int] = []
@@ -99,5 +78,4 @@ class DittoMatcher(Module):
         return out
 
     def evaluate_f1(self, pairs: list[EntityPair]) -> float:
-        predictions = self.predict(pairs)
-        return f1_score(predictions, [p.label for p in pairs])
+        return f1_score(self.predict(pairs), [p.label for p in pairs])

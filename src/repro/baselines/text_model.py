@@ -13,17 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import (
-    Adam,
     Dropout,
     Embedding,
     IGNORE_INDEX,
     LayerNorm,
-    LinearWarmupSchedule,
     Module,
     Tensor,
     TransformerEncoder,
-    clip_grad_norm,
     cross_entropy,
+    fit,
+    full_attention_mask,
+    pad_batch,
+    sampled_batches,
 )
 from ..core.model import MLMHead
 from ..text.tokenizer import WordPieceTokenizer
@@ -55,17 +56,7 @@ class TextEncoder(Module):
         B, n = token_ids.shape
         positions = np.broadcast_to(np.arange(n), (B, n))
         x = self.dropout(self.norm(self.tok(token_ids) + self.pos(positions)))
-        mask = self._pad_mask(valid)
-        return self.encoder(x, mask)
-
-    @staticmethod
-    def _pad_mask(valid: np.ndarray) -> np.ndarray:
-        """Full attention among real tokens; pads see only themselves."""
-        B, n = valid.shape
-        mask = (valid[:, None, :] & valid[:, :, None]).astype(np.uint8)
-        idx = np.arange(n)
-        mask[:, idx, idx] = 1
-        return mask
+        return self.encoder(x, full_attention_mask(valid))
 
 
 class TextMLM:
@@ -111,28 +102,17 @@ class TextMLM:
             raise ValueError("no trainable texts")
         vocab = self.tokenizer.vocab
         rng = np.random.default_rng(seed)
-        optimizer = Adam(self.encoder.parameters(), lr=lr)
-        schedule = LinearWarmupSchedule(optimizer, max(1, steps // 10), steps)
-        losses: list[float] = []
-        self.encoder.train()
-        for _ in range(steps):
-            batch_ids = rng.integers(len(encoded), size=min(batch_size, len(encoded)))
-            batch = [encoded[i] for i in batch_ids]
-            token_ids, valid = self._pad(batch, vocab.pad_id)
+
+        def loss_of(batch):
+            token_ids, valid = pad_batch(batch, vocab.pad_id)
             masked, labels = self._mask(token_ids, valid, vocab, rng,
                                         mlm_probability)
-            hidden = self.encoder(masked, valid)
-            logits = self.encoder.mlm_head(hidden)
-            loss = cross_entropy(logits.reshape(-1, self.encoder.vocab_size),
+            logits = self.encoder.mlm_head(self.encoder(masked, valid))
+            return cross_entropy(logits.reshape(-1, self.encoder.vocab_size),
                                  labels.reshape(-1))
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(self.encoder.parameters(), 1.0)
-            optimizer.step()
-            schedule.step()
-            losses.append(float(loss.data))
-        self.encoder.eval()
-        return losses
+
+        return fit(self.encoder, sampled_batches(encoded, steps, batch_size, rng),
+                   loss_of, lr, schedule_steps=steps, clip=1.0)
 
     # ------------------------------------------------------------------
     def _encode(self, text: str) -> np.ndarray:
@@ -141,21 +121,9 @@ class TextMLM:
         return np.array(ids[: self.encoder.max_len], dtype=np.int64)
 
     @staticmethod
-    def _pad(batch: list[np.ndarray], pad_id: int) -> tuple[np.ndarray, np.ndarray]:
-        n = max(len(b) for b in batch)
-        token_ids = np.full((len(batch), n), pad_id, dtype=np.int64)
-        valid = np.zeros((len(batch), n), dtype=bool)
-        for i, ids in enumerate(batch):
-            token_ids[i, : len(ids)] = ids
-            valid[i, : len(ids)] = True
-        return token_ids, valid
-
-    @staticmethod
     def _mask(token_ids: np.ndarray, valid: np.ndarray, vocab: Vocabulary,
               rng: np.random.Generator, probability: float
               ) -> tuple[np.ndarray, np.ndarray]:
-        masked = token_ids.copy()
-        labels = np.full_like(token_ids, IGNORE_INDEX)
         special = vocab.special_ids() - {vocab.val_id}
         eligible = valid & ~np.isin(token_ids, sorted(special))
         lottery = (rng.random(token_ids.shape) < probability) & eligible
@@ -163,12 +131,12 @@ class TextMLM:
             # Guarantee at least one target per batch.
             rows, cols = np.nonzero(eligible)
             if rows.size == 0:
-                return masked, labels
+                return token_ids.copy(), np.full_like(token_ids, IGNORE_INDEX)
             pick = rng.integers(rows.size)
             lottery[rows[pick], cols[pick]] = True
-        labels[lottery] = token_ids[lottery]
+        labels = np.where(lottery, token_ids, IGNORE_INDEX)
         roll = rng.random(token_ids.shape)
-        masked[lottery & (roll < 0.8)] = vocab.mask_id
+        masked = np.where(lottery & (roll < 0.8), vocab.mask_id, token_ids)
         random_slots = lottery & (roll >= 0.8) & (roll < 0.9)
         masked[random_slots] = rng.integers(len(vocab), size=int(random_slots.sum()))
         return masked, labels
@@ -182,7 +150,7 @@ class TextMLM:
         ids = self._encode(text)
         if len(ids) == 0:
             return np.zeros(self.encoder.hidden)
-        token_ids, valid = self._pad([ids], self.tokenizer.vocab.pad_id)
+        token_ids, valid = pad_batch([ids], self.tokenizer.vocab.pad_id)
         with self.encoder.inference():
             hidden = self.encoder(token_ids, valid)
         vector = hidden.data[0, valid[0]].mean(axis=0)

@@ -21,20 +21,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import (
-    Adam,
     Dropout,
     Embedding,
     IGNORE_INDEX,
     LayerNorm,
-    LinearWarmupSchedule,
     Module,
     Tensor,
     TransformerEncoder,
-    clip_grad_norm,
     cross_entropy,
+    fit,
+    full_attention_mask,
+    pad_batch,
+    sampled_batches,
 )
 from ..core.model import MLMHead
 from ..core.numeric_features import NULL_FEATURES, numeric_features
+from ..index.fingerprint import table_fingerprint
 from ..tables.table import Table
 from ..text.tokenizer import WordPieceTokenizer
 
@@ -80,10 +82,7 @@ class TutaModel(Module):
         x = (self.tok(token_ids) + e_num + self.row(rows) + self.col(cols)
              + self.depth(depths))
         x = self.dropout(self.norm(x))
-        mask = (valid[:, None, :] & valid[:, :, None]).astype(np.uint8)
-        idx = np.arange(valid.shape[1])
-        mask[:, idx, idx] = 1
-        return self.encoder(x, mask)
+        return self.encoder(x, full_attention_mask(valid))
 
 
 class TutaEmbedder:
@@ -94,7 +93,7 @@ class TutaEmbedder:
         self.tokenizer = tokenizer
         self.model = model
         self.max_seq_len = max_seq_len
-        self._cache: dict[tuple[int, str], np.ndarray] = {}
+        self._cache: dict[tuple[str, str], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Serialization: one joint sequence per table
@@ -155,16 +154,15 @@ class TutaEmbedder:
                     for k, value in zip(val_positions, values):
                         numeric[k] = numeric_features(value)
 
-        arrays = {
+        return {
             "token_ids": np.array(token_ids[: self.max_seq_len], dtype=np.int64),
             "numeric": np.array(numeric[: self.max_seq_len], dtype=np.int64),
             "rows": np.array(rows[: self.max_seq_len], dtype=np.int64),
             "cols": np.array(cols[: self.max_seq_len], dtype=np.int64),
             "depths": np.array(depths[: self.max_seq_len], dtype=np.int64),
             "cell_ids": np.array(cell_ids[: self.max_seq_len], dtype=np.int64),
+            "refs": refs,
         }
-        arrays["refs"] = refs
-        return arrays
 
     # ------------------------------------------------------------------
     # Pre-training
@@ -196,80 +194,56 @@ class TutaEmbedder:
         serialized = [s for s in serialized if len(s["token_ids"]) > 4]
         vocab = self.tokenizer.vocab
         rng = np.random.default_rng(seed)
-        optimizer = Adam(self.model.parameters(), lr=lr)
-        schedule = LinearWarmupSchedule(optimizer, max(1, steps // 10), steps)
-        losses: list[float] = []
-        self.model.train()
         special = sorted(vocab.special_ids() - {vocab.val_id})
-        for _ in range(steps):
-            picks = rng.integers(len(serialized), size=min(batch_size, len(serialized)))
-            batch = [serialized[i] for i in picks]
-            token_ids, numeric, rows, cols, depths, valid = self._pad(batch, vocab.pad_id)
-            masked = token_ids.copy()
-            labels = np.full_like(token_ids, IGNORE_INDEX)
+
+        def loss_of(batch):
+            token_ids, *positions, valid = self._pad(batch)
             eligible = valid & ~np.isin(token_ids, special)
             lottery = (rng.random(token_ids.shape) < mlm_probability) & eligible
             if not lottery.any():
-                continue
-            labels[lottery] = token_ids[lottery]
-            masked[lottery] = vocab.mask_id
-            hidden = self.model(masked, numeric, rows, cols, depths, valid)
+                return None
+            masked = np.where(lottery, vocab.mask_id, token_ids)
+            labels = np.where(lottery, token_ids, IGNORE_INDEX)
+            hidden = self.model(masked, *positions, valid)
             logits = self.model.mlm_head(hidden)
-            loss = cross_entropy(logits.reshape(-1, self.model.vocab_size),
+            return cross_entropy(logits.reshape(-1, self.model.vocab_size),
                                  labels.reshape(-1))
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(self.model.parameters(), 1.0)
-            optimizer.step()
-            schedule.step()
-            losses.append(float(loss.data))
-        self.model.eval()
-        return losses
 
-    @staticmethod
-    def _pad(batch: list[dict], pad_id: int):
-        n = max(len(b["token_ids"]) for b in batch)
-        B = len(batch)
-        token_ids = np.full((B, n), pad_id, dtype=np.int64)
-        numeric = np.zeros((B, n, 4), dtype=np.int64)
-        rows = np.zeros((B, n), dtype=np.int64)
-        cols = np.zeros((B, n), dtype=np.int64)
-        depths = np.zeros((B, n), dtype=np.int64)
-        valid = np.zeros((B, n), dtype=bool)
-        for b, item in enumerate(batch):
-            k = len(item["token_ids"])
-            token_ids[b, :k] = item["token_ids"]
-            numeric[b, :k] = item["numeric"]
-            rows[b, :k] = item["rows"]
-            cols[b, :k] = item["cols"]
-            depths[b, :k] = item["depths"]
-            valid[b, :k] = True
-        return token_ids, numeric, rows, cols, depths, valid
+        return fit(self.model, sampled_batches(serialized, steps, batch_size, rng),
+                   loss_of, lr, schedule_steps=steps, clip=1.0)
+
+    def _pad(self, batch: list[dict]) -> tuple[np.ndarray, ...]:
+        """``(token_ids, numeric, rows, cols, depths, valid)`` of a batch of
+        serialized tables, padded to the longest."""
+        token_ids, valid = pad_batch([b["token_ids"] for b in batch],
+                                     self.tokenizer.vocab.pad_id)
+        rest = [pad_batch([b[name] for b in batch])[0]
+                for name in ("numeric", "rows", "cols", "depths")]
+        return (token_ids, *rest, valid)
 
     # ------------------------------------------------------------------
     # Embeddings
     # ------------------------------------------------------------------
-    def _states(self, table: Table) -> tuple[np.ndarray, np.ndarray, list]:
-        arrays = self.serialize(table)
-        token_ids, numeric, rows, cols, depths, valid = self._pad(
-            [arrays], self.tokenizer.vocab.pad_id
-        )
+    def _hidden(self, arrays: dict) -> np.ndarray:
+        """Inference states ``(n, H)`` of one serialized sequence."""
         with self.model.inference():
-            hidden = self.model(token_ids, numeric, rows, cols, depths, valid)
-        return hidden.data[0], arrays["cell_ids"], arrays["refs"]
+            return self.model(*self._pad([arrays])).data[0]
 
     def _table_pool(self, table: Table) -> dict[str, np.ndarray]:
-        key = (id(table), "pool")
+        # Keyed by content: an id(table) key aliases a collected table
+        # whose id CPython has handed to a new one.
+        key = ("pool", table_fingerprint(table))
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        states, cell_ids, refs = self._states(table)
+        arrays = self.serialize(table)
+        states, cell_ids, refs = self._hidden(arrays), arrays["cell_ids"], arrays["refs"]
         pooled: dict[int, np.ndarray] = {}
         for idx in range(len(refs)):
             positions = np.nonzero(cell_ids == idx)[0]
             if positions.size:
                 pooled[idx] = states[positions].mean(axis=0)
-        out = {"refs": refs, "pooled": pooled, "all": states[: len(cell_ids)]}
+        out = {"refs": refs, "pooled": pooled}
         self._cache[key] = out
         return out
 
@@ -291,7 +265,7 @@ class TutaEmbedder:
         return np.mean(list(pool["pooled"].values()), axis=0)
 
     def embed_text(self, text: str) -> np.ndarray:
-        key = (hash(text), "text")
+        key = ("text", text)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -305,11 +279,6 @@ class TutaEmbedder:
             "cols": np.arange(len(ids)) % self.model.max_positions,
             "depths": np.zeros(len(ids), dtype=np.int64),
         }
-        token_ids, numeric, rows, cols, depths, valid = self._pad(
-            [arrays], vocab.pad_id
-        )
-        with self.model.inference():
-            hidden = self.model(token_ids, numeric, rows, cols, depths, valid)
-        vector = hidden.data[0, valid[0]].mean(axis=0)
+        vector = self._hidden(arrays).mean(axis=0)
         self._cache[key] = vector
         return vector

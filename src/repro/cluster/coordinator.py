@@ -98,15 +98,16 @@ async def _read_client_response(reader: asyncio.StreamReader
     keep_alive)``.  The client half of what ``repro.serve.protocol``
     does for requests — shard servers always answer with
     ``Content-Length`` framing (they are ours), so no chunked support
-    is needed.  A status code or length that is not a number (or a
-    negative length) raises ``ValueError``: the peer answered, but not
-    in HTTP."""
+    is needed.  A status line that is not HTTP/1.x, or a status code
+    or length that is not a number (or a negative length), raises
+    ``ValueError``: the peer answered, but not in HTTP.  Only EOF is a
+    ``ConnectionError`` (worth a retry)."""
     line = await reader.readline()
     if not line:
         raise ConnectionError("EOF before status line")
     parts = line.decode("latin-1").split(None, 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise ConnectionError(f"malformed status line {line!r}")
+        raise ValueError(f"malformed status line {line!r}")
     status = int(parts[1])
     headers: dict[str, str] = {}
     while True:

@@ -14,17 +14,8 @@ import numpy as np
 
 from ..datasets.magellan import EntityPair
 from ..eval.metrics import f1_score
-from ..nn import Adam, Linear, Module, Tensor, cross_entropy
+from ..nn import Linear, Tensor, cross_entropy, fit
 from .embedder import TabBiNEmbedder
-
-
-class _PairHead(Module):
-    def __init__(self, dim: int, rng: np.random.Generator):
-        super().__init__()
-        self.linear = Linear(dim, 2, rng=rng)
-
-    def forward(self, features: Tensor) -> Tensor:
-        return self.linear(features)
 
 
 class TabBiNMatcher:
@@ -37,7 +28,7 @@ class TabBiNMatcher:
         self.embedder = embedder
         self.ensemble = ensemble
         self.seed = seed
-        self._heads: list[_PairHead] = []
+        self._heads: list[Linear] = []
         self._feature_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -58,23 +49,14 @@ class TabBiNMatcher:
     # ------------------------------------------------------------------
     def fit(self, pairs: list[EntityPair], epochs: int = 60,
             lr: float = 5e-3) -> list[float]:
-        features = self._feature_matrix(pairs)
+        x = Tensor(self._feature_matrix(pairs))
         labels = np.array([p.label for p in pairs], dtype=np.int64)
-        dim = features.shape[1]
         self._heads = []
         losses: list[float] = []
         for member in range(self.ensemble):
-            rng = np.random.default_rng(self.seed + member)
-            head = _PairHead(dim, rng)
-            optimizer = Adam(head.parameters(), lr=lr)
-            x = Tensor(features)
-            for _ in range(epochs):
-                logits = head(x)
-                loss = cross_entropy(logits, labels)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                losses.append(float(loss.data))
+            head = Linear(x.shape[1], 2, rng=np.random.default_rng(self.seed + member))
+            losses += fit(head, range(epochs),
+                          lambda _epoch: cross_entropy(head(x), labels), lr)
             self._heads.append(head)
         return losses
 

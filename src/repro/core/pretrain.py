@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..nn import Adam, IGNORE_INDEX, LinearWarmupSchedule, accuracy, clip_grad_norm, cross_entropy
+from ..nn import IGNORE_INDEX, accuracy, cross_entropy, fit, sampled_batches
 from ..text.vocab import Vocabulary
 from .config import TabBiNConfig
 from .embedding_layer import TabBiNEmbedding
@@ -69,35 +69,28 @@ class TabBiNPretrainer:
         token_ids = arrays[0].copy()
         valid = arrays[6]
         labels = np.full_like(token_ids, IGNORE_INDEX)
-        special = self.vocab.special_ids() - {self.vocab.val_id}
+        special = sorted(self.vocab.special_ids() - {self.vocab.val_id})
 
         for b, seq in enumerate(sequences):
-            n = len(seq)
-            eligible = np.array(
-                [i for i in range(n) if int(seq.token_ids[i]) not in special],
-                dtype=np.int64,
-            )
-            if eligible.size == 0:
+            eligible = ~np.isin(seq.token_ids, special)
+            if not eligible.any():
                 continue
+            # Views of this sequence's row: writes land in the batch.
+            row, target = token_ids[b, : len(seq)], labels[b, : len(seq)]
 
             # --- Cell-level Cloze: mask whole cells --------------------
+            clc = np.zeros(len(seq), dtype=bool)
             n_cells = len(seq.cell_refs)
-            clc_positions: set[int] = set()
             if n_cells > 1:
                 chosen = np.nonzero(
                     self.rng.random(n_cells) < self.config.clc_probability
                 )[0]
-                for cell_idx in chosen:
-                    for pos in seq.tokens_of_cell(int(cell_idx)):
-                        clc_positions.add(int(pos))
-            for pos in clc_positions:
-                labels[b, pos] = token_ids[b, pos]
-                token_ids[b, pos] = self.vocab.mask_id
+                clc = np.isin(seq.cell_index, chosen)
+            target[clc] = row[clc]
+            row[clc] = self.vocab.mask_id
 
             # --- MLM over the remaining eligible tokens ----------------
-            remaining = np.array(
-                [i for i in eligible if i not in clc_positions], dtype=np.int64
-            )
+            remaining = np.nonzero(eligible & ~clc)[0]
             if remaining.size == 0:
                 continue
             picked = remaining[
@@ -106,12 +99,12 @@ class TabBiNPretrainer:
             if picked.size == 0:
                 picked = remaining[self.rng.integers(remaining.size, size=1)]
             for pos in picked:
-                labels[b, pos] = token_ids[b, pos]
+                target[pos] = row[pos]
                 roll = self.rng.random()
                 if roll < 0.8:
-                    token_ids[b, pos] = self.vocab.mask_id
+                    row[pos] = self.vocab.mask_id
                 elif roll < 0.9:
-                    token_ids[b, pos] = int(self.rng.integers(len(self.vocab)))
+                    row[pos] = int(self.rng.integers(len(self.vocab)))
                 # else: keep the original token.
         labels[~valid] = IGNORE_INDEX
         return token_ids, labels
@@ -120,39 +113,28 @@ class TabBiNPretrainer:
     # Training loop
     # ------------------------------------------------------------------
     def train(self, sequences: list[EncodedSequence], steps: int,
-              batch_size: int | None = None, lr: float | None = None,
-              warmup_fraction: float = 0.1,
-              max_grad_norm: float = 1.0) -> PretrainStats:
-        """Run ``steps`` optimizer updates over randomly sampled batches."""
+              batch_size: int | None = None,
+              lr: float | None = None) -> PretrainStats:
+        """Run ``steps`` optimizer updates over randomly sampled batches;
+        a batch that draws no target is skipped without a step."""
         if not sequences:
             raise ValueError("no training sequences")
-        batch_size = batch_size or self.config.batch_size
-        lr = lr if lr is not None else self.config.learning_rate
-        optimizer = Adam(self.model.parameters(), lr=lr)
-        schedule = LinearWarmupSchedule(
-            optimizer, warmup_steps=max(1, int(steps * warmup_fraction)),
-            total_steps=steps,
-        )
         stats = PretrainStats()
-        self.model.train()
-        for _ in range(steps):
-            idx = self.rng.integers(len(sequences), size=min(batch_size, len(sequences)))
-            batch = [sequences[i] for i in idx]
+
+        def loss_of(batch):
             masked, labels = self.mask_batch(batch)
             if (labels == IGNORE_INDEX).all():
-                continue
+                return None
             hidden, _valid = self.model(batch, token_ids_override=masked)
-            logits = self.model.mlm_logits(hidden)
-            flat_logits = logits.reshape(-1, self.config.vocab_size)
-            flat_labels = labels.reshape(-1)
-            loss = cross_entropy(flat_logits, flat_labels)
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(self.model.parameters(), max_grad_norm)
-            optimizer.step()
-            schedule.step()
-            stats.losses.append(float(loss.data))
-            stats.accuracies.append(accuracy(flat_logits, flat_labels))
-            stats.steps += 1
-        self.model.eval()
+            logits = self.model.mlm_logits(hidden).reshape(-1, self.config.vocab_size)
+            labels = labels.reshape(-1)
+            stats.accuracies.append(accuracy(logits, labels))
+            return cross_entropy(logits, labels)
+
+        batches = sampled_batches(sequences, steps,
+                                  batch_size or self.config.batch_size, self.rng)
+        stats.losses = fit(self.model, batches, loss_of,
+                           lr if lr is not None else self.config.learning_rate,
+                           schedule_steps=steps, clip=1.0)
+        stats.steps = len(stats.losses)
         return stats

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import (
-    Adam,
     BiGRU,
     Conv1d,
     GlobalMaxPool1d,
@@ -21,6 +20,9 @@ from ..nn import (
     Module,
     Tensor,
     binary_cross_entropy_with_logits,
+    epoch_batches,
+    fit,
+    pad_batch,
 )
 from .features import NUM_CELL_FEATURES, line_features
 
@@ -73,42 +75,24 @@ class MetadataClassifier:
         self.seed = seed
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _pad(lines: list[np.ndarray]) -> np.ndarray:
-        n = max(len(l) for l in lines)
-        batch = np.zeros((len(lines), n, NUM_CELL_FEATURES))
-        for i, line in enumerate(lines):
-            batch[i, : len(line)] = line
-        return batch
-
     def fit(self, lines: list[np.ndarray], labels: list[int],
             epochs: int = 30, batch_size: int = 16,
             lr: float = 1e-2) -> list[float]:
         if len(lines) != len(labels) or not lines:
             raise ValueError("lines and labels must align and be non-empty")
-        rng = np.random.default_rng(self.seed)
-        optimizer = Adam(self.model.parameters(), lr=lr)
-        order = np.arange(len(lines))
-        losses: list[float] = []
-        self.model.train()
-        for _ in range(epochs):
-            rng.shuffle(order)
-            for start in range(0, len(order), batch_size):
-                chunk = order[start:start + batch_size]
-                batch = Tensor(self._pad([lines[i] for i in chunk]))
-                target = np.array([labels[i] for i in chunk], dtype=float)
-                logits = self.model(batch)
-                loss = binary_cross_entropy_with_logits(logits, target)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                losses.append(float(loss.data))
-        self.model.eval()
-        return losses
+
+        def loss_of(chunk):
+            batch = Tensor(pad_batch([lines[i] for i in chunk])[0])
+            target = np.array([labels[i] for i in chunk], dtype=float)
+            return binary_cross_entropy_with_logits(self.model(batch), target)
+
+        batches = epoch_batches(len(lines), epochs, batch_size,
+                                np.random.default_rng(self.seed))
+        return fit(self.model, batches, loss_of, lr)
 
     def predict_proba(self, lines: list[np.ndarray]) -> np.ndarray:
         with self.model.inference():
-            logits = self.model(Tensor(self._pad(lines)))
+            logits = self.model(Tensor(pad_batch(lines)[0]))
         return 1.0 / (1.0 + np.exp(-logits.data))
 
     def predict(self, lines: list[np.ndarray],

@@ -19,6 +19,28 @@ from .tensor import Tensor
 _NEG_INF = -1e9
 
 
+def pad_batch(items: list, fill=0) -> tuple[np.ndarray, np.ndarray]:
+    """Pad arrays along their first axis with ``fill`` into one batch;
+    returns ``(batch, valid)``, ``valid`` ``(B, n)`` marking real positions."""
+    items = [np.asarray(item) for item in items]
+    n = max(len(item) for item in items)
+    batch = np.full((len(items), n) + items[0].shape[1:], fill,
+                    dtype=np.result_type(*{item.dtype for item in items}))
+    valid = np.zeros((len(items), n), dtype=bool)
+    for i, item in enumerate(items):
+        batch[i, : len(item)] = item
+        valid[i, : len(item)] = True
+    return batch, valid
+
+
+def full_attention_mask(valid: np.ndarray) -> np.ndarray:
+    """Full attention among real tokens; pads see only themselves."""
+    mask = (valid[:, None, :] & valid[:, :, None]).astype(np.uint8)
+    idx = np.arange(valid.shape[1])
+    mask[:, idx, idx] = 1
+    return mask
+
+
 class MultiHeadSelfAttention(Module):
     """Standard scaled dot-product multi-head self-attention.
 

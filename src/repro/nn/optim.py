@@ -1,89 +1,48 @@
-"""Optimizers and learning-rate schedules."""
+"""Adam, the warmup schedule, gradient clipping and :func:`fit`, the one
+training step of every model here (TabBiN and the MLM baselines, the
+DITTO, TabBiN-matcher and metadata classifiers)."""
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 import numpy as np
 
+from .layers import Module
 from .tensor import Tensor
 
 
-class Optimizer:
-    """Base class holding a flat list of parameters."""
+class Adam:
+    """Adam optimizer (Kingma & Ba); the paper trains with lr 2e-5."""
 
-    def __init__(self, params: list[Tensor], lr: float):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3,
+                 betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = [p for p in params if p.requires_grad]
         if not self.params:
             raise ValueError("optimizer received no trainable parameters")
         self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self._step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum > 0.0:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba); the paper trains with lr 2e-5."""
-
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-
     def step(self) -> None:
         self._step_count += 1
-        t = self._step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        bias1 = 1.0 - self.beta1 ** self._step_count
+        bias2 = 1.0 - self.beta2 ** self._step_count
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            grad = p.grad
-            if self.weight_decay > 0.0:
-                # Decoupled weight decay (AdamW style).
-                p.data -= self.lr * self.weight_decay * p.data
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += (1.0 - self.beta1) * p.grad
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay enabled by default."""
-
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
-        super().__init__(params, lr, betas, eps, weight_decay)
+            v += (1.0 - self.beta2) * p.grad * p.grad
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
 class LinearWarmupSchedule:
@@ -93,7 +52,7 @@ class LinearWarmupSchedule:
     pre-training runs in the paper.
     """
 
-    def __init__(self, optimizer: Optimizer, warmup_steps: int, total_steps: int):
+    def __init__(self, optimizer: Adam, warmup_steps: int, total_steps: int):
         if total_steps <= 0 or warmup_steps < 0 or warmup_steps > total_steps:
             raise ValueError("invalid schedule bounds")
         self.optimizer = optimizer
@@ -118,13 +77,64 @@ class LinearWarmupSchedule:
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     """Scale gradients in place so the global L2 norm is at most
     ``max_norm``; returns the pre-clip norm."""
-    total = 0.0
     grads = [p.grad for p in params if p.grad is not None]
-    for g in grads:
-        total += float((g * g).sum())
-    norm = float(np.sqrt(total))
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for g in grads:
             g *= scale
     return norm
+
+
+def sampled_batches(items: list, steps: int, batch_size: int,
+                    rng: np.random.Generator):
+    """``steps`` batches of ``min(batch_size, len(items))`` items drawn
+    with replacement (the pre-training samplers)."""
+    size = min(batch_size, len(items))
+    for _ in range(steps):
+        yield [items[i] for i in rng.integers(len(items), size=size)]
+
+
+def epoch_batches(n: int, epochs: int, batch_size: int,
+                  rng: np.random.Generator):
+    """Index chunks of ``range(n)``, reshuffled every epoch (the
+    supervised samplers)."""
+    order = np.arange(n)
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for start in range(0, n, batch_size):
+            yield order[start:start + batch_size]
+
+
+def fit(module: Module, batches: Iterable, loss_of: Callable[..., Tensor | None],
+        lr: float, *, schedule_steps: int | None = None,
+        clip: float | None = None) -> list[float]:
+    """Train ``module`` with Adam over ``batches``; return the losses.
+
+    ``loss_of(batch)`` returns the batch's scalar loss, or ``None`` to
+    skip the batch without a step.  With ``schedule_steps`` the learning
+    rate follows :class:`LinearWarmupSchedule` (a tenth of the steps of
+    warmup); with ``clip`` the gradient norm is clipped to it.  The
+    module trains in training mode and is left in eval mode.
+    """
+    optimizer = Adam(module.parameters(), lr=lr)
+    schedule = None
+    if schedule_steps is not None:
+        schedule = LinearWarmupSchedule(optimizer, max(1, schedule_steps // 10),
+                                        schedule_steps)
+    losses: list[float] = []
+    module.train()
+    for batch in batches:
+        loss = loss_of(batch)
+        if loss is None:
+            continue
+        optimizer.zero_grad()
+        loss.backward()
+        if clip is not None:
+            clip_grad_norm(optimizer.params, clip)
+        optimizer.step()
+        if schedule is not None:
+            schedule.step()
+        losses.append(float(loss.data))
+    module.eval()
+    return losses

@@ -14,7 +14,7 @@ from repro.baselines import (
     serialize_tuple,
 )
 from repro.datasets import generate_em_dataset, load_dataset
-from repro.tables import figure1_table, table2_relational
+from repro.tables import Table, figure1_table, table2_relational
 
 CORPUS = load_dataset("cancerkg", n_tables=10, seed=8)
 TEXTS = corpus_tuples(CORPUS)
@@ -102,6 +102,24 @@ class TestTuta:
     def test_text_embedding(self, tuta):
         v = tuta.embed_text("ramucirumab")
         assert v.shape == (24,)
+
+    def test_table_cache_survives_a_reused_id(self, tuta):
+        """A table built where a collected one lived (same ``id()``)
+        gets its own vector, not the collected table's cached one."""
+        fresh = TutaEmbedder(tuta.tokenizer, tuta.model, tuta.max_seq_len)
+        source_of_id: dict[int, int] = {}
+        for i in range(200):
+            source = i % len(CORPUS)
+            table = Table.from_dict(CORPUS[source].to_dict())
+            earlier = source_of_id.get(id(table))
+            if earlier is not None and earlier != source:
+                assert np.array_equal(tuta.embed_table(table),
+                                      fresh.embed_table(table))
+                return
+            source_of_id[id(table)] = source
+            tuta.embed_table(table)
+            del table
+        pytest.skip("no freed table's id was reused within 200 tables")
 
     def test_pretrain_reduces_loss(self):
         tuta = TutaEmbedder.build(CORPUS[:6], steps=0, hidden=24,

@@ -226,8 +226,9 @@ class TestMalformedReplies:
         b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n{}",
         b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n{}",
         b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]",
+        b"SSH-2.0-OpenSSH_9.6\r\n",
     ], ids=["status-not-a-number", "length-not-a-number",
-            "negative-length", "body-not-an-object"])
+            "negative-length", "body-not-an-object", "not-http"])
     def test_is_a_protocol_error_without_retry(self, reply):
         """A peer that answers, but not as a shard server does, is a
         terminal :class:`ShardProtocolError` (a clean 503 behind

@@ -74,6 +74,63 @@ class TestMasking:
             assert (labels[0, positions] != IGNORE_INDEX).all()
 
 
+def loop_mask_batch(trainer, sequences):
+    """The per-token loop masker the array version replaced, kept as the
+    reference: same recipe, same RNG draws in the same order."""
+    arrays = trainer.model.embedding.batch_arrays(sequences, trainer.vocab.pad_id)
+    token_ids, valid = arrays[0].copy(), arrays[6]
+    labels = np.full_like(token_ids, IGNORE_INDEX)
+    special = trainer.vocab.special_ids() - {trainer.vocab.val_id}
+    rng, config = trainer.rng, trainer.config
+    for b, seq in enumerate(sequences):
+        eligible = [i for i in range(len(seq))
+                    if int(seq.token_ids[i]) not in special]
+        if not eligible:
+            continue
+        clc_positions: set[int] = set()
+        if len(seq.cell_refs) > 1:
+            chosen = np.nonzero(rng.random(len(seq.cell_refs))
+                                < config.clc_probability)[0]
+            for cell_idx in chosen:
+                clc_positions.update(int(p) for p in seq.tokens_of_cell(int(cell_idx)))
+        for pos in clc_positions:
+            labels[b, pos] = token_ids[b, pos]
+            token_ids[b, pos] = trainer.vocab.mask_id
+        remaining = np.array([i for i in eligible if i not in clc_positions],
+                             dtype=np.int64)
+        if remaining.size == 0:
+            continue
+        picked = remaining[rng.random(remaining.size) < config.mlm_probability]
+        if picked.size == 0:
+            picked = remaining[rng.integers(remaining.size, size=1)]
+        for pos in picked:
+            labels[b, pos] = token_ids[b, pos]
+            roll = rng.random()
+            if roll < 0.8:
+                token_ids[b, pos] = trainer.vocab.mask_id
+            elif roll < 0.9:
+                token_ids[b, pos] = int(rng.integers(len(trainer.vocab)))
+    labels[~valid] = IGNORE_INDEX
+    return token_ids, labels
+
+
+@pytest.mark.parametrize("clc_probability", [0.0, 0.3, 1.0])
+def test_mask_batch_matches_the_loop_reference(config, tokenizer, sequences,
+                                               clc_probability):
+    from dataclasses import replace
+
+    cfg = replace(config, clc_probability=clc_probability)
+    pair = [TabBiNPretrainer(TabBiNModel(cfg, pad_id=tokenizer.vocab.pad_id,
+                                         rng=np.random.default_rng(0)),
+                             tokenizer.vocab, cfg, seed=3) for _ in range(2)]
+    for start in range(0, len(sequences), 3):
+        batch = sequences[start:start + 3]
+        masked, labels = pair[0].mask_batch(batch)
+        ref_masked, ref_labels = loop_mask_batch(pair[1], batch)
+        assert np.array_equal(masked, ref_masked)
+        assert np.array_equal(labels, ref_labels)
+
+
 class TestTraining:
     def test_loss_decreases(self, trainer, sequences):
         stats = trainer.train(sequences, steps=25, batch_size=4, lr=5e-3)

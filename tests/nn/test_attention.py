@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MultiHeadSelfAttention, Tensor
+from repro.nn import MultiHeadSelfAttention, Tensor, full_attention_mask, pad_batch
 
 RNG = np.random.default_rng(7)
 
@@ -79,6 +79,27 @@ class TestMasking:
         out_batch = attn(Tensor(x), masks).data
         out_first = attn(Tensor(x[:1]), masks[0]).data
         assert np.allclose(out_batch[0], out_first[0])
+
+
+class TestPaddedBatches:
+    def test_pad_batch_pads_with_fill_and_marks_valid(self):
+        batch, valid = pad_batch([np.array([5, 6, 7]), np.array([8])], fill=1)
+        assert batch.tolist() == [[5, 6, 7], [8, 1, 1]]
+        assert batch.dtype == np.int64
+        assert valid.tolist() == [[True, True, True], [True, False, False]]
+
+    def test_pad_batch_keeps_trailing_dims(self):
+        lines = [np.ones((2, 3)), np.zeros((0, 3))]
+        batch, valid = pad_batch(lines)
+        assert batch.shape == (2, 2, 3) and batch.dtype == np.float64
+        assert (batch[0] == 1).all() and (batch[1] == 0).all()
+        assert not valid[1].any()
+
+    def test_full_attention_mask(self):
+        valid = np.array([[True, True, False]])
+        mask = full_attention_mask(valid)
+        assert mask.dtype == np.uint8
+        assert mask[0].tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
 
 
 class TestGradients:

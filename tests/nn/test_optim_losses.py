@@ -1,12 +1,11 @@
-"""Optimizers, LR schedules, and loss functions."""
+"""Adam, LR schedules, the shared training step, and loss functions."""
 
 import numpy as np
 import pytest
 
 from repro.nn import (
-    SGD,
     Adam,
-    AdamW,
+    Dropout,
     IGNORE_INDEX,
     LinearWarmupSchedule,
     Linear,
@@ -15,6 +14,7 @@ from repro.nn import (
     binary_cross_entropy_with_logits,
     clip_grad_norm,
     cross_entropy,
+    fit,
     mse,
 )
 from repro.nn.layers import Parameter
@@ -27,22 +27,6 @@ def quadratic_param(start=5.0):
 
 
 class TestOptimizers:
-    def test_sgd_step_math(self):
-        p = quadratic_param(2.0)
-        opt = SGD([p], lr=0.1)
-        p.grad = np.array([4.0])
-        opt.step()
-        assert p.data.item() == pytest.approx(2.0 - 0.4)
-
-    def test_sgd_momentum_accumulates(self):
-        p = quadratic_param(0.0)
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad = np.array([1.0])
-        opt.step()          # v=1, p=-1
-        p.grad = np.array([1.0])
-        opt.step()          # v=1.9, p=-2.9
-        assert p.data.item() == pytest.approx(-2.9)
-
     def test_adam_converges_on_quadratic(self):
         p = quadratic_param(5.0)
         opt = Adam([p], lr=0.2)
@@ -53,18 +37,9 @@ class TestOptimizers:
             opt.step()
         assert abs(p.data.item()) < 1e-2
 
-    def test_adamw_decays_weights(self):
-        p = quadratic_param(1.0)
-        opt = AdamW([p], lr=0.0, weight_decay=0.1)
-        # lr=0 means decoupled decay term is also 0; use lr>0, grad 0.
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.zeros(1)
-        opt.step()
-        assert p.data.item() < 1.0
-
     def test_optimizer_requires_params(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_skips_params_without_grad(self):
         p = quadratic_param()
@@ -86,6 +61,61 @@ class TestOptimizers:
             opt.step()
         assert np.allclose(layer.weight.data, w_true, atol=0.05)
         assert layer.bias.data.item() == pytest.approx(0.3, abs=0.05)
+
+
+class TestFit:
+    """The one training step: Adam, optional warmup schedule and clip."""
+
+    @staticmethod
+    def regression(rng):
+        X = rng.standard_normal((32, 3))
+        return X, X @ np.array([[1.5], [-2.0], [0.7]])
+
+    def test_matches_a_hand_written_loop(self):
+        X, y = self.regression(np.random.default_rng(0))
+        layer = Linear(3, 1, rng=np.random.default_rng(1))
+        losses = fit(layer, range(6), lambda _: mse(layer(Tensor(X)), y), 0.05,
+                     schedule_steps=6, clip=0.5)
+        manual = Linear(3, 1, rng=np.random.default_rng(1))
+        opt = Adam(manual.parameters(), lr=0.05)
+        sched = LinearWarmupSchedule(opt, 1, 6)
+        expected = []
+        for _ in range(6):
+            loss = mse(manual(Tensor(X)), y)
+            opt.zero_grad()
+            loss.backward()
+            clip_grad_norm(manual.parameters(), 0.5)
+            opt.step()
+            sched.step()
+            expected.append(float(loss.data))
+        assert losses == expected
+        assert np.array_equal(layer.weight.data, manual.weight.data)
+
+    def test_none_skips_the_step(self):
+        X, y = self.regression(np.random.default_rng(0))
+        layer = Linear(3, 1, rng=np.random.default_rng(1))
+        before = layer.weight.data.copy()
+        losses = fit(layer, range(4), lambda _: None, 0.1)
+        assert losses == []
+        assert np.array_equal(layer.weight.data, before)
+        losses = fit(layer, range(4),
+                     lambda i: None if i % 2 else mse(layer(Tensor(X)), y), 0.1)
+        assert len(losses) == 2
+
+    def test_trains_in_training_mode_and_leaves_eval(self):
+        drop = Dropout(0.5)
+        layer = Linear(2, 1, rng=np.random.default_rng(0))
+        layer.drop = drop
+        modes = []
+
+        def loss_of(_):
+            modes.append(drop.training)
+            return mse(layer(Tensor(np.ones((4, 2)))), np.zeros((4, 1)))
+
+        layer.eval()
+        fit(layer, range(2), loss_of, 0.1)
+        assert modes == [True, True]
+        assert not layer.training and not drop.training
 
 
 class TestSchedule:
