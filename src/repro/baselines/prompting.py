@@ -111,7 +111,3 @@ class ChainOfTableLLM:
         final_order = self.llm.rank(query, [candidates[i] for i in pool])
         ranked = [pool[i] for i in final_order]
         return ranked + dropped
-
-    def explain(self, query: str) -> list[tuple[str, str]]:
-        """The operation chain applied to ``query`` (for inspection)."""
-        return [(name, view(query)) for name, view in OPERATIONS]

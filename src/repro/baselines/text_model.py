@@ -107,6 +107,8 @@ class TextMLM:
             token_ids, valid = pad_batch(batch, vocab.pad_id)
             masked, labels = self._mask(token_ids, valid, vocab, rng,
                                         mlm_probability)
+            if (labels == IGNORE_INDEX).all():
+                return None
             logits = self.encoder.mlm_head(self.encoder(masked, valid))
             return cross_entropy(logits.reshape(-1, self.encoder.vocab_size),
                                  labels.reshape(-1))

@@ -30,7 +30,6 @@ class Word2Vec:
         self.min_count = min_count
         self.seed = seed
         self.vocab: dict[str, int] = {}
-        self.inverse_vocab: list[str] = []
         self.w_in: np.ndarray | None = None
         self.w_out: np.ndarray | None = None
         self._neg_table: np.ndarray | None = None
@@ -41,7 +40,6 @@ class Word2Vec:
         counts = Counter(tok for sent in sentences for tok in sent)
         kept = sorted(w for w, c in counts.items() if c >= self.min_count)
         self.vocab = {w: i for i, w in enumerate(kept)}
-        self.inverse_vocab = kept
         rng = np.random.default_rng(self.seed)
         scale = 0.5 / self.dim
         self.w_in = rng.uniform(-scale, scale, (len(kept), self.dim))
@@ -116,14 +114,3 @@ class Word2Vec:
         if not vectors:
             return np.zeros(self.dim)
         return np.mean(vectors, axis=0)
-
-    def most_similar(self, word: str, k: int = 5) -> list[tuple[str, float]]:
-        """Nearest vocabulary words by cosine similarity."""
-        from ..retrieval.similarity import top_k
-
-        v = self.vector(word)
-        if v is None:
-            return []
-        [ranked] = top_k(v[None, :], self.w_in, k,
-                         excludes=[self.vocab[word.lower()]])
-        return [(self.inverse_vocab[i], score) for i, score in ranked]

@@ -39,8 +39,6 @@ the whole fleet.  Pinned by ``tests/catalog/test_worker_isolation.py``.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.cache import CacheCounters
 
 from .catalog import Catalog, CatalogEntry
@@ -140,11 +138,10 @@ class CatalogHandle:
     ``catalog`` must have at least one entry.  ``config`` is the
     server's :class:`~repro.serve.config.ServeConfig`, already
     validated; the handle opens entries by its ``mmap`` and
-    ``quantized`` (+ ``overfetch``/``margin``), evicts by its
-    ``max_open`` — if every other open slot is busy, the cap is
-    exceeded temporarily rather than evicting under in-flight work —
-    and hands it to each slot's dispatcher, which sizes its result cache
-    by it.  ``stats`` is an optional server-wide batch-stats sink every
+    ``quantized``, evicts by its ``max_open`` — if every other open
+    slot is busy, the cap is exceeded temporarily rather than evicting
+    under in-flight work — and hands it to each slot's dispatcher,
+    which sizes its result cache by it.  ``stats`` is an optional server-wide batch-stats sink every
     dispatcher also reports to — global batch shapes keep meaning "all
     ticks" while per-index shapes separate.
     """
@@ -259,10 +256,8 @@ class CatalogHandle:
         sidecar surfaces as the clear ``enable_quantized`` error (with
         the retrofit hint) rather than a failed open of an otherwise-
         good layout."""
-        config = self.config
-        if config.quantized:
-            index.enable_quantized(overfetch=config.overfetch,
-                                   margin=config.margin)
+        if self.config.quantized:
+            index.enable_quantized()
         slot.index = index
 
     def _evict_over_cap(self, keep: IndexSlot) -> None:

@@ -135,8 +135,7 @@ def _serve_config(args: argparse.Namespace):
                        max_backlog=args.max_backlog,
                        cache_size=0 if args.no_cache else args.cache_size,
                        cache_ttl=args.cache_ttl, max_open=args.max_open,
-                       mmap=not args.no_mmap, quantized=args.quantized,
-                       overfetch=args.overfetch, margin=args.margin)
+                       mmap=not args.no_mmap, quantized=args.quantized)
 
 
 def _serve_prefork(args: argparse.Namespace, config) -> int:
@@ -270,13 +269,6 @@ def flags_serve(parser: argparse.ArgumentParser) -> None:
                              "(rankings identical to fp; requires a "
                              "layout built with `index build --quantize` "
                              "or retrofitted with `index quantize`)")
-    parser.add_argument("--overfetch", type=int, default=None,
-                        help="with --quantized: shortlist "
-                             "max(k*overfetch, k+margin) candidates for "
-                             "exact rerank (default 4)")
-    parser.add_argument("--margin", type=int, default=None,
-                        help="with --quantized: additive shortlist slack "
-                             "(default 32; 0 allowed)")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

@@ -2,8 +2,8 @@
 
 Public surface:
 
-- :class:`TabBiNConfig` — hyperparameters incl. the paper's full-scale
-  preset and the four ablation switches.
+- :class:`TabBiNConfig` — hyperparameters, the CPU-sized presets and
+  the four ablation switches.
 - :class:`TabBiNSerializer` / :class:`EncodedSequence` — table → token
   sequences with the six per-token feature streams.
 - :func:`build_visibility` — the metadata-aware attention mask.
@@ -11,15 +11,10 @@ Public surface:
 - :class:`TabBiNModel` — embedding layer + masked transformer encoder.
 - :class:`TabBiNPretrainer` — MLM + Cell-level-Cloze pre-training.
 - :class:`TabBiNEmbedder` — end-user API over the four segment models.
-- composite embeddings for numbers / ranges / gaussians (Figure 4).
+- composite embeddings for numbers and ranges (Figure 4).
 """
 
-from .composite import (
-    gaussian_composite,
-    numeric_composite,
-    range_composite,
-    value_composite,
-)
+from .composite import numeric_composite, range_composite
 from .config import SEGMENTS, TabBiNConfig
 from .embedder import TabBiNEmbedder, corpus_texts
 from .embedding_layer import TabBiNEmbedding
@@ -37,6 +32,5 @@ __all__ = [
     "TabBiNPretrainer", "PretrainStats",
     "TabBiNEmbedder", "corpus_texts",
     "numeric_features", "NULL_FEATURES",
-    "numeric_composite", "range_composite", "gaussian_composite",
-    "value_composite",
+    "numeric_composite", "range_composite",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tables.values import GaussianValue, NumberValue, RangeValue
 from .embedder import TabBiNEmbedder
 
 
@@ -33,43 +32,6 @@ def range_composite(embedder: TabBiNEmbedder, attribute: str,
         embedder.entity_embedding(unit or ""),
         embedder.entity_embedding(_number_text(start)),
         embedder.entity_embedding(_number_text(end)),
-    ])
-
-
-def gaussian_composite(embedder: TabBiNEmbedder, attribute: str,
-                       mean: float, std: float, unit: str | None) -> np.ndarray:
-    """CE for a gaussian cell: attr ⊕ unit ⊕ mean ⊕ std.
-
-    The paper treats gaussians "according to their semantics"; this
-    mirrors the range structure with (mean, std) in place of (start,
-    end).
-    """
-    return np.concatenate([
-        embedder.entity_embedding(attribute),
-        embedder.entity_embedding(unit or ""),
-        embedder.entity_embedding(_number_text(mean)),
-        embedder.entity_embedding(_number_text(std)),
-    ])
-
-
-def value_composite(embedder: TabBiNEmbedder, attribute: str,
-                    value) -> np.ndarray:
-    """Dispatch on the parsed value shape; always 4 blocks wide so CEs of
-    different shapes remain comparable by cosine similarity."""
-    if isinstance(value, RangeValue):
-        return range_composite(embedder, attribute, value.start, value.end,
-                               value.unit)
-    if isinstance(value, GaussianValue):
-        return gaussian_composite(embedder, attribute, value.mean, value.std,
-                                  value.unit)
-    if isinstance(value, NumberValue):
-        ce = numeric_composite(embedder, attribute, value.value, value.unit)
-        return np.concatenate([ce, np.zeros(embedder.hidden)])
-    text = getattr(value, "text", str(value))
-    return np.concatenate([
-        embedder.entity_embedding(attribute),
-        embedder.entity_embedding(text),
-        np.zeros(2 * embedder.hidden),
     ])
 
 

@@ -12,7 +12,7 @@ switches of Section 4.6 (TabBiN_1..4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 #: The four TabBiN variants (Section 3.3: "We trained 4 models - 2 for
 #: data - tuples, columns; 2 for metadata - horizontal, vertical").
@@ -84,12 +84,6 @@ class TabBiNConfig:
         return replace(self, **{flags[component]: False})
 
     # -- presets ---------------------------------------------------------------
-    @classmethod
-    def paper(cls) -> "TabBiNConfig":
-        """The full-scale configuration reported in the paper."""
-        return cls(hidden=768, num_layers=12, num_heads=12, intermediate=3072,
-                   train_steps=50_000, batch_size=12, learning_rate=2e-5)
-
     @classmethod
     def small(cls, **overrides) -> "TabBiNConfig":
         """CPU-friendly configuration used by the benchmark harness."""

@@ -130,9 +130,6 @@ class TabBiNEmbedder:
         return self.store.encode_corpus(corpus, batch_size=batch_size,
                                         workers=workers)
 
-    def clear_cache(self) -> None:
-        self.store.clear()
-
     def fingerprint(self) -> str:
         """Content hash of everything that determines this embedder's
         vector space: vocabulary, config, and all segment-model weights.

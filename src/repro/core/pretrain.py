@@ -34,15 +34,6 @@ class PretrainStats:
     def final_loss(self) -> float:
         return self.losses[-1] if self.losses else float("nan")
 
-    def improved(self) -> bool:
-        """Whether the smoothed loss went down over the run."""
-        if len(self.losses) < 4:
-            return False
-        k = max(len(self.losses) // 4, 1)
-        head = float(np.mean(self.losses[:k]))
-        tail = float(np.mean(self.losses[-k:]))
-        return tail < head
-
 
 class TabBiNPretrainer:
     """Drives MLM + CLC pre-training of one TabBiN segment model."""

@@ -27,7 +27,6 @@ from ..tables.cell import Cell
 from ..tables.table import MetadataLabel, Table
 from ..text.tokenizer import WordPieceTokenizer
 from ..text.types import TypeInference
-from ..text.units import feature_bits
 from .config import SEGMENTS, TabBiNConfig
 from .numeric_features import NULL_FEATURES, numeric_features
 

@@ -66,9 +66,6 @@ class CorpusStats:
     def frac_non_relational(self) -> float:
         return self.n_non_relational / self.n_tables if self.n_tables else 0.0
 
-    @property
-    def frac_nested(self) -> float:
-        return self.n_nested / self.n_tables if self.n_tables else 0.0
 
 
 class CorpusGenerator:

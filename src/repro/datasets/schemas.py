@@ -9,7 +9,7 @@ row dimension of non-relational tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -55,8 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from ..retrieval.lsh import CosineLSH, gather_top_k, merge_ranked
-from ..retrieval.quantized import (MARGIN, OVERFETCH, shortlist_knob_errors,
-                                   shortlist_size)
+from ..retrieval.quantized import shortlist_size
 from ..tables.table import Table
 from .fingerprint import table_fingerprint
 from .spec import IndexSpec
@@ -367,10 +366,8 @@ class LocalIndex(IndexSurface):
         either way."""
         return sum(shard.lsh.quantize() for shard in self._shards())
 
-    def enable_quantized(self, overfetch: int | None = None,
-                         margin: int | None = None) -> None:
-        """Route queries through the int8 prefilter, with optional
-        shortlist sizing knobs (see
+    def enable_quantized(self) -> None:
+        """Route queries through the int8 prefilter (shortlist sized by
         :func:`~repro.retrieval.quantized.shortlist_size`).  Every shard
         needs the sidecar (build with ``--quantize`` or retrofit with
         ``index quantize``) and is checked first, so a partially
@@ -378,9 +375,6 @@ class LocalIndex(IndexSurface):
         prefiltered and exact shards.  Rankings stay bit-identical to
         the exact path as long as the shortlist holds the true top-k
         (the recall contract the equivalence suite pins)."""
-        errors = shortlist_knob_errors(overfetch, margin)
-        if errors:
-            raise ValueError("; ".join(errors.values()))
         shards = self._shards()
         for position, shard in enumerate(shards):
             if not shard.lsh.quantized:
@@ -389,10 +383,6 @@ class LocalIndex(IndexSurface):
                     f"— build with `index build --quantize` or retrofit "
                     f"with `index quantize PATH`")
         for shard in shards:
-            if overfetch is not None:
-                shard.q_overfetch = overfetch
-            if margin is not None:
-                shard.q_margin = margin
             shard._use_quantized = True
 
     # ------------------------------------------------------------------
@@ -476,11 +466,8 @@ class VectorIndex(LocalIndex):
         #: scope.
         self.generation: int = 0
         #: Quantized scoring, set by :meth:`enable_quantized`: the
-        #: opt-in behind :attr:`use_quantized` and the shortlist sizing
-        #: knobs (see :func:`~repro.retrieval.quantized.shortlist_size`).
+        #: opt-in behind :attr:`use_quantized`.
         self._use_quantized: bool = False
-        self.q_overfetch: int = OVERFETCH
-        self.q_margin: int = MARGIN
 
     def _shards(self) -> list["VectorIndex"]:
         return [self]
@@ -580,7 +567,7 @@ class VectorIndex(LocalIndex):
         enabled *and* the sidecar is attached."""
         if not (self._use_quantized and self.lsh.quantized):
             return None
-        return shortlist_size(k, self.q_overfetch, self.q_margin)
+        return shortlist_size(k)
 
     def _hits(self, ranked: list[tuple[int, float]],
               k: int) -> list[SearchHit]:

@@ -216,14 +216,11 @@ class ShardedIndex(LocalIndex):
         if target < 1:
             raise ValueError(f"n_shards must be at least 1, got {target}")
         # The fresh shards below start unquantized; carry the layout's
-        # quantization state (sidecar presence, scoring opt-in and its
-        # knobs) across the rebuild so a quantized layout never comes
-        # out of a lifecycle op with fp vectors missing their int8
-        # twins.
+        # quantization state (sidecar presence and scoring opt-in)
+        # across the rebuild so a quantized layout never comes out of a
+        # lifecycle op with fp vectors missing their int8 twins.
         was_quantized = self.quantized
         was_enabled = self.use_quantized
-        overfetch = self.shards[0].q_overfetch
-        margin = self.shards[0].q_margin
         moved = 0
         buckets: list[list[tuple[str, np.ndarray, dict]]] = \
             [[] for _ in range(target)]
@@ -244,7 +241,7 @@ class ShardedIndex(LocalIndex):
                                 np.stack([vec for _key, vec, _meta in items]),
                                 [meta for _key, _vec, meta in items])
             if was_enabled:
-                shard.enable_quantized(overfetch=overfetch, margin=margin)
+                shard.enable_quantized()
         # The fresh shards' counters restart near zero; raise the offset
         # past the old total so the layout generation stays monotonic
         # (a cache key must never be re-minted by a later state).

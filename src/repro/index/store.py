@@ -106,9 +106,6 @@ class StoreStats:
     sequences_encoded: int = 0
     batches: int = 0
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class EmbeddingStore:
@@ -166,9 +163,6 @@ class EmbeddingStore:
             self.stats.misses += 1
             self.encode_corpus([table], segments=(segment,))
             return self._cache[key]
-
-    def contains(self, table: Table, segment: str) -> bool:
-        return (table_fingerprint(table), segment) in self._cache
 
     def __len__(self) -> int:
         return len(self._cache)

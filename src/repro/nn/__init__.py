@@ -8,7 +8,7 @@ entire model stack is built on this package.  Public surface:
   :func:`no_grad` context
 - layers: :class:`Module` (with :meth:`Module.inference`),
   :class:`Linear`, :class:`Embedding`, :class:`LayerNorm`,
-  :class:`Dropout`, :class:`Sequential`
+  :class:`Dropout`
 - :class:`MultiHeadSelfAttention` with visibility-mask support, plus
   :func:`pad_batch` and :func:`full_attention_mask` for padded batches
 - :class:`TransformerEncoder` / :class:`TransformerEncoderLayer`
@@ -30,14 +30,12 @@ from .layers import (
     Module,
     ModuleList,
     Parameter,
-    Sequential,
 )
 from .losses import (
     IGNORE_INDEX,
     accuracy,
     binary_cross_entropy_with_logits,
     cross_entropy,
-    mse,
 )
 from .optim import (Adam, LinearWarmupSchedule, clip_grad_norm, epoch_batches, fit,
                     sampled_batches)
@@ -49,25 +47,23 @@ from .tensor import (
     embedding_lookup,
     no_grad,
     ones,
-    randn,
     stack,
-    tensor,
     where,
     zeros,
 )
 from .transformer import FeedForward, TransformerEncoder, TransformerEncoderLayer
 
 __all__ = [
-    "Tensor", "tensor", "zeros", "ones", "randn", "concatenate", "stack",
+    "Tensor", "zeros", "ones", "concatenate", "stack",
     "embedding_lookup", "where", "no_grad",
-    "Module", "Parameter", "ModuleList", "Sequential", "Linear", "Embedding",
+    "Module", "Parameter", "ModuleList", "Linear", "Embedding",
     "LayerNorm", "Dropout",
     "MultiHeadSelfAttention", "pad_batch", "full_attention_mask",
     "FeedForward", "TransformerEncoder", "TransformerEncoderLayer",
     "GRUCell", "GRU", "BiGRU", "Conv1d", "GlobalMaxPool1d", "GlobalAvgPool1d",
     "Adam", "LinearWarmupSchedule", "clip_grad_norm", "fit", "sampled_batches",
     "epoch_batches",
-    "IGNORE_INDEX", "cross_entropy", "binary_cross_entropy_with_logits", "mse",
+    "IGNORE_INDEX", "cross_entropy", "binary_cross_entropy_with_logits",
     "accuracy",
     "save_checkpoint", "load_checkpoint",
 ]

@@ -140,19 +140,6 @@ class ModuleList(Module):
         return self._items[i]
 
 
-class Sequential(Module):
-    """Apply submodules one after another."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.layers = ModuleList(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
 class Linear(Module):
     """Affine map ``y = x W + b`` with Glorot-uniform initialization."""
 

@@ -49,12 +49,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     return loss.mean()
 
 
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = pred - Tensor(np.asarray(target, dtype=float))
-    return (diff * diff).mean()
-
-
 def accuracy(logits: Tensor, targets: np.ndarray,
              ignore_index: int = IGNORE_INDEX) -> float:
     """Fraction of non-ignored positions predicted correctly."""

@@ -112,14 +112,14 @@ def fit(module: Module, batches: Iterable, loss_of: Callable[..., Tensor | None]
     """Train ``module`` with Adam over ``batches``; return the losses.
 
     ``loss_of(batch)`` returns the batch's scalar loss, or ``None`` to
-    skip the batch without a step.  With ``schedule_steps`` the learning
-    rate follows :class:`LinearWarmupSchedule` (a tenth of the steps of
-    warmup); with ``clip`` the gradient norm is clipped to it.  The
-    module trains in training mode and is left in eval mode.
+    skip the batch without a step.  With ``schedule_steps`` (at least 1)
+    the learning rate follows :class:`LinearWarmupSchedule` (a tenth of
+    the steps of warmup); with ``clip`` the gradient norm is clipped to
+    it.  The module trains in training mode and is left in eval mode.
     """
     optimizer = Adam(module.parameters(), lr=lr)
     schedule = None
-    if schedule_steps is not None:
+    if schedule_steps:
         schedule = LinearWarmupSchedule(optimizer, max(1, schedule_steps // 10),
                                         schedule_steps)
     losses: list[float] = []

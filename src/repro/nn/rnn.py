@@ -65,10 +65,6 @@ class GRU(Module):
             outputs[t] = h
         return T.stack(outputs, axis=1)
 
-    def last_state(self, x: Tensor) -> Tensor:
-        """Final hidden state, shape ``(batch, hidden)``."""
-        return self.forward(x)[:, -1, :]
-
 
 class BiGRU(Module):
     """Bidirectional GRU; concatenates forward and backward states."""

@@ -114,22 +114,12 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (not a copy)."""
-        return self.data
-
     def item(self) -> float:
         return self.data.item()
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     # ------------------------------------------------------------------
     # Graph plumbing
@@ -475,22 +465,12 @@ def _is_advanced_index(idx) -> bool:
 # ----------------------------------------------------------------------
 # Free functions
 # ----------------------------------------------------------------------
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Build a :class:`Tensor` from array-like data."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def randn(shape, rng: np.random.Generator, scale: float = 1.0,
-          requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
 
 
 def concatenate(tensors: list[Tensor], axis: int = -1) -> Tensor:

@@ -195,11 +195,6 @@ class CosineLSH:
         """Ids tombstoned by :meth:`remove` (read-only view)."""
         return frozenset(self._removed)
 
-    @property
-    def n_live(self) -> int:
-        """Number of indexed vectors that have not been removed."""
-        return len(self._vectors) - len(self._removed)
-
     def live_ids(self) -> list[int]:
         """All non-tombstoned ids in insertion order."""
         return [i for i in range(len(self._vectors)) if i not in self._removed]

@@ -38,42 +38,23 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Default over-fetch multiplier: the shortlist keeps at least
+#: Over-fetch multiplier: the shortlist keeps at least
 #: ``k * OVERFETCH`` candidates for the exact rerank.
 OVERFETCH = 4
 
-#: Default additive margin: the shortlist never drops below
+#: Additive margin: the shortlist never drops below
 #: ``k + MARGIN`` candidates, so small-``k`` queries are not starved of
 #: rerank headroom (and corpora at or below the margin are reranked in
 #: full, making quantized ≡ unquantized *unconditional* there).
 MARGIN = 32
 
 
-def shortlist_knob_errors(overfetch: int | None,
-                          margin: int | None) -> dict[str, str]:
-    """``{knob: message}`` for each shortlist knob out of range:
-    ``overfetch`` must be at least 1, ``margin`` at least 0, and
-    ``None`` (keep the default) always passes.  The one copy of the
-    rule — :func:`shortlist_size` and ``enable_quantized`` raise on it,
-    :class:`~repro.serve.ServeConfig` reports it beside its own."""
-    errors = {}
-    if overfetch is not None and overfetch < 1:
-        errors["overfetch"] = "overfetch must be at least 1"
-    if margin is not None and margin < 0:
-        errors["margin"] = "margin must be at least 0"
-    return errors
-
-
-def shortlist_size(k: int, overfetch: int = OVERFETCH,
-                   margin: int = MARGIN) -> int:
+def shortlist_size(k: int) -> int:
     """How many candidates survive the integer prefilter for a top-``k``
-    query: ``max(k * overfetch, k + margin)``."""
+    query: ``max(k * OVERFETCH, k + MARGIN)``."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    errors = shortlist_knob_errors(overfetch, margin)
-    if errors:
-        raise ValueError("; ".join(errors.values()))
-    return max(k * overfetch, k + margin)
+    return max(k * OVERFETCH, k + MARGIN)
 
 
 def quantize_rows(matrix: np.ndarray

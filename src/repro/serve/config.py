@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..retrieval.quantized import shortlist_knob_errors
-
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -44,8 +42,8 @@ class ServeConfig:
     - ``mmap``: open layouts memory-mapped (what makes lazy opens and
       eviction cheap) rather than eagerly.
     - ``quantized``: score through each layout's int8 sidecar and rerank
-      the shortlist exactly; ``overfetch``/``margin`` size the shortlist
-      (``None`` keeps the tier's defaults) and require it.
+      the shortlist exactly (sized by
+      :func:`~repro.retrieval.quantized.shortlist_size`).
 
     Construction validates every field at once and raises one
     ``ValueError`` with a line per bad field, worded as its flag.
@@ -60,8 +58,6 @@ class ServeConfig:
     max_open: int | None = None
     mmap: bool = True
     quantized: bool = False
-    overfetch: int | None = None
-    margin: int | None = None
 
     def __post_init__(self):
         rules = [
@@ -83,16 +79,7 @@ class ServeConfig:
              "--cache-ttl must be a positive number of seconds"),
             ("max_open", self.max_open is not None and self.max_open < 1,
              "--max-open must be at least 1"),
-            ("quantized", not self.quantized
-             and (self.overfetch is not None or self.margin is not None),
-             "--overfetch/--margin tune the quantized shortlist and "
-             "require --quantized"),
         ]
-        # A knob's flag is its name behind "--", so the shortlist rule's
-        # own wording becomes the flag's.
-        rules += [(knob, True, f"--{message}") for knob, message
-                  in shortlist_knob_errors(self.overfetch,
-                                           self.margin).items()]
         errors = [f"{message} ({field}={getattr(self, field)!r})"
                   for field, broken, message in rules if broken]
         if errors:

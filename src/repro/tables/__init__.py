@@ -8,10 +8,9 @@ from .examples import (
     table1_nested,
     table2_relational,
 )
-from .io import load_corpus, save_corpus
 from .parser import parse_grid
 from .table import MetadataLabel, Table
-from .transforms import flatten_to_relational, transpose_table, unnest
+from .transforms import flatten_to_relational
 from .tree import MetadataNode, MetadataTree
 from .values import (
     CellValue,
@@ -28,8 +27,7 @@ __all__ = [
     "BiCoordinates", "CoordinateContext",
     "CellValue", "TextValue", "NumberValue", "RangeValue", "GaussianValue",
     "NestedTableValue", "parse_value",
-    "parse_grid", "save_corpus", "load_corpus",
-    "flatten_to_relational", "transpose_table", "unnest",
+    "parse_grid", "flatten_to_relational",
     "figure1_table", "table1_nested", "table2_relational",
     "nested_efficacy_table",
 ]

@@ -13,7 +13,6 @@ from .values import (
     NestedTableValue,
     NumberValue,
     RangeValue,
-    TextValue,
     parse_value,
 )
 
@@ -51,18 +50,6 @@ class Cell:
         return isinstance(self.value, (NumberValue, RangeValue, GaussianValue))
 
     @property
-    def is_range(self) -> bool:
-        return isinstance(self.value, RangeValue)
-
-    @property
-    def is_gaussian(self) -> bool:
-        return isinstance(self.value, GaussianValue)
-
-    @property
-    def is_text(self) -> bool:
-        return isinstance(self.value, TextValue)
-
-    @property
     def has_nested_table(self) -> bool:
         return isinstance(self.value, NestedTableValue)
 
@@ -71,10 +58,6 @@ class Cell:
         if isinstance(self.value, NestedTableValue):
             return self.value.table
         return None
-
-    @property
-    def unit(self) -> str | None:
-        return getattr(self.value, "unit", None)
 
     @property
     def unit_category(self) -> str | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cell import Cell
 from .coordinates import BiCoordinates, CoordinateContext
-from .tree import MetadataNode, MetadataTree
+from .tree import MetadataTree
 from .values import NestedTableValue, parse_value
 
 
@@ -203,33 +203,6 @@ class Table:
                 for row in self.data
             ],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Table":
-        data: list[list] = []
-        entities: list[list[str | None]] = []
-        for row in payload["data"]:
-            data_row: list = []
-            entity_row: list[str | None] = []
-            for item in row:
-                if "nested" in item:
-                    data_row.append(cls.from_dict(item["nested"]))
-                    entity_row.append(None)
-                else:
-                    data_row.append(item["text"])
-                    entity_row.append(item.get("entity"))
-            data.append(data_row)
-            entities.append(entity_row)
-        return cls(
-            caption=payload["caption"],
-            header_rows=payload["header_rows"],
-            data=data,
-            header_cols=payload["header_cols"] or None,
-            topic=payload.get("topic"),
-            column_concepts=payload.get("column_concepts"),
-            entity_types=entities,
-            source=payload.get("source"),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "relational" if self.is_relational else "BiN"

@@ -4,14 +4,9 @@ The paper contrasts TabBiN with Auto-Tables [48], which *relationalizes*
 non-relational tables so SQL tools can query them.  TabBiN instead
 embeds BiN tables natively — but downstream consumers (SQL engines,
 dataframe libraries) still want 1NF views, so this module provides the
-lossy-but-faithful flattening operators:
-
-- :func:`flatten_to_relational` — qualified single-row header, VMD
-  levels hoisted into leading key columns, nested tables expanded into
-  suffixed columns;
-- :func:`transpose_table` — swap rows/columns (HMD ↔ VMD);
-- :func:`unnest` — pull every nested table out as a standalone table
-  carrying its provenance.
+lossy-but-faithful :func:`flatten_to_relational`: a qualified
+single-row header, VMD levels hoisted into leading key columns, nested
+tables expanded into suffixed columns.
 """
 
 from __future__ import annotations
@@ -84,60 +79,3 @@ def flatten_to_relational(table: Table, sep: str = " / ") -> Table:
         topic=table.topic,
         source=table.source,
     )
-
-
-def transpose_table(table: Table) -> Table:
-    """Swap the table's axes: columns become rows, HMD becomes VMD.
-
-    Only defined for tables without nesting (a nested cell has no
-    transposed interpretation); raises ``ValueError`` otherwise.
-    """
-    if table.has_nesting:
-        raise ValueError("cannot transpose a table containing nested tables")
-    data = [[table.data[i][j].text for i in range(table.n_rows)]
-            for j in range(table.n_cols)]
-    header_rows = table.vmd_tree.levels or [
-        [f"row {i + 1}" for i in range(table.n_rows)]
-    ]
-    header_cols = table.hmd_tree.levels or None
-    return Table(
-        caption=table.caption,
-        header_rows=header_rows,
-        data=data,
-        header_cols=header_cols,
-        topic=table.topic,
-        source=table.source,
-    )
-
-
-def unnest(table: Table) -> list[Table]:
-    """Extract every nested table, captioned with its provenance.
-
-    Returns standalone tables whose captions record the enclosing cell's
-    qualified column/row labels, recursing into nested-in-nested tables.
-    """
-    out: list[Table] = []
-    for i in range(table.n_rows):
-        for j in range(table.n_cols):
-            cell = table.data[i][j]
-            if not cell.has_nested_table:
-                continue
-            inner = cell.nested_table
-            provenance = table.qualified_column_label(j)
-            row_label = table.qualified_row_label(i)
-            if row_label:
-                provenance = f"{provenance}; {row_label}"
-            lifted = Table(
-                caption=f"{inner.caption} (from {table.caption}: {provenance})",
-                header_rows=inner.hmd_tree.levels or [[
-                    f"c{k}" for k in range(inner.n_cols)
-                ]],
-                data=[[inner.data[r][c].text for c in range(inner.n_cols)]
-                      for r in range(inner.n_rows)],
-                header_cols=inner.vmd_tree.levels or None,
-                topic=inner.topic or table.topic,
-                source=table.source,
-            )
-            out.append(lifted)
-            out.extend(unnest(inner))
-    return out

@@ -34,10 +34,6 @@ class MetadataNode:
     #: Position of this node among its level's nodes (left to right).
     position: int = 0
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def covers(self, index: int) -> bool:
         return self.span[0] <= index < self.span[1]
 

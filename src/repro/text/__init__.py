@@ -7,10 +7,8 @@ from .units import (
     CELL_FEATURE_ORDER,
     NUM_CELL_FEATURES,
     UNIT_CATEGORIES,
-    canonical_units,
     detect_trailing_unit,
     feature_bits,
-    is_known_unit,
     unit_category,
 )
 from .vocab import CLS, MASK, PAD, SEP, SPECIAL_TOKENS, UNK, VAL, Vocabulary
@@ -20,7 +18,6 @@ __all__ = [
     "WordPieceTokenizer", "pretokenize", "is_number_token",
     "TypeInference", "TYPE_NAMES", "TYPE_TO_ID", "NUM_TYPES",
     "UNIT_CATEGORIES", "CELL_FEATURE_ORDER", "NUM_CELL_FEATURES",
-    "unit_category", "canonical_units", "detect_trailing_unit",
-    "is_known_unit", "feature_bits",
+    "unit_category", "detect_trailing_unit", "feature_bits",
     "GAZETTEERS",
 ]

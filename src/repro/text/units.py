@@ -47,23 +47,12 @@ _UNIT_SUFFIX_RE = re.compile(
     r"^\s*[+-]?\d+(?:\.\d+)?\s*(?P<unit>[%\w\N{DEGREE SIGN}]+(?:\s?oz)?)\s*$"
 )
 
-#: Aliases that are too ambiguous to classify without a number in front
-#: (e.g. a lone "p" or "m" in a text cell).
-_AMBIGUOUS = {"p", "m", "s", "in", "g", "l", "or", "hr"}
-
 
 def unit_category(unit: str | None) -> str | None:
     """Map a unit string to one of :data:`UNIT_CATEGORIES` (or ``None``)."""
     if not unit:
         return None
     return _UNIT_TABLE.get(unit.strip().lower())
-
-
-def canonical_units(category: str) -> list[str]:
-    """All unit spellings registered under ``category``."""
-    if category not in UNIT_CATEGORIES:
-        raise ValueError(f"unknown unit category: {category}")
-    return sorted(u for u, c in _UNIT_TABLE.items() if c == category)
 
 
 def detect_trailing_unit(text: str) -> tuple[str | None, str | None]:
@@ -80,18 +69,6 @@ def detect_trailing_unit(text: str) -> tuple[str | None, str | None]:
     if category is None:
         return None, None
     return unit, category
-
-
-def is_known_unit(token: str, standalone: bool = False) -> bool:
-    """Whether ``token`` is a registered unit spelling.
-
-    With ``standalone=True``, single-letter aliases that collide with
-    ordinary words are rejected.
-    """
-    token = token.strip().lower()
-    if standalone and token in _AMBIGUOUS:
-        return False
-    return token in _UNIT_TABLE
 
 
 def feature_bits(unit_cat: str | None, nested: bool) -> list[int]:

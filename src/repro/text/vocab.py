@@ -57,10 +57,6 @@ class Vocabulary:
         return self._token_to_id[PAD]
 
     @property
-    def unk_id(self) -> int:
-        return self._token_to_id[UNK]
-
-    @property
     def cls_id(self) -> int:
         return self._token_to_id[CLS]
 

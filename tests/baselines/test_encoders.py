@@ -1,5 +1,7 @@
 """Text-MLM (BioBERT-like), TUTA-like, and DITTO baselines."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.baselines import (
     serialize_tuple,
 )
 from repro.datasets import generate_em_dataset, load_dataset
-from repro.tables import Table, figure1_table, table2_relational
+from repro.tables import figure1_table, table2_relational
 
 CORPUS = load_dataset("cancerkg", n_tables=10, seed=8)
 TEXTS = corpus_tuples(CORPUS)
@@ -110,7 +112,7 @@ class TestTuta:
         source_of_id: dict[int, int] = {}
         for i in range(200):
             source = i % len(CORPUS)
-            table = Table.from_dict(CORPUS[source].to_dict())
+            table = copy.deepcopy(CORPUS[source])
             earlier = source_of_id.get(id(table))
             if earlier is not None and earlier != source:
                 assert np.array_equal(tuta.embed_table(table),

@@ -53,11 +53,6 @@ class TestChainOfTable:
         order = cot.rank("query text", ["a b", "c d", "e f"])
         assert sorted(order) == [0, 1, 2]
 
-    def test_explain_shows_chain(self):
-        cot = ChainOfTableLLM(SimulatedLLM("gpt-4"))
-        chain = cot.explain("survival 20.3 months")
-        assert [name for name, _v in chain] == [n for n, _f in OPERATIONS]
-
     def test_cot_helps_weak_model_on_cc(self):
         """The paper's future-work hypothesis: iterative table prompting
         improves a plain LLM's ranking quality."""

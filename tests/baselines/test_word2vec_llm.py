@@ -12,6 +12,7 @@ from repro.baselines import (
     llm_table_clustering,
 )
 from repro.datasets import load_dataset
+from repro.retrieval.similarity import top_k
 
 CORPUS_TEXTS = [
     "the drug ramucirumab improves overall survival in colon cancer",
@@ -32,7 +33,10 @@ class TestWord2Vec:
 
     def test_cooccurring_words_are_similar(self):
         w2v = Word2Vec(dim=24, window=3, seed=0).train(CORPUS_TEXTS, epochs=8)
-        similar = [w for w, _s in w2v.most_similar("ramucirumab", k=8)]
+        words = sorted(w2v.vocab, key=w2v.vocab.get)
+        [ranked] = top_k(w2v.vector("ramucirumab")[None, :], w2v.w_in, 8,
+                         excludes=[w2v.vocab["ramucirumab"]])
+        similar = [words[i] for i, _s in ranked]
         assert any(w in similar for w in ("survival", "colon", "cancer",
                                           "treatment", "overall"))
 

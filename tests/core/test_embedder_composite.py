@@ -6,13 +6,10 @@ import pytest
 from repro.core import (
     TabBiNConfig,
     TabBiNEmbedder,
-    gaussian_composite,
     numeric_composite,
     range_composite,
-    value_composite,
 )
 from repro.tables import figure1_table, table1_nested, table2_relational
-from repro.tables.values import parse_value
 
 
 class TestBuild:
@@ -86,7 +83,7 @@ class TestEmbeddings:
         first = embedder.column_embedding(table, 0)
         second = embedder.column_embedding(table, 0)
         assert np.allclose(first, second)
-        embedder.clear_cache()
+        embedder.store.clear()
         third = embedder.column_embedding(table, 0)
         assert np.allclose(first, third)
 
@@ -114,18 +111,6 @@ class TestComposites:
     def test_range_composite_shape(self, embedder):
         ce = range_composite(embedder, "Age", 20, 30, "year")
         assert ce.shape == (4 * embedder.hidden,)
-
-    def test_gaussian_composite_shape(self, embedder):
-        ce = gaussian_composite(embedder, "BMI", 24.5, 3.1, None)
-        assert ce.shape == (4 * embedder.hidden,)
-
-    def test_value_composite_uniform_width(self, embedder):
-        """All shapes dispatch to a 4-block CE, comparable by cosine."""
-        widths = set()
-        for text in ("20.3 months", "20-30 year", "12.3 ± 4.5", "colon"):
-            ce = value_composite(embedder, "attr", parse_value(text))
-            widths.add(ce.shape[0])
-        assert widths == {4 * embedder.hidden}
 
     def test_unit_changes_composite(self, embedder):
         a = numeric_composite(embedder, "OS", 20.3, "months")

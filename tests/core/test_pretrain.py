@@ -135,7 +135,10 @@ class TestTraining:
     def test_loss_decreases(self, trainer, sequences):
         stats = trainer.train(sequences, steps=25, batch_size=4, lr=5e-3)
         assert stats.steps == 25
-        assert stats.improved(), (stats.losses[:3], stats.losses[-3:])
+        quarter = len(stats.losses) // 4
+        assert (np.mean(stats.losses[-quarter:])
+                < np.mean(stats.losses[:quarter])), (stats.losses[:3],
+                                                     stats.losses[-3:])
 
     def test_accuracy_tracked(self, trainer, sequences):
         stats = trainer.train(sequences, steps=5, batch_size=2)

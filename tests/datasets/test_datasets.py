@@ -127,8 +127,8 @@ class TestProfiles:
     def test_value_shapes_present_in_cancerkg(self):
         tables = load_dataset("cancerkg", n_tables=30, seed=2)
         cells = [c for t in tables for c in t.all_cells()]
-        assert any(c.is_range for c in cells)
-        assert any(c.is_gaussian for c in cells)
+        assert any(isinstance(c.value, RangeValue) for c in cells)
+        assert any(isinstance(c.value, GaussianValue) for c in cells)
         assert any(c.unit_category == "time" for c in cells)
 
     def test_entity_catalog_diversity(self):

@@ -390,7 +390,7 @@ class TestLSHRemoval:
         lsh.remove(0)
         lsh.remove(3)
         assert len(lsh) == 4              # slots, positional
-        assert lsh.n_live == 2
+        assert len(lsh.live_ids()) == 2
         assert lsh.live_ids() == [1, 2]
         assert lsh.removed == {0, 3}
 
@@ -408,7 +408,7 @@ class TestLSHRemoval:
         lsh.add(RNG.standard_normal(4))
         lsh.remove(0)
         assert lsh.add(RNG.standard_normal(4)) == 1
-        assert lsh.n_live == 1
+        assert lsh.live_ids() == [1]
 
     def test_candidates_exclude_removed_even_if_bucket_purge_missed(self):
         """remove() recomputes band keys from the stored vector; bulk

@@ -6,6 +6,8 @@ back in order, so every pooled vector, every ``CellRef``, and every
 ``StoreStats`` counter must be bit-identical.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def snapshot(store):
     """Deep copy of the cache + stats for cross-run comparison."""
     cache = {key: [(ref, vector.copy()) for ref, vector in entry]
              for key, entry in store._cache.items()}
-    return cache, store.stats.as_dict()
+    return cache, dataclasses.asdict(store.stats)
 
 
 def assert_identical(a, b):
@@ -54,10 +56,10 @@ class TestWorkersEquivalence:
     def test_workers2_bit_identical_on_30_tables(self, big_embedder,
                                                  big_corpus):
         assert len(big_corpus) == 30
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         encoded_serial = big_embedder.precompute(big_corpus, batch_size=8)
         serial = snapshot(big_embedder.store)
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         encoded_parallel = big_embedder.precompute(big_corpus, batch_size=8,
                                                    workers=2)
         parallel = snapshot(big_embedder.store)
@@ -72,17 +74,17 @@ class TestWorkersEquivalence:
             raise AssertionError("workers=1 must stay in-process")
 
         monkeypatch.setattr(store_module, "ProcessPoolExecutor", boom)
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         big_embedder.precompute(big_corpus[:2], workers=1)
 
     def test_embeddings_downstream_match(self, big_embedder, big_corpus):
         """End to end: composite table embeddings from a parallel encode
         equal the serial ones."""
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         big_embedder.precompute(big_corpus, workers=2)
         parallel = [big_embedder.table_embedding(t, variant="tblcomp1")
                     for t in big_corpus[:5]]
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         big_embedder.precompute(big_corpus)
         serial = [big_embedder.table_embedding(t, variant="tblcomp1")
                   for t in big_corpus[:5]]
@@ -92,21 +94,21 @@ class TestWorkersEquivalence:
 
 class TestDegenerateCases:
     def test_empty_corpus(self, big_embedder):
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         assert big_embedder.store.encode_corpus([], workers=2) == 0
         assert len(big_embedder.store) == 0
 
     def test_single_table(self, big_embedder, big_corpus):
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         encoded = big_embedder.store.encode_corpus(big_corpus[:1], workers=2)
         assert encoded == 4                    # one table, four segments
         serial_entries = len(big_embedder.store)
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         big_embedder.store.encode_corpus(big_corpus[:1])
         assert len(big_embedder.store) == serial_entries
 
     def test_duplicate_fingerprints_encoded_once(self, big_embedder):
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         t1 = Table("dup", [["a", "b"]], [["1", "2"]])
         t2 = Table("dup", [["a", "b"]], [["1", "2"]])
         assert t1 is not t2
@@ -117,7 +119,7 @@ class TestDegenerateCases:
         assert big_embedder.store.stats.tables_encoded == 1
 
     def test_already_cached_corpus_is_noop(self, big_embedder, big_corpus):
-        big_embedder.clear_cache()
+        big_embedder.store.clear()
         big_embedder.precompute(big_corpus[:3], workers=2)
         assert big_embedder.precompute(big_corpus[:3], workers=2) == 0
 

@@ -65,15 +65,10 @@ def assert_sidecar_fresh(index):
 class TestKernels:
     def test_shortlist_size(self):
         assert shortlist_size(10) == max(10 * OVERFETCH, 10 + MARGIN)
-        assert shortlist_size(100, overfetch=4, margin=32) == 400
-        assert shortlist_size(3, overfetch=2, margin=32) == 35
-        assert shortlist_size(1, overfetch=1, margin=0) == 1
+        assert shortlist_size(100) == 100 * OVERFETCH
+        assert shortlist_size(1) == 1 + MARGIN
 
-    @pytest.mark.parametrize("kwargs", [
-        {"k": 0}, {"k": -1},
-        {"k": 5, "overfetch": 0},
-        {"k": 5, "margin": -1},
-    ])
+    @pytest.mark.parametrize("kwargs", [{"k": 0}, {"k": -1}])
     def test_shortlist_size_validates(self, kwargs):
         with pytest.raises(ValueError):
             shortlist_size(**kwargs)
@@ -179,17 +174,13 @@ class TestEquivalence:
         n = data.draw(st.integers(4, 48), label="n")
         dup_every = data.draw(st.sampled_from([1, 2, 3]), label="dup_every")
         n_shards = data.draw(st.sampled_from([1, 2, 5]), label="shards")
-        overfetch = data.draw(st.sampled_from([1, 2, OVERFETCH]),
-                              label="overfetch")
-        # margin >= MARGIN keeps the shortlist a superset of every
-        # candidate pool at the k values queried below (k >= total-1,
-        # so k + 32 > total): in that regime equivalence is a hard
-        # guarantee, not a statistical one, and hypothesis can't
-        # manufacture a near-tie that slips past a zero-slack cut.
-        # Tighter shortlists that actually prune are covered by the
-        # fixed-seed mmap test and the recall monitor.
-        margin = data.draw(st.sampled_from([MARGIN, MARGIN + 16]),
-                           label="margin")
+        # MARGIN keeps the shortlist a superset of every candidate pool
+        # at the k values queried below (k >= total-1, so k + 32 >
+        # total): in that regime equivalence is a hard guarantee, not a
+        # statistical one, and hypothesis can't manufacture a near-tie
+        # that slips past a zero-slack cut.  Shortlists that actually
+        # prune are covered by the fixed-seed mmap test and the recall
+        # monitor.
         vectors = tie_dense_corpus(n, seed=seed, dup_every=dup_every)
         keys = [f"k{i:04d}" for i in range(n)]
 
@@ -200,7 +191,7 @@ class TestEquivalence:
             IndexSpec(kind="vector", dim=DIM, seed=0), n_shards)
         quant.add_batch(keys, vectors)
         quant.quantize()
-        quant.enable_quantized(overfetch=overfetch, margin=margin)
+        quant.enable_quantized()
 
         rng = np.random.default_rng(seed + 1)
         queries = np.vstack([vectors[:2], rng.standard_normal((2, DIM))])
@@ -216,14 +207,14 @@ class TestEquivalence:
         path = quant.save(tmp_path / "layout")
         for mmap in (False, True):
             reopened = open_index(path, mmap=mmap, quantized=True)
-            reopened.enable_quantized(overfetch=overfetch, margin=margin)
+            reopened.enable_quantized()
             assert rankings(reopened, queries, max(1, total - 1)) == \
                 rankings(plain, queries, max(1, total - 1))
 
     def test_recall_at_shortlist_never_misses_topk(self):
-        """Monitor: at the default overfetch, the tie-inclusive int8
-        shortlist contains every true top-k candidate (margin pinned to
-        0 so the overfetch factor itself is what's being measured)."""
+        """Monitor: at ``k * OVERFETCH``, the tie-inclusive int8
+        shortlist contains every true top-k candidate (no margin, so
+        the overfetch factor itself is what's being measured)."""
         rng = np.random.default_rng(7)
         corpus = tie_dense_corpus(240, seed=7)
         q8, scales, norms = quantize_rows(corpus)
@@ -233,7 +224,7 @@ class TestEquivalence:
         queries_q8, _, _ = quantize_rows(queries)
         approx = approx_scores(q8, scales, norms, queries_q8)
         k = 10
-        m = shortlist_size(k, overfetch=OVERFETCH, margin=0)
+        m = k * OVERFETCH
         misses = 0
         for q in range(queries.shape[0]):
             keep = tie_inclusive_cut(approx[:, q], m)
@@ -249,16 +240,6 @@ class TestEnableSurface:
         index = VectorIndex(dim=DIM, seed=0)
         with pytest.raises(ValueError, match="quantize"):
             index.enable_quantized()
-
-    def test_enable_validates_knobs(self):
-        index = VectorIndex(dim=DIM, seed=0)
-        index.quantize()
-        with pytest.raises(ValueError):
-            index.enable_quantized(overfetch=0)
-        with pytest.raises(ValueError):
-            index.enable_quantized(margin=-1)
-        index.enable_quantized(overfetch=1, margin=0)
-        assert index.use_quantized
 
     def test_sharded_enable_rejects_partial_quantization(self):
         sharded = ShardedIndex.create(
@@ -326,14 +307,12 @@ class TestLifecycleFreshness:
     def test_rebalance_carries_quantization(self):
         sharded, _keys, vectors = self._build(n=40, n_shards=2)
         sharded.quantize()
-        sharded.enable_quantized(overfetch=2, margin=8)
+        sharded.enable_quantized()
         plain, _k2, _v2 = self._build(n=40, n_shards=2)
         queries = vectors[:4]
         want = rankings(plain, queries, 6)
         sharded.rebalance(5)
         assert sharded.quantized and sharded.use_quantized
-        assert sharded.shards[0].q_overfetch == 2
-        assert sharded.shards[0].q_margin == 8
         assert_sidecar_fresh(sharded)
         assert rankings(sharded, queries, 6) == want
 

@@ -19,7 +19,7 @@ class TestCacheKeyRegression:
     content-addressed replacement."""
 
     def test_cache_keys_are_content_hashes_not_ids(self, embedder):
-        embedder.clear_cache()
+        embedder.store.clear()
         table = simple()
         embedder._pooled(table, "row")
         keys = list(embedder.store._cache)
@@ -29,7 +29,7 @@ class TestCacheKeyRegression:
             assert fp == table_fingerprint(table)
 
     def test_equal_content_tables_share_cache_entry(self, embedder):
-        embedder.clear_cache()
+        embedder.store.clear()
         t1, t2 = simple(), simple()
         assert t1 is not t2
         first = embedder.column_data_embedding(t1, 0)
@@ -43,7 +43,7 @@ class TestCacheKeyRegression:
     def test_gc_reused_id_cannot_return_stale_vectors(self, embedder):
         """A table allocated at a GC'd table's address (CPython reuses
         ids) must never see the dead table's vectors."""
-        embedder.clear_cache()
+        embedder.store.clear()
         stale = simple(cell="stale")
         stale_id = id(stale)
         stale_vec = embedder.column_data_embedding(stale, 0).copy()
@@ -63,7 +63,7 @@ class TestCacheKeyRegression:
     def test_cache_survives_object_lifecycle(self, embedder):
         """Re-creating an equal table after GC is a cache *hit* — the
         property an id-keyed cache could never provide."""
-        embedder.clear_cache()
+        embedder.store.clear()
         t = simple(cell="lifecycle")
         first = embedder.column_data_embedding(t, 0).copy()
         del t
@@ -76,10 +76,10 @@ class TestCacheKeyRegression:
 
 class TestBatchedEncoding:
     def test_batched_matches_lazy_per_table(self, embedder, corpus):
-        embedder.clear_cache()
+        embedder.store.clear()
         lazy = [embedder.table_embedding(t, variant="tblcomp1") for t in corpus]
         for batch_size in (1, 4, 32):
-            embedder.clear_cache()
+            embedder.store.clear()
             embedder.precompute(corpus, batch_size=batch_size)
             batched = [embedder.table_embedding(t, variant="tblcomp1")
                        for t in corpus]
@@ -87,13 +87,13 @@ class TestBatchedEncoding:
                 assert np.allclose(a, b), f"batch_size={batch_size} diverged"
 
     def test_precompute_counts_entries(self, embedder, corpus):
-        embedder.clear_cache()
+        embedder.store.clear()
         encoded = embedder.precompute(corpus)
         assert encoded == 4 * len(corpus)       # four segments per table
         assert embedder.precompute(corpus) == 0  # all cached now
 
     def test_duplicate_tables_encoded_once(self, embedder):
-        embedder.clear_cache()
+        embedder.store.clear()
         t1, t2 = simple(), simple()
         encoded = embedder.store.encode_corpus([t1, t2], segments=("row",))
         assert encoded == 1
@@ -101,9 +101,9 @@ class TestBatchedEncoding:
     def test_pooled_refs_match_lazy_path(self, embedder, corpus):
         """Batched scatter preserves (CellRef, vector) pairs exactly."""
         table = corpus[0]
-        embedder.clear_cache()
+        embedder.store.clear()
         lazy = embedder._pooled(table, "column")
-        embedder.clear_cache()
+        embedder.store.clear()
         embedder.precompute(corpus, batch_size=3)
         batched = embedder._pooled(table, "column")
         assert [r for r, _v in lazy] == [r for r, _v in batched]

@@ -11,7 +11,6 @@ from repro.nn import (
     Module,
     ModuleList,
     Parameter,
-    Sequential,
     Tensor,
 )
 
@@ -70,11 +69,11 @@ class TestModule:
         assert all(p.grad is None for p in model.parameters())
 
     def test_train_eval_propagates(self):
-        model = Sequential(Linear(2, 2), Dropout(0.5))
+        model = ModuleList([Linear(2, 2), Dropout(0.5)])
         model.eval()
-        assert all(not m.training for m in model.layers)
+        assert all(not m.training for m in model)
         model.train()
-        assert all(m.training for m in model.layers)
+        assert all(m.training for m in model)
 
     def test_module_list(self):
         layers = ModuleList([Linear(2, 2), Linear(2, 2)])

@@ -113,6 +113,38 @@ def test_losses_match_the_recorded_digest(run):
                                    err_msg=name)
 
 
+def test_zero_steps_train_nothing():
+    """``steps=0`` is an empty run for all three pre-training loops, not
+    a refused warmup schedule."""
+    tables = _tables()
+    tokenizer = WordPieceTokenizer.train(corpus_texts(tables), vocab_size=300)
+    config = TabBiNConfig.tiny().with_vocab(len(tokenizer.vocab))
+    sequences = TabBiNSerializer(tokenizer, TypeInference(), config
+                                 ).serialize(tables[0], "row")
+    model = TabBiNModel(config, pad_id=tokenizer.vocab.pad_id)
+    stats = TabBiNPretrainer(model, tokenizer.vocab, config).train(
+        sequences, steps=0)
+    assert stats.losses == [] and stats.steps == 0
+
+    texts = corpus_tuples(tables)
+    text_mlm = TextMLM.train_on_texts(texts, steps=0, vocab_size=300,
+                                      hidden=24, num_layers=1, max_len=32)
+    assert text_mlm.pretrain(texts, steps=0) == []
+
+    tuta = TutaEmbedder.build(tables, steps=0, hidden=24, num_layers=1,
+                              vocab_size=300, max_seq_len=48)
+    assert tuta.pretrain(tables, steps=0) == []
+
+
+def test_text_mlm_skips_a_batch_with_no_target():
+    """A batch whose every token is special (here all ``[UNK]``) has
+    nothing to predict: the step is skipped, as TUTA and TabBiN do."""
+    texts = corpus_tuples(_tables())
+    model = TextMLM.train_on_texts(texts, steps=0, vocab_size=300, hidden=24,
+                                   num_layers=1, max_len=32)
+    assert model.pretrain(["\u2603 \u2603 \u2603"] * 3, steps=2) == []
+
+
 if __name__ == "__main__":
     digests = {}
     for run in RUNS:

@@ -29,11 +29,6 @@ class TestGRU:
         x = Tensor(RNG.standard_normal((1, 5, 4)))
         assert not np.allclose(gru(x).data, gru(x, reverse=True).data)
 
-    def test_last_state(self):
-        gru = GRU(4, 6, rng=np.random.default_rng(0))
-        x = Tensor(RNG.standard_normal((2, 5, 4)))
-        assert np.allclose(gru.last_state(x).data, gru(x).data[:, -1, :])
-
     def test_gradient_flows_through_time(self):
         gru = GRU(4, 6, rng=np.random.default_rng(0))
         x = Tensor(RNG.standard_normal((1, 6, 4)), requires_grad=True)
@@ -61,12 +56,12 @@ class TestGRU:
         X = rng.standard_normal((40, 4, 2))
         y = (X[:, 0, 0] > 0).astype(float)
         for _ in range(60):
-            logits = head(gru.last_state(Tensor(X))).reshape(-1)
+            logits = head(gru(Tensor(X))[:, -1, :]).reshape(-1)
             loss = binary_cross_entropy_with_logits(logits, y)
             opt.zero_grad()
             loss.backward()
             opt.step()
-        preds = (head(gru.last_state(Tensor(X))).data.reshape(-1) > 0)
+        preds = (head(gru(Tensor(X))[:, -1, :]).data.reshape(-1) > 0)
         assert (preds == y.astype(bool)).mean() > 0.9
 
 

@@ -325,11 +325,6 @@ class TestGraphMechanics:
         x.zero_grad()
         assert x.grad is None
 
-    def test_detach_stops_gradient(self):
-        x = Tensor(np.ones(2), requires_grad=True)
-        y = x.detach() * 5.0
-        assert not y.requires_grad
-
     def test_no_grad_tracking_for_plain_tensors(self):
         out = Tensor(np.ones(2)) + Tensor(np.ones(2))
         assert not out.requires_grad

@@ -1,4 +1,4 @@
-"""Table model tests: structure predicates, labels, round-trips."""
+"""Table model tests: structure predicates, labels, grid parsing."""
 
 import pytest
 
@@ -124,33 +124,6 @@ class TestCellAccess:
         t = figure1_table()
         assert t.data[0][1].cell_features()[4] == 1      # months -> time bit
         assert t.data[0][2].cell_features()[-1] == 1     # nested bit
-
-
-class TestSerialization:
-    def test_dict_roundtrip_preserves_structure(self):
-        t = figure1_table()
-        clone = Table.from_dict(t.to_dict())
-        assert clone.shape == t.shape
-        assert clone.topic == t.topic
-        assert clone.qualified_column_label(2) == t.qualified_column_label(2)
-        assert clone.data[0][2].has_nested_table
-        assert clone.data[0][0].text == t.data[0][0].text
-
-    def test_roundtrip_preserves_entities_and_concepts(self):
-        t = table1_nested()
-        clone = Table.from_dict(t.to_dict())
-        assert clone.data[0][0].entity_type == "drug"
-        assert clone.column_concept(1) == "cohort size"
-
-    def test_corpus_io(self, tmp_path):
-        from repro.tables import load_corpus, save_corpus
-
-        tables = [figure1_table(), table2_relational()]
-        path = tmp_path / "corpus.jsonl"
-        save_corpus(tables, path)
-        loaded = load_corpus(path)
-        assert len(loaded) == 2
-        assert loaded[0].has_nesting
 
 
 class TestParseGrid:

@@ -1,9 +1,7 @@
-"""BiN → relational transform tests."""
+"""BiN → relational flattening tests."""
 
-import pytest
-
-from repro.tables import Table, figure1_table, table1_nested, table2_relational
-from repro.tables.transforms import flatten_to_relational, transpose_table, unnest
+from repro.tables import figure1_table, table1_nested, table2_relational
+from repro.tables.transforms import flatten_to_relational
 
 
 class TestFlatten:
@@ -48,60 +46,3 @@ class TestFlatten:
     def test_preserves_caption_and_topic(self):
         flat = flatten_to_relational(figure1_table())
         assert flat.topic == "colorectal cancer treatment"
-
-
-class TestTranspose:
-    def test_swaps_shape(self):
-        t = table2_relational()
-        tt = transpose_table(t)
-        assert tt.shape == (t.n_cols, t.n_rows)
-
-    def test_data_transposed(self):
-        t = table2_relational()
-        tt = transpose_table(t)
-        assert tt.data[0][1].text == t.data[1][0].text
-
-    def test_hmd_becomes_vmd(self):
-        t = table2_relational()
-        tt = transpose_table(t)
-        assert tt.has_vmd
-        assert tt.row_label(2) == "Job"
-
-    def test_double_transpose_restores_text(self):
-        t = table2_relational()
-        back = transpose_table(transpose_table(t))
-        assert back.shape == t.shape
-        for i in range(t.n_rows):
-            for j in range(t.n_cols):
-                assert back.data[i][j].text == t.data[i][j].text
-
-    def test_nested_rejected(self):
-        with pytest.raises(ValueError):
-            transpose_table(figure1_table())
-
-
-class TestUnnest:
-    def test_extracts_all_nested(self):
-        lifted = unnest(figure1_table())
-        assert len(lifted) == 2
-        assert all(t.n_cols == 3 for t in lifted)
-
-    def test_provenance_in_caption(self):
-        lifted = unnest(figure1_table())
-        assert "Other Efficacy" in lifted[0].caption
-        assert "Previously Untreated" in lifted[0].caption
-
-    def test_no_nesting_yields_empty(self):
-        assert unnest(table2_relational()) == []
-
-    def test_recursive_unnesting(self):
-        inner = Table("leaf", [["x"]], [["1"]])
-        middle = Table("middle", [["m"]], [[inner]])
-        outer = Table("outer", [["o"]], [[middle]])
-        lifted = unnest(outer)
-        assert len(lifted) == 2
-        assert any("leaf" in t.caption for t in lifted)
-
-    def test_lifted_tables_inherit_topic(self):
-        lifted = unnest(table1_nested())
-        assert all(t.topic for t in lifted)

@@ -47,12 +47,6 @@ CASES = [
     (["serve", "x", "--max-open", "0"], "--max-open must be at least 1"),
     (["serve", "x", "--max-backlog", "0"],
      "--max-backlog must be at least 1"),
-    (["serve", "x", "--quantized", "--overfetch", "0"],
-     "--overfetch must be at least 1"),
-    (["serve", "x", "--quantized", "--overfetch", "-2"],
-     "--overfetch must be at least 1"),
-    (["serve", "x", "--quantized", "--margin", "-1"],
-     "--margin must be at least 0"),
 ]
 
 
@@ -72,21 +66,6 @@ def test_all_bad_flags_reported_in_one_pass(capsys):
     assert "--workers must be positive" in err
     assert "--jobs must be positive" in err
     assert "--max-batch must be at least 1" in err
-
-
-def test_margin_zero_is_valid(tmp_path, capsys):
-    """--margin floors at 0, not 1 (no extra shortlist slack is a
-    legitimate setting): validation passes and the command fails later
-    on the missing target, not the flag."""
-    assert main(["serve", str(tmp_path / "missing.npz"),
-                 "--quantized", "--margin", "0"]) == 2
-    err = capsys.readouterr().err
-    assert "--margin" not in err
-
-
-def test_overfetch_without_quantized_is_rejected(capsys):
-    assert main(["serve", "x", "--overfetch", "2"]) == 2
-    assert "require --quantized" in capsys.readouterr().err
 
 
 def test_valid_counts_pass_validation(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TabBiNConfig, TabBiNEmbedder
-from repro.nn import Linear, Sequential, load_checkpoint, save_checkpoint
+from repro.nn import Linear, load_checkpoint, save_checkpoint
 from repro.tables import Table, parse_value
 from repro.tables.values import TextValue
 
@@ -72,18 +72,18 @@ class TestValueParsingEdgeCases:
 
 class TestCorruptCheckpoints:
     def test_truncated_file_raises_cleanly(self, tmp_path):
-        model = Sequential(Linear(3, 3))
+        model = Linear(3, 3)
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(Exception):
-            load_checkpoint(Sequential(Linear(3, 3)), path)
+            load_checkpoint(Linear(3, 3), path)
 
     def test_garbage_file_raises_cleanly(self, tmp_path):
         path = tmp_path / "model.npz"
         path.write_bytes(b"not a zip archive at all")
         with pytest.raises(Exception):
-            load_checkpoint(Sequential(Linear(3, 3)), path)
+            load_checkpoint(Linear(3, 3), path)
 
     def test_embedder_load_missing_segment(self, tmp_path):
         corpus = [Table("t", [["a", "b"]], [["x", "1"], ["y", "2"]],

@@ -12,7 +12,15 @@ from repro.eval import (
     table_clustering,
 )
 from repro.metadata import MetadataClassifier, training_set_from_tables
-from repro.tables import load_corpus, parse_grid, save_corpus
+from repro.tables import parse_grid
+
+
+def improved(losses) -> bool:
+    """Whether the smoothed loss went down: the last quarter's mean
+    below the first quarter's."""
+    quarter = max(len(losses) // 4, 1)
+    return (len(losses) >= 4
+            and np.mean(losses[-quarter:]) < np.mean(losses[:quarter]))
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +34,7 @@ def embedder(corpus):
         corpus, config=TabBiNConfig.tiny(), steps=40, vocab_size=500, seed=0,
     )
     # Pre-training must actually learn (loss trending down).
-    assert stats["row"].improved() or stats["column"].improved()
+    assert improved(stats["row"].losses) or improved(stats["column"].losses)
     return emb
 
 
@@ -67,16 +75,6 @@ class TestFullPipeline:
         same = cosine_similarity(va1, embedder.table_embedding(a2))
         cross = cosine_similarity(va1, embedder.table_embedding(b1))
         assert same > cross - 0.25  # same topic should not be clearly worse
-
-    def test_corpus_roundtrip_preserves_embedding_inputs(self, corpus, embedder,
-                                                         tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        save_corpus(corpus[:4], path)
-        reloaded = load_corpus(path)
-        for original, clone in zip(corpus[:4], reloaded):
-            v1 = embedder.table_embedding(original)
-            v2 = embedder.table_embedding(clone)
-            assert np.allclose(v1, v2)
 
     def test_checkpoint_roundtrip_through_tasks(self, corpus, embedder,
                                                 tmp_path):

@@ -33,12 +33,6 @@ BAD = [
     ("cache_ttl", {"cache_ttl": -1.0}, "--cache-ttl must be a positive"),
     ("cache_ttl", {"cache_ttl": True}, "--cache-ttl must be a positive"),
     ("max_open", {"max_open": 0}, "--max-open must be at least 1"),
-    ("overfetch", {"quantized": True, "overfetch": 0},
-     "--overfetch must be at least 1"),
-    ("margin", {"quantized": True, "margin": -1},
-     "--margin must be at least 0"),
-    ("quantized", {"overfetch": 2}, "require --quantized"),
-    ("quantized", {"margin": 0}, "require --quantized"),
 ]
 
 
@@ -57,30 +51,19 @@ def test_bad_value_is_refused_naming_its_field(field, kwargs, wording):
 def test_every_bad_field_is_reported_in_one_error():
     with pytest.raises(ValueError) as excinfo:
         ServeConfig(max_batch=0, jobs=0, cache_ttl=0, max_open=0,
-                    quantized=True, overfetch=0, margin=-1)
+                    max_backlog=0)
     lines = str(excinfo.value).splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 5
     for field in ("max_batch", "jobs", "cache_ttl", "max_open",
-                  "overfetch", "margin"):
+                  "max_backlog"):
         assert sum(f"({field}=" in line for line in lines) == 1, field
-
-
-def test_shortlist_knobs_require_quantized():
-    """A server told ``overfetch``/``margin`` without the int8 tier
-    used to ignore them silently; now the settings are refused, as the
-    CLI always refused the flags."""
-    for knobs in ({"overfetch": 2}, {"margin": 0},
-                  {"overfetch": 1, "margin": 4}):
-        with pytest.raises(ValueError, match="require --quantized"):
-            ServeConfig(**knobs)
-    ServeConfig(quantized=True, overfetch=1, margin=0)
 
 
 def test_boundary_values_are_accepted():
     config = ServeConfig(max_batch=1, max_wait_ms=0, jobs=1, max_backlog=1,
                          cache_size=0, cache_ttl=0.5, max_open=1,
-                         quantized=True, overfetch=1, margin=0)
-    assert config.cache_size == 0 and config.margin == 0
+                         quantized=True)
+    assert config.cache_size == 0 and config.quantized
 
 
 def test_config_is_frozen():

@@ -10,10 +10,8 @@ from repro.text import (
     TYPE_TO_ID,
     TypeInference,
     UNIT_CATEGORIES,
-    canonical_units,
     detect_trailing_unit,
     feature_bits,
-    is_known_unit,
     unit_category,
 )
 
@@ -50,21 +48,11 @@ class TestUnits:
     def test_case_insensitive(self):
         assert unit_category("MG") == "weight"
 
-    def test_canonical_units(self):
-        assert "months" in canonical_units("time")
-        with pytest.raises(ValueError):
-            canonical_units("nonsense")
-
     def test_detect_trailing_unit(self):
         assert detect_trailing_unit("20.3 months") == ("months", "time")
         assert detect_trailing_unit("45 %") == ("%", "stats")
         assert detect_trailing_unit("hello") == (None, None)
         assert detect_trailing_unit("20.3 zorks") == (None, None)
-
-    def test_is_known_unit_standalone_guard(self):
-        assert is_known_unit("months")
-        assert is_known_unit("p")               # ok in numeric context
-        assert not is_known_unit("p", standalone=True)
 
     def test_feature_bits_layout(self):
         bits = feature_bits("time", nested=False)

@@ -40,7 +40,7 @@ class TestVocabulary:
 
     def test_unknown_maps_to_unk(self):
         vocab = Vocabulary()
-        assert vocab.id("nonexistent") == vocab.unk_id
+        assert vocab.token(vocab.id("nonexistent")) == UNK
 
     def test_convenience_ids(self):
         vocab = Vocabulary()
@@ -49,7 +49,6 @@ class TestVocabulary:
         assert vocab.token(vocab.sep_id) == SEP
         assert vocab.token(vocab.mask_id) == MASK
         assert vocab.token(vocab.val_id) == VAL
-        assert vocab.token(vocab.unk_id) == UNK
 
     def test_special_ids_set(self):
         vocab = Vocabulary()
