@@ -9,7 +9,7 @@ plus partial rankings) over the transport the retrieval server runs on
 (:class:`RemoteShardedIndex`, :mod:`repro.cluster.coordinator`)
 scatters each micro-batch tick to every server concurrently and hands
 the replies to the very same
-:func:`~repro.retrieval.lsh.gather_top_k` a local
+:func:`~repro.index.index.gather_top_k` a local
 :class:`~repro.index.sharded.ShardedIndex` uses — the brute-force
 fallback is decided on the **global** candidate total and the merge is
 the local merge, so distributed rankings are bit-identical to local

@@ -20,11 +20,13 @@ layout for, with HTTP in place of method calls:
    in topology order into one global shard list — the same flat order
    a local ``ShardedIndex`` over those shards would merge;
 2. brute-force rankings — ``POST /brute_query`` to every server, for
-   the queries :func:`~repro.retrieval.lsh.gather_top_k` found short.
+   the queries :func:`~repro.index.index.gather_top_k` found short.
 
-The fallback decision (on the **global** candidate total) and the merge
-are the local layouts' code, not a copy of it: distributed rankings are
-bit-identical by construction.
+Each server answers both with the one per-shard query path,
+:meth:`~repro.index.index.VectorIndex.query_partial_many` /
+``query_brute_many``.  The fallback decision (on the **global**
+candidate total) and the merge are the local layouts' code, not a copy
+of it: distributed rankings are bit-identical by construction.
 
 Transport: per-shard keep-alive connection pools, per-attempt
 timeouts, and capped exponential backoff retries.  Retrying is safe

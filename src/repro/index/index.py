@@ -7,20 +7,23 @@ servers (:class:`~repro.cluster.coordinator.RemoteShardedIndex`): its
 parameters live in one :class:`~repro.index.spec.IndexSpec`, and
 ``query_vector``/``query_many`` are written once on top of two hooks a
 layout supplies — per-shard partial answers and per-shard brute-force
-answers — which :func:`~repro.retrieval.lsh.gather_top_k` turns into
-rankings (brute-force fallback decided on the candidate total across
-every shard, heap merge only when there is more than one ranking).
-:class:`LocalIndex` adds what the two on-disk layouts share over their
-list of shards: the fan-out, ``query_table``/``query_column``, the
-quantized tier and ``merge``.
+answers — which :func:`gather_top_k` turns into rankings (brute-force
+fallback decided on the candidate total across every shard, heap merge
+by :func:`merge_shard_rankings` only when there is more than one
+ranking).  :class:`LocalIndex` adds what the two on-disk layouts share
+over their list of shards: the fan-out, ``query_table``/
+``query_column``, the quantized tier and ``merge``.
 
 A :class:`VectorIndex` is one shard: it owns a
-:class:`~repro.retrieval.lsh.CosineLSH` plus the external keys (table
+:class:`~repro.retrieval.lsh.CosineLSH` (the vector and band-key
+arrays, the buckets and the rank kernel) plus the external keys (table
 fingerprints, ``fingerprint:col`` pairs) and display metadata for every
-vector, and is also the single-file layout (a one-shard index).
-:class:`TableIndex` and :class:`ColumnIndex` specialize it with the
-paper's composite embeddings (tblcomp / colcomp, Figure 5) and corpus
-``build`` constructors that go through the batched
+vector, and is also the single-file layout (a one-shard index).  Its
+``query_partial_many``/``query_brute_many`` are the only code that
+turns keys into LSH ids and ranked ids into hits — the one query path
+under every layout.  :class:`TableIndex` and :class:`ColumnIndex`
+specialize it with the paper's composite embeddings (tblcomp / colcomp,
+Figure 5) and corpus ``build`` constructors that go through the batched
 :class:`~repro.index.store.EmbeddingStore` path.
 
 Indexes round-trip to a single ``.npz`` file: the vector matrix is
@@ -32,8 +35,9 @@ additionally persist the packed LSH band keys (``band_keys``, an
 optional array older readers simply ignore), so a reload rebuilds the
 buckets from the saved keys instead of re-hashing every vector — and
 ``load(mmap=True)`` memory-maps the vector matrix straight out of the
-(uncompressed) ``.npz`` member, making a cold open touch no vector data
-at all: queries page in only the candidate rows they actually score.
+(uncompressed) ``.npz`` member and adopts the mapping as the shard's
+matrix, making a cold open touch no vector data at all: queries page in
+only the candidate rows they actually score.
 
 Corpora churn, so indexes have a lifecycle beyond ``build``:
 :meth:`VectorIndex.remove` tombstones an entry (dropped from the LSH
@@ -54,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..retrieval.lsh import CosineLSH, gather_top_k, merge_ranked
+from ..retrieval.lsh import CosineLSH, merge_ranked
 from ..retrieval.quantized import shortlist_size
 from ..tables.table import Table
 from .fingerprint import table_fingerprint
@@ -191,6 +195,36 @@ def merge_shard_rankings(rankings: list[list[SearchHit]],
     return hits
 
 
+def gather_top_k(k: int, partials: list[list[tuple[int, list[SearchHit]]]],
+                 brute) -> list[list[SearchHit]]:
+    """The gather half of every query, over *results* rather than index
+    objects: ``partials[s][q]`` is shard ``s``'s ``(candidate count,
+    best-first hits)`` for query ``q``, in flat shard order.  A query
+    whose candidate total across all shards is below ``k`` re-runs as
+    brute force on every shard — ``brute(short_rows)`` returns
+    ``rankings[s][i]`` for the ``i``-th short query — and every query's
+    per-shard rankings then reduce through :func:`merge_shard_rankings`.
+
+    This is the only code that compares a candidate count with ``k``:
+    a single index file, a sharded layout and the cluster coordinator
+    all hand their partials here, so blocking that under-delivers falls
+    back by one rule everywhere.  One ranking (a single file, a
+    one-shard layout) already is the answer, so it skips the heap merge.
+    """
+    n_queries = len(partials[0])
+    rankings = [[ranked for _count, ranked in shard] for shard in partials]
+    short = [q for q in range(n_queries)
+             if sum(shard[q][0] for shard in partials) < k]
+    if short:
+        for shard_rankings, shard_brute in zip(rankings, brute(short)):
+            for q, ranked in zip(short, shard_brute):
+                shard_rankings[q] = ranked
+    if len(rankings) == 1:
+        return [ranked[:k] for ranked in rankings[0]]
+    return [merge_shard_rankings([shard[q] for shard in rankings], k)
+            for q in range(n_queries)]
+
+
 class IndexSurface:
     """The query surface of every index type (see the module
     docstring).  A layout sets :attr:`spec` and supplies
@@ -255,14 +289,14 @@ class IndexSurface:
                    excludes: list[str | None] | None = None,
                    jobs: int | None = None) -> list[list[SearchHit]]:
         """Top-k hits for every row of a ``(Q, dim)`` query matrix:
-        the layout's partials, gathered by
-        :func:`~repro.retrieval.lsh.gather_top_k` (global brute-force
-        fallback, then a merge by score and key).  Ties break by key, so
-        every layout returns exactly what one index over the same corpus
-        would.  ``excludes`` is an optional per-query key list aligned
-        with the rows; ``jobs=N`` fans local shards over N threads with
-        bit-identical results.  ``k`` or ``jobs`` below 1 raises
-        ``ValueError`` instead of silently returning nothing."""
+        the layout's partials, gathered by :func:`gather_top_k` (global
+        brute-force fallback, then a merge by score and key).  Ties
+        break by key, so every layout returns exactly what one index
+        over the same corpus would.  ``excludes`` is an optional
+        per-query key list aligned with the rows; ``jobs=N`` fans local
+        shards over N threads with bit-identical results.  ``k`` or
+        ``jobs`` below 1 raises ``ValueError`` instead of silently
+        returning nothing."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         if jobs is not None and jobs < 1:
@@ -275,7 +309,7 @@ class IndexSurface:
                                else [excludes[q] for q in short], jobs)
 
         return gather_top_k(k, self._partials(matrix, k, excludes, jobs),
-                            brute, merge_shard_rankings)
+                            brute)
 
 
 class LocalIndex(IndexSurface):
@@ -345,7 +379,7 @@ class LocalIndex(IndexSurface):
         """Whether *every* shard carries the int8 sidecar — an index is
         only quantized as a whole (empty shards count: they quantize to
         empty sidecars).  Once present a sidecar is kept fresh through
-        every mutation (``CosineLSH._extend_quantized``,
+        every mutation (``CosineLSH._attach``,
         :meth:`VectorIndex.compact`)."""
         return all(shard.lsh.quantized for shard in self._shards())
 
@@ -584,16 +618,24 @@ class VectorIndex(LocalIndex):
         return [SearchHit(self.keys[i], score, self.meta[i])
                 for i, score in ranked[:k]]
 
-    def _exclude_ids(self, excludes, n_queries: int) -> list[int | None]:
-        """Map per-query exclude *keys* to shard-local lsh ids."""
+    def _query_rows(self, vectors: np.ndarray, k: int,
+                    excludes) -> tuple[np.ndarray, list[int | None]]:
+        """The one check in front of this shard's two query paths:
+        ``k`` at least 1, a ``(Q, dim)`` query matrix, and per-query
+        exclude *keys* aligned with its rows, mapped to LSH ids."""
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        matrix = np.asarray(vectors, float)
+        if matrix.ndim != 2 or matrix.shape[1] != self.dim:
+            raise ValueError(f"expected (Q, {self.dim}) query matrix, got "
+                             f"{matrix.shape}")
         if excludes is None:
-            return [None] * n_queries
+            return matrix, [None] * len(matrix)
         excludes = list(excludes)
-        if len(excludes) != n_queries:
-            raise ValueError(f"excludes must align with the {n_queries} "
+        if len(excludes) != len(matrix):
+            raise ValueError(f"excludes must align with the {len(matrix)} "
                              f"queries, got {len(excludes)}")
-        return [self._id_of.get(key) if key is not None else None
-                for key in excludes]
+        return matrix, [self._id_of.get(key) for key in excludes]
 
     def band_key_tuples(self, vectors: np.ndarray) -> list[tuple[int, ...]]:
         """One hashable packed-band-key tuple per query row: queries
@@ -609,29 +651,31 @@ class VectorIndex(LocalIndex):
         LSH candidates, top-k among them)`` per row with no brute-force
         fallback — whether blocking under-delivered is only decidable
         on the candidate total across every shard (see
-        :func:`~repro.retrieval.lsh.gather_top_k`)."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        vectors = np.asarray(vectors, float)
-        ids = self._exclude_ids(excludes, len(vectors))
+        :func:`gather_top_k`).  The count is taken before the int8
+        shortlist, so the prefilter never changes when the fallback
+        fires."""
+        matrix, ids = self._query_rows(vectors, k, excludes)
+        cand_sets = self.lsh.candidates_many(matrix)
+        for cands, exclude in zip(cand_sets, ids):
+            cands.discard(exclude)
         # Rank *all* candidates and truncate after the key tie-break in
-        # _hits — truncating inside the LSH (id tie-break) could swap
+        # _hits — truncating by the LSH's id tie-break could swap
         # members at a tied k boundary.
-        partials = self.lsh.query_partial_many(
-            vectors, None, excludes=ids, shortlist=self._shortlist_for(k))
-        return [(count, self._hits(ranked, k)) for count, ranked in partials]
+        rankings = self.lsh.rank_many(cand_sets, matrix,
+                                      shortlist=self._shortlist_for(k))
+        return [(len(cands), self._hits(ranked, k))
+                for cands, ranked in zip(cand_sets, rankings)]
 
     def query_brute_many(self, vectors: np.ndarray, k: int = 10,
                          excludes: list[str | None] | None = None
                          ) -> list[list[SearchHit]]:
         """Top-k over every live entry for each query row, bypassing
-        LSH blocking."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        vectors = np.asarray(vectors, float)
-        ids = self._exclude_ids(excludes, len(vectors))
-        rankings = self.lsh.query_brute_many(
-            vectors, None, excludes=ids, shortlist=self._shortlist_for(k))
+        LSH blocking (tombstoned slots are never live)."""
+        matrix, ids = self._query_rows(vectors, k, excludes)
+        live = set(self.lsh.live_ids())
+        rankings = self.lsh.rank_many([live - {exclude} for exclude in ids],
+                                      matrix,
+                                      shortlist=self._shortlist_for(k))
         return [self._hits(ranked, k) for ranked in rankings]
 
     # ------------------------------------------------------------------
@@ -773,11 +817,11 @@ class VectorIndex(LocalIndex):
         if len(keys):
             # No copy: the matrix was freshly read (or memory-mapped)
             # for this load, so no other owner can mutate it out from
-            # under the buckets.  Keeping memmap rows as-is is what lets
+            # under the buckets.  Adopting the memmap as-is is what lets
             # queries page in only the candidates they score.
             index.lsh._attach(np.asarray(vectors, float),
                               band_keys=None if band_keys is None
-                              else np.asarray(band_keys, np.int64).T,
+                              else np.asarray(band_keys, np.int64),
                               copy=False)
             index.keys = list(keys)
             index.meta = list(payload["meta"])

@@ -9,11 +9,12 @@ table lands in the table's shard) — the same partition function
 agree on ownership.
 
 The query surface is :class:`~repro.index.index.LocalIndex`'s, written
-once for both local layouts: every shard runs its partial path over the
+once for both local layouts: every shard runs the one query path,
+:meth:`~repro.index.index.VectorIndex.query_partial_many`, over the
 whole ``(Q, dim)`` query matrix (one hashing matmul per band, one
 similarity kernel call per shard; ``jobs=N`` overlaps shards on a thread
 pool, gathered in shard order so results stay bit-identical) and
-:func:`~repro.retrieval.lsh.gather_top_k` decides the brute-force
+:func:`~repro.index.index.gather_top_k` decides the brute-force
 fallback on the candidate total across *all* shards and heap-merges the
 per-shard rankings — so a sharded query returns exactly what one big
 index over the same corpus would (ties broken by key, which is

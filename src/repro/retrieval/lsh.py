@@ -11,18 +11,17 @@ CC/TC/EC task runners rank exactly with
 about a fifth of the true top-20 (README, "Does each layer pay for
 itself?").
 
-There is one query implementation, and it is batched.
-:meth:`CosineLSH.query_partial_many` takes a ``(Q, dim)`` query
-matrix, hashes it with the same one-matmul-per-band pass bulk inserts
-use (:meth:`CosineLSH._key_matrix`), scores every (query, candidate)
-pair with **one** similarity kernel call over the union of candidates
-(:meth:`CosineLSH._rank_many`) and reports how many candidates there
-were; :meth:`CosineLSH.query_brute_many` ranks every live vector
-instead.  :func:`gather_top_k` turns partials into answers: it alone
-decides, per query and on the candidate total over every shard, when
-blocking under-delivered and the brute-force rankings stand in, then
-heap-merges per-shard rankings (:func:`merge_ranked`).
-:meth:`CosineLSH.query_many` is that gather over this one index.
+A :class:`CosineLSH` is one shard's arrays plus its band buckets: one
+``(N, dim)`` float64 vector matrix, one ``(N, bands)`` int64 band-key
+matrix and, when attached, the three arrays of the int8 sidecar.  It
+hashes (:meth:`CosineLSH.key_tuples`, one matmul per band for a whole
+``(Q, dim)`` matrix), probes (:meth:`CosineLSH.candidates_for_keys`)
+and ranks (:meth:`CosineLSH.rank_many`: **one** similarity kernel call
+over the union of every query's ids).  It has no query surface of its
+own: :class:`~repro.index.index.VectorIndex` turns keys into ids and
+ids into hits, and :func:`~repro.index.index.gather_top_k` decides the
+brute-force fallback and heap-merges per-shard rankings through
+:func:`merge_ranked`.
 
 Both kernels are einsum, whose accumulation depends only on the
 reduction dim: a (query, vector) pair hashes and scores bit-identically
@@ -30,19 +29,36 @@ in every batch shape, so "Q rows in one call" equals "Q calls of one
 row", equal vectors score exactly equal (ties break by the same id/key
 order everywhere) and a tie split across shards stays an exact tie.
 
-The whole query surface is read-only: no method on this class mutates
-index state after ``add``/``remove``, so concurrent queries from many
-threads are safe as long as no writer runs alongside them.
+Hashing, probing and ranking are read-only: no method but
+``add``/``add_all``/``remove``/``quantize`` mutates the index, so
+concurrent queries from many threads are safe as long as no writer runs
+alongside them.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from itertools import islice
 
 import numpy as np
 
 from .quantized import approx_scores, quantize_rows, tie_inclusive_cut
+
+
+def _append_rows(buffer: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """Write ``rows`` after the first ``n`` rows of ``buffer`` and return
+    the buffer, reallocated at double the capacity when it is full (or
+    read-only, as an adopted memory mapping is) — amortised O(1) per
+    single-row insert."""
+    need = n + len(rows)
+    if need > len(buffer) or not buffer.flags.writeable:
+        grown = np.empty((max(need, 2 * len(buffer)),) + buffer.shape[1:],
+                         dtype=buffer.dtype)
+        grown[:n] = buffer[:n]
+        buffer = grown
+    buffer[n:need] = rows
+    return buffer
 
 
 class CosineLSH:
@@ -74,33 +90,33 @@ class CosineLSH:
         # Band keys are sign bits packed into one integer per band.
         self._pows = 1 << np.arange(n_planes, dtype=np.int64)
         self._tables: list[dict[int, list[int]]] = [dict() for _ in range(n_bands)]
-        self._vectors: list[np.ndarray] = []
+        # Ids are row numbers.  Every per-row array below is a buffer
+        # whose first _n rows are data; the spare rows past them are
+        # capacity, not data.
+        self._n = 0
+        self._vectors = np.empty((0, dim))
         # Packed band keys per id, recorded at insert time.  remove()
         # reads these instead of re-hashing the stored vector (the keys
         # are what the insert used, by construction), and persistence
         # saves them so a reload can rebuild the buckets without
         # touching the vector data at all — the property that lets
         # memory-mapped opens skip the full read.
-        self._band_keys: list[tuple[int, ...]] = []
+        self._band_keys = np.empty((0, n_bands), dtype=np.int64)
         # Tombstoned ids: dropped from band buckets on remove() but kept
         # in _vectors so ids stay positional until a caller-side rebuild
         # (see VectorIndex.compact) reclaims the slots.
         self._removed: set[int] = set()
-        # Optional int8 sidecar, positionally aligned with _vectors:
-        # per-row int8 quantization plus the float32 dequantization
-        # constants (scale, exact fp norm).  None until quantize() /
-        # attach_quantized(); once present it is kept fresh by every
-        # insert path, so it can never go stale against the fp rows.
-        self._q8: list[np.ndarray] | None = None
-        self._qscales: list | None = None
-        self._qnorms: list | None = None
-
-    def _keys(self, vector: np.ndarray) -> list[int]:
-        return self._key_matrix(np.asarray(vector, float)[None, :])[:, 0] \
-            .tolist()
+        # Optional int8 sidecar, row-aligned with _vectors: per-row int8
+        # quantization plus the float32 dequantization constants (scale,
+        # exact fp norm).  None until quantize() / attach_quantized();
+        # once present it is kept fresh by every insert, so it can never
+        # go stale against the fp rows.
+        self._q8: np.ndarray | None = None
+        self._qscales: np.ndarray | None = None
+        self._qnorms: np.ndarray | None = None
 
     def _key_matrix(self, vectors: np.ndarray) -> np.ndarray:
-        """Packed band keys for a whole matrix, shape ``(bands, N)`` —
+        """Packed band keys for a whole matrix, shape ``(N, bands)`` —
         one matmul per band instead of one per (vector, band).
 
         The sign projections come from einsum, not BLAS ``@``: BLAS
@@ -109,30 +125,19 @@ class CosineLSH:
         hash (or between two different batch sizes) and silently send
         the same vector to different buckets.  einsum's accumulation
         depends only on the reduction dim, so every hashing path —
-        ``add``, ``add_all``, ``remove``, queries of any batch size —
-        produces bit-identical keys for the same vector.  (The packing
-        matmul is integer arithmetic, which is exact.)
+        inserts and queries of any batch size — produces bit-identical
+        keys for the same vector.  (The packing matmul is integer
+        arithmetic, which is exact.)
         """
-        keys = np.empty((self.n_bands, len(vectors)), dtype=np.int64)
+        keys = np.empty((len(vectors), self.n_bands), dtype=np.int64)
         for b, band_planes in enumerate(self.planes):
             signs = np.einsum("pd,nd->np", band_planes, vectors) > 0
-            keys[b] = signs @ self._pows
+            keys[:, b] = signs @ self._pows
         return keys
 
     def add(self, vector: np.ndarray) -> int:
-        """Index a vector; returns its integer id."""
-        if len(vector) != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {len(vector)}")
-        idx = len(self._vectors)
-        # Copy: storing a view would let later caller-side mutation
-        # desynchronize stored vectors from their band buckets.
-        self._vectors.append(np.array(vector, dtype=float))
-        self._extend_quantized(self._vectors[-1][None, :])
-        keys = self._keys(vector)
-        self._band_keys.append(tuple(keys))
-        for table, key in zip(self._tables, keys):
-            table.setdefault(key, []).append(idx)
-        return idx
+        """Index one vector (a one-row :meth:`add_all`); returns its id."""
+        return self.add_all(np.asarray(vector, float)[None, :])[0]
 
     def add_all(self, vectors: np.ndarray) -> list[int]:
         """Bulk insert; one hashing matmul per band instead of one per
@@ -142,33 +147,42 @@ class CosineLSH:
     def _attach(self, matrix: np.ndarray, band_keys: np.ndarray | None = None,
                 copy: bool = True) -> list[int]:
         """Bulk-insert ``matrix`` rows, optionally reusing precomputed
-        ``(bands, N)`` packed band keys and — ``copy=False`` — storing
-        row *views* instead of copies.
+        ``(N, bands)`` packed band keys and — ``copy=False`` into an
+        empty index — adopting ``matrix`` and ``band_keys`` as the
+        stored arrays instead of copying them.
 
         The no-copy path exists for loaders: a freshly read (or
         memory-mapped) matrix has no other owner, so aliasing cannot
-        desynchronize the buckets, and keeping the memmap's rows is what
-        makes queries page in only the candidates they score.  With
-        saved ``band_keys`` the buckets rebuild without reading a single
-        vector byte — a memory-mapped cold open does no data I/O.
+        desynchronize the buckets, and keeping the memmap is what makes
+        queries page in only the candidates they score.  With saved
+        ``band_keys`` the buckets rebuild without reading a single
+        vector byte — a memory-mapped cold open does no data I/O.  The
+        first insert after that copies into a writeable buffer.
         """
         if matrix.ndim != 2 or matrix.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) matrix, got "
                              f"{matrix.shape}")
         if band_keys is None:
             band_keys = self._key_matrix(matrix)
-        elif band_keys.shape != (self.n_bands, len(matrix)):
-            raise ValueError(f"expected ({self.n_bands}, {len(matrix)}) band "
+        elif band_keys.shape != (len(matrix), self.n_bands):
+            raise ValueError(f"expected ({len(matrix)}, {self.n_bands}) band "
                              f"keys, got {band_keys.shape}")
-        start = len(self._vectors)
-        self._vectors.extend(np.array(matrix, copy=True) if copy else matrix)
-        self._extend_quantized(matrix)
-        per_band = [band.tolist() for band in band_keys]
-        for table, band in zip(self._tables, per_band):
+        start = self._n
+        if copy or start:
+            self._vectors = _append_rows(self._vectors, start, matrix)
+            self._band_keys = _append_rows(self._band_keys, start, band_keys)
+        else:
+            self._vectors, self._band_keys = matrix, band_keys
+        if self._q8 is not None:
+            q8, scales, norms = quantize_rows(matrix)
+            self._q8 = _append_rows(self._q8, start, q8)
+            self._qscales = _append_rows(self._qscales, start, scales)
+            self._qnorms = _append_rows(self._qnorms, start, norms)
+        self._n = start + len(matrix)
+        for table, band in zip(self._tables, band_keys.T.tolist()):
             for offset, key in enumerate(band):
                 table.setdefault(key, []).append(start + offset)
-        self._band_keys.extend(zip(*per_band))
-        return list(range(start, start + len(matrix)))
+        return list(range(start, self._n))
 
     def remove(self, idx: int) -> None:
         """Tombstone id ``idx``: drop it from every band bucket so it can
@@ -178,11 +192,11 @@ class CosineLSH:
         reclaiming the slot is the caller's compaction step.  Removing an
         unknown or already-removed id raises ``KeyError``.
         """
-        if not 0 <= idx < len(self._vectors) or idx in self._removed:
+        if not 0 <= idx < self._n or idx in self._removed:
             raise KeyError(f"no live vector with id {idx}")
         # The keys recorded at insert time, not a re-hash: bit-identical
         # by construction, and no page faults on a memory-mapped store.
-        for table, key in zip(self._tables, self._band_keys[idx]):
+        for table, key in zip(self._tables, self._band_keys[idx].tolist()):
             bucket = table.get(key)
             if bucket is not None and idx in bucket:
                 bucket.remove(idx)
@@ -197,7 +211,7 @@ class CosineLSH:
 
     def live_ids(self) -> list[int]:
         """All non-tombstoned ids in insertion order."""
-        return [i for i in range(len(self._vectors)) if i not in self._removed]
+        return [i for i in range(self._n) if i not in self._removed]
 
     def candidates_many(self, vectors: np.ndarray) -> list[set[int]]:
         """Per-query candidate sets for a whole ``(Q, dim)`` matrix —
@@ -213,9 +227,11 @@ class CosineLSH:
         shape-independent hashing kernel as every other path
         (:meth:`_key_matrix`), so the tuples are bit-stable across
         batch compositions."""
-        matrix = self._as_query_matrix(vectors)
-        keys = self._key_matrix(matrix)          # (bands, Q)
-        return [tuple(int(key) for key in keys[:, q]) for q in range(len(matrix))]
+        matrix = np.asarray(vectors, float)
+        if matrix.ndim != 2 or matrix.shape[1] != self.dim:
+            raise ValueError(f"expected (Q, {self.dim}) query matrix, got "
+                             f"{matrix.shape}")
+        return [tuple(keys) for keys in self._key_matrix(matrix).tolist()]
 
     def candidates_for_keys(self, key_tuples: list[tuple[int, ...]]
                             ) -> list[set[int]]:
@@ -239,46 +255,31 @@ class CosineLSH:
             out.append(cands)
         return out
 
-    def _as_query_matrix(self, vectors: np.ndarray) -> np.ndarray:
-        matrix = np.asarray(vectors, float)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dim:
-            raise ValueError(f"expected (Q, {self.dim}) query matrix, got "
-                             f"{matrix.shape}")
-        return matrix
-
-    @staticmethod
-    def _as_excludes(excludes, n_queries: int) -> list[int | None]:
-        if excludes is None:
-            return [None] * n_queries
-        excludes = list(excludes)
-        if len(excludes) != n_queries:
-            raise ValueError(f"excludes must align with the {n_queries} "
-                             f"queries, got {len(excludes)}")
-        return excludes
-
-    def _rank_many(self, ids_per_query: list[set[int]], matrix: np.ndarray,
-                   k: int | None, shortlist: int | None = None
-                   ) -> list[list[tuple[int, float]]]:
-        """The ranking kernel: cosine-score every query's candidate
-        ids, best first, with **one** similarity pass over the union of
-        candidates (``(C, dim) x (dim, Q)``) instead of one dot product
-        per (query, candidate) pair.  Sort key is ``(-score, id)``;
-        ``k`` ``None`` returns the whole ranking (callers that re-break
-        ties by an external key must truncate *after* re-sorting, or a
-        boundary tie could change membership).
+    def rank_many(self, ids_per_query: list[set[int]], matrix: np.ndarray,
+                  shortlist: int | None = None
+                  ) -> list[list[tuple[int, float]]]:
+        """The ranking kernel: cosine-score every query's ids, best
+        first, with **one** similarity pass over the union of ids
+        (``(C, dim) x (dim, Q)``) instead of one dot product per
+        (query, candidate) pair.  ``matrix`` is the ``(Q, dim)`` query
+        matrix, row-aligned with ``ids_per_query``.  Each ranking is
+        whole, sorted by ``(-score, id)``: callers that re-break ties
+        by an external key truncate *after* re-sorting, or a boundary
+        tie could change membership.
 
         ``shortlist=m`` (only honoured when the int8 sidecar is
-        attached) prefilters each query's candidates to the ``>= m``
-        best by approximate integer score before the exact GEMM — the
-        fp rows of dropped candidates are never touched, which under
-        ``mmap`` means their pages are never faulted in."""
+        attached) prefilters each query's ids to the ``>= m`` best by
+        approximate integer score before the exact GEMM — the fp rows
+        of dropped ids are never touched, which under ``mmap`` means
+        their pages are never faulted in.  The input sets are never
+        mutated."""
         if shortlist is not None and self._q8 is not None:
             ids_per_query = self._shortlist_many(ids_per_query, matrix,
                                                  shortlist)
         union = sorted(set().union(*ids_per_query)) if ids_per_query else []
         if not union:
             return [[] for _ in ids_per_query]
-        cand = np.stack([self._vectors[i] for i in union])
+        cand = self._vectors[union]
         # The one similarity GEMM — via einsum, NOT ``cand @ matrix.T``:
         # BLAS gemm picks shape-dependent kernels, so the same (query,
         # vector) pair can score differently in different-size batches
@@ -301,97 +302,26 @@ class CosineLSH:
         for q, ids in enumerate(ids_per_query):
             scored = [(i, float(sims[row_of[i], q])) for i in ids]
             scored.sort(key=lambda pair: (-pair[1], pair[0]))
-            out.append(scored if k is None else scored[:k])
+            out.append(scored)
         return out
 
-    def query_partial_many(self, vectors: np.ndarray, k: int | None,
-                           excludes=None, shortlist: int | None = None
-                           ) -> list[tuple[int, list[tuple[int, float]]]]:
-        """One shard's contribution to a fan-out query: one
-        ``(n_candidates, top-k among candidates)`` pair per query row
-        with **no** brute-force fallback — whether blocking
-        under-delivered can only be judged on the candidate total
-        across all shards.  ``excludes`` is an
-        optional per-query id list aligned with the rows.  The reported
-        candidate counts are always *pre-shortlist* — the global
-        fallback decision must not change when the int8 prefilter is
-        active."""
-        if k is not None and k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        matrix = self._as_query_matrix(vectors)
-        excludes = self._as_excludes(excludes, len(matrix))
-        cand_sets = self.candidates_many(matrix)
-        for cands, exclude in zip(cand_sets, excludes):
-            if exclude is not None:
-                cands.discard(exclude)
-        rankings = self._rank_many(cand_sets, matrix, k,
-                                   shortlist=shortlist)
-        return [(len(cands), ranked)
-                for cands, ranked in zip(cand_sets, rankings)]
-
-    def query_brute_many(self, vectors: np.ndarray, k: int | None,
-                         excludes=None, shortlist: int | None = None
-                         ) -> list[list[tuple[int, float]]]:
-        """Top-k over every live vector for each query row, ignoring
-        the band buckets.  Tombstones still never surface: removed ids
-        are excluded even though their vectors occupy slots."""
-        if k is not None and k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        matrix = self._as_query_matrix(vectors)
-        excludes = self._as_excludes(excludes, len(matrix))
-        live = set(self.live_ids())
-        ids_per_query = []
-        for exclude in excludes:
-            ids = set(live)
-            if exclude is not None:
-                ids.discard(exclude)
-            ids_per_query.append(ids)
-        return self._rank_many(ids_per_query, matrix, k,
-                               shortlist=shortlist)
-
-    def query_many(self, vectors: np.ndarray, k: int,
-                   excludes=None, shortlist: int | None = None
-                   ) -> list[list[tuple[int, float]]]:
-        """Top-k per query row: this index's partials as the one
-        ranking :func:`gather_top_k` gathers, so the brute-force
-        fallback is the same rule every index layout runs (it reads the
-        pre-shortlist candidate count, so the int8 prefilter never
-        changes when the fallback fires)."""
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        matrix = self._as_query_matrix(vectors)
-        excludes = self._as_excludes(excludes, len(matrix))
-
-        def brute(short: list[int]) -> list[list[list[tuple[int, float]]]]:
-            return [self.query_brute_many(matrix[short], k,
-                                          excludes=[excludes[q]
-                                                    for q in short],
-                                          shortlist=shortlist)]
-
-        return gather_top_k(k, [self.query_partial_many(
-            matrix, k, excludes=excludes, shortlist=shortlist)], brute,
-            merge_ranked)
-
     def __len__(self) -> int:
-        return len(self._vectors)
+        return self._n
 
     def vector(self, idx: int) -> np.ndarray:
-        """The stored vector with id ``idx``."""
-        return self._vectors[idx]
+        """The stored vector with id ``idx`` (a view)."""
+        return self.vectors()[idx]
 
     def vectors(self) -> np.ndarray:
-        """All stored vectors as an ``(N, dim)`` matrix."""
-        if not self._vectors:
-            return np.zeros((0, self.dim))
-        return np.stack(self._vectors)
+        """All stored vectors as an ``(N, dim)`` matrix (a view)."""
+        return self._vectors[:self._n]
 
     def band_keys_matrix(self) -> np.ndarray:
         """Packed band keys of every stored vector as an ``(N, bands)``
-        int64 matrix — what persistence saves so a reload can rebuild
-        the buckets without re-hashing (or even reading) the vectors."""
-        return np.array(self._band_keys,
-                        dtype=np.int64).reshape(len(self._vectors),
-                                                self.n_bands)
+        int64 matrix (a view) — what persistence saves so a reload can
+        rebuild the buckets without re-hashing (or even reading) the
+        vectors."""
+        return self._band_keys[:self._n]
 
     # ------------------------------------------------------------------
     # Quantized sidecar (int8 prefilter tier)
@@ -406,25 +336,20 @@ class CosineLSH:
         every slot, tombstoned ones included, so ids stay positional.
         Idempotent: re-running on an already-quantized index recomputes
         the same rows.  Returns the number of rows quantized."""
-        q8, scales, norms = quantize_rows(
-            np.stack(self._vectors) if self._vectors
-            else np.zeros((0, self.dim)))
-        self._q8 = list(q8)
-        self._qscales = list(scales)
-        self._qnorms = list(norms)
-        return len(self._q8)
+        self._q8, self._qscales, self._qnorms = quantize_rows(self.vectors())
+        return self._n
 
     def attach_quantized(self, q8: np.ndarray, scales: np.ndarray,
                          norms: np.ndarray) -> None:
-        """Adopt a persisted int8 sidecar (possibly memory-mapped rows).
+        """Adopt a persisted int8 sidecar (possibly memory-mapped).
 
         Shapes and dtypes must match the stored vectors exactly —
         loaders treat a mismatch (foreign writer, hand edit) as "no
-        sidecar" rather than trusting wrong data.  Rows are stored as
-        views, so a memory-mapped sidecar pages in only the candidate
-        rows the prefilter scores.
+        sidecar" rather than trusting wrong data.  The arrays are kept
+        as they are, so a memory-mapped sidecar pages in only the
+        candidate rows the prefilter scores.
         """
-        n = len(self._vectors)
+        n = self._n
         if (q8.shape != (n, self.dim) or scales.shape != (n,)
                 or norms.shape != (n,)):
             raise ValueError(
@@ -436,35 +361,15 @@ class CosineLSH:
             raise ValueError(
                 f"quantized sidecar dtypes {q8.dtype}/{scales.dtype}/"
                 f"{norms.dtype} must be int8/float32/float32")
-        self._q8 = list(q8)
-        self._qscales = list(scales)
-        self._qnorms = list(norms)
+        self._q8, self._qscales, self._qnorms = q8, scales, norms
 
     def quantized_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sidecar as dense arrays ``(q8 (N, dim) int8, scales (N,)
-        float32, norms (N,) float32)`` — what persistence writes."""
+        """The sidecar as arrays (views) ``(q8 (N, dim) int8, scales
+        (N,) float32, norms (N,) float32)`` — what persistence writes."""
         if self._q8 is None:
             raise ValueError("index has no quantized sidecar")
-        if not self._q8:
-            return (np.zeros((0, self.dim), dtype=np.int8),
-                    np.zeros(0, dtype=np.float32),
-                    np.zeros(0, dtype=np.float32))
-        return (np.stack(self._q8),
-                np.array(self._qscales, dtype=np.float32),
-                np.array(self._qnorms, dtype=np.float32))
-
-    def _extend_quantized(self, matrix: np.ndarray) -> None:
-        """Quantize freshly inserted rows so the sidecar stays aligned
-        with ``_vectors`` through every mutation — the structural
-        invariant that makes a stale sidecar impossible.  Same batched
-        kernel as :meth:`quantize` (elementwise, so single-row and bulk
-        inserts quantize bit-identically)."""
-        if self._q8 is None:
-            return
-        q8, scales, norms = quantize_rows(np.asarray(matrix, float))
-        self._q8.extend(q8)
-        self._qscales.extend(scales)
-        self._qnorms.extend(norms)
+        n = self._n
+        return self._q8[:n], self._qscales[:n], self._qnorms[:n]
 
     def _shortlist_many(self, ids_per_query: list[set[int]],
                         matrix: np.ndarray, m: int) -> list[set[int]]:
@@ -477,13 +382,9 @@ class CosineLSH:
         if not any(len(ids) > m for ids in ids_per_query):
             return ids_per_query
         union = sorted(set().union(*ids_per_query))
-        q8 = np.stack([self._q8[i] for i in union])
-        scales = np.array([self._qscales[i] for i in union],
-                          dtype=np.float32)
-        norms = np.array([self._qnorms[i] for i in union],
-                         dtype=np.float32)
         queries_q8, _scales, _norms = quantize_rows(matrix)
-        approx = approx_scores(q8, scales, norms, queries_q8)
+        approx = approx_scores(self._q8[union], self._qscales[union],
+                               self._qnorms[union], queries_q8)
         row_of = {idx: row for row, idx in enumerate(union)}
         out: list[set[int]] = []
         for q, ids in enumerate(ids_per_query):
@@ -503,44 +404,14 @@ def merge_ranked(rankings: list[list[tuple]], k: int) -> list[tuple]:
     top-k.
 
     Each input must already be sorted best-first (the shape
-    :meth:`CosineLSH.query_partial_many` returns per query).  Ties are
-    broken by ``item`` ascending, matching the single-index sort key —
-    for sharded indexes the items are external string keys, so
-    equal-score order is content-addressed rather than
-    insertion-dependent.
+    :meth:`CosineLSH.rank_many` returns per query).  Ties are broken by
+    ``item`` ascending, matching the single-index sort key — for
+    sharded indexes the items are external string keys, so equal-score
+    order is content-addressed rather than insertion-dependent.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     merged = heapq.merge(*rankings, key=lambda pair: (-pair[1], pair[0]))
-    return list(islice(merged, k))
-
-
-def gather_top_k(k: int, partials: list[list[tuple[int, list]]], brute,
-                 merge) -> list[list]:
-    """The gather half of every query, over *results* rather than index
-    objects: ``partials[s][q]`` is shard ``s``'s ``(candidate count,
-    best-first ranking)`` for query ``q``, in flat shard order.  A query
-    whose candidate total across all shards is below ``k`` re-runs as
-    brute force on every shard — ``brute(short_rows)`` returns
-    ``rankings[s][i]`` for the ``i``-th short query — and every query's
-    per-shard rankings then reduce through ``merge(rankings, k)``.
-
-    This is the only code that compares a candidate count with ``k``:
-    a bare :class:`CosineLSH`, a single index file, a sharded layout and
-    the cluster coordinator all hand their partials here, so blocking
-    that under-delivers falls back by one rule everywhere.  One ranking
-    (a single file, a one-shard layout) already is the answer, so it
-    skips the heap merge.
-    """
-    n_queries = len(partials[0])
-    rankings = [[ranked for _count, ranked in shard] for shard in partials]
-    short = [q for q in range(n_queries)
-             if sum(shard[q][0] for shard in partials) < k]
-    if short:
-        for shard_rankings, shard_brute in zip(rankings, brute(short)):
-            for q, ranked in zip(short, shard_brute):
-                shard_rankings[q] = ranked
-    if len(rankings) == 1:
-        return [ranked[:k] for ranked in rankings[0]]
-    return [merge([shard[q] for shard in rankings], k)
-            for q in range(n_queries)]
+    # islice refuses a stop past sys.maxsize, which the sharded
+    # over-fetch (k per shard) reaches for any k past sys.maxsize / 2.
+    return list(islice(merged, min(k, sys.maxsize)))

@@ -347,6 +347,12 @@ class PreforkSupervisor:
     def _spawn(self, slot: _WorkerSlot) -> None:
         sys.stdout.flush()
         sys.stderr.flush()
+        # Stop signals stay blocked across the fork: one that reaches
+        # the child before its reset below stays pending instead of
+        # running the supervisor's inherited handler on the child's
+        # copy of the supervisor.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                      {signal.SIGTERM, signal.SIGINT})
         pid = os.fork()
         if pid == 0:
             # Child.  Must never return into the supervisor's stack,
@@ -359,6 +365,7 @@ class PreforkSupervisor:
                 # the worker's own asyncio drain handler takes over.
                 signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 signal.signal(signal.SIGINT, signal.SIG_DFL)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 returned = self.worker_main(slot.worker_id,
                                             self._child_socket())
                 code = 0 if returned is None else int(returned)
@@ -372,6 +379,7 @@ class PreforkSupervisor:
                 sys.stdout.flush()
                 sys.stderr.flush()
                 os._exit(code)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         slot.pid = pid
         slot.started_at = time.monotonic()
         slot.restart_at = None

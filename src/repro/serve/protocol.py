@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,7 +194,9 @@ def parse_json_object(body: bytes) -> dict:
     vectors can be checked."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except ValueError as error:
+        # Bad UTF-8, bad JSON, and an integer literal past Python's
+        # int-to-str digit limit all derive from ValueError.
         raise ProtocolError(400, f"request body is not valid JSON: {error}")
     if not isinstance(payload, dict):
         raise ProtocolError(400, "request body must be a JSON object")
@@ -283,14 +286,22 @@ def parse_query_payload(body: bytes | dict,
         if len(row) != dim:
             raise ProtocolError(400, f"query {q} has {len(row)} dims, "
                                 f"index expects {dim}")
-    matrix = np.asarray(rows, dtype=float)
-    if not np.isfinite(matrix).all():
+    try:
+        matrix = np.asarray(rows, dtype=float)
+    except OverflowError:
+        # An integer element too large for float64.
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
         # json.loads accepts NaN/Infinity literals; a non-finite query
         # would poison every similarity it touches.
         raise ProtocolError(400, "query vectors must be finite")
     k = payload.get("k", 10)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ProtocolError(400, "'k' must be an integer >= 1")
+    if (not isinstance(k, int) or isinstance(k, bool)
+            or not 1 <= k <= sys.maxsize):
+        # No ranking holds more than sys.maxsize hits, and islice (the
+        # heap merge) takes no larger stop.
+        raise ProtocolError(400, f"'k' must be an integer from 1 to "
+                            f"{sys.maxsize}")
     return matrix, k, excludes, single
 
 

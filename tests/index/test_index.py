@@ -70,8 +70,8 @@ class TestVectorIndex:
             index = CosineLSH(dim=4)
             index.add_all(vectors)
 
-            def query(vector, k):   # a one-row query_many, as callers send
-                return index.query_many(np.asarray(vector)[None, :], k)
+            def query(vector, k):   # the hash stage of a one-row query
+                return index.candidates_many(np.asarray(vector)[None, :])
         else:
             index = (VectorIndex(dim=4) if layout == "single" else
                      ShardedIndex.create(IndexSpec(kind="vector", dim=4), 2))

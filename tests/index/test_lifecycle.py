@@ -415,12 +415,14 @@ class TestLSHRemoval:
         inserts hashed through a different matmul shape, so a last-bit
         rounding flip at a sign boundary could leave the id behind in a
         bucket.  candidates() must filter tombstones unconditionally."""
-        lsh = CosineLSH(dim=8, seed=0)
+        index = VectorIndex(dim=8, seed=0)
         vectors = RNG.standard_normal((3, 8))
-        lsh.add_all(vectors)
-        lsh.remove(1)
+        index.add_batch(["k0", "k1", "k2"], vectors)
+        index.remove("k1")
+        lsh = index.lsh
         # Simulate the desync: sneak the removed id back into a bucket.
         key = next(iter(lsh._tables[0]), 0)
         lsh._tables[0].setdefault(key, []).append(1)
         assert 1 not in lsh.candidates_many(vectors[1:2])[0]
-        assert 1 not in [i for i, _s in lsh.query_many(vectors[1:2], k=3)[0]]
+        assert "k1" not in [hit.key for hit in
+                            index.query_many(vectors[1:2], k=3)[0]]

@@ -67,7 +67,8 @@ class TestSingleFileEquivalence:
         path = index.save(tmp_path / "one.npz")
         mapped = open_index(path, mmap=True)
         assert mapped.lsh._tables == index.lsh._tables
-        assert mapped.lsh._band_keys == index.lsh._band_keys
+        assert np.array_equal(mapped.lsh.band_keys_matrix(),
+                              index.lsh.band_keys_matrix())
         assert sorted(mapped.lsh.removed) == sorted(index.lsh.removed)
 
     def test_vectors_are_memory_mapped_and_readonly(self, tmp_path):
@@ -216,8 +217,7 @@ class TestBandKeyPersistence:
             band_keys = archive["band_keys"]
         assert band_keys.shape == (len(index.lsh), index.spec.n_bands)
         assert band_keys.dtype == np.int64
-        want = np.array(index.lsh._band_keys, dtype=np.int64)
-        assert np.array_equal(band_keys, want)
+        assert np.array_equal(band_keys, index.lsh.band_keys_matrix())
 
     def test_incremental_add_and_bulk_add_record_same_keys(self):
         rng = np.random.default_rng(5)
@@ -227,7 +227,8 @@ class TestBandKeyPersistence:
         serial = VectorIndex(dim=12, seed=3)
         for i, row in enumerate(vectors):
             serial.add(f"k{i}", row)
-        assert bulk.lsh._band_keys == serial.lsh._band_keys
+        assert np.array_equal(bulk.lsh.band_keys_matrix(),
+                              serial.lsh.band_keys_matrix())
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -272,8 +273,9 @@ class TestQuantizedUnderMmap:
         path, index, keys, _vectors = self._quantized_path(tmp_path)
         mapped = open_index(path, mmap=True)
         assert mapped.quantized
-        for arrays in (mapped.lsh._q8, [mapped.vector(keys[0])]):
-            base = arrays[0]
+        for row in (mapped.lsh.quantized_arrays()[0][0],
+                    mapped.vector(keys[0])):
+            base = row
             while base is not None and not isinstance(base, np.memmap):
                 base = base.base
             assert isinstance(base, np.memmap)
@@ -286,7 +288,7 @@ class TestQuantizedUnderMmap:
     def test_writeback_to_mapped_int8_raises(self, tmp_path):
         path, _index, _keys, _vectors = self._quantized_path(tmp_path)
         mapped = open_index(path, mmap=True)
-        row = mapped.lsh._q8[0]
+        row = mapped.lsh.quantized_arrays()[0][0]
         assert not row.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 7

@@ -54,9 +54,7 @@ def assert_sidecar_fresh(index):
     current fp vectors (the freshness invariant)."""
     shards = getattr(index, "shards", [index])
     for shard in shards:
-        vectors = (np.stack(shard.lsh._vectors) if len(shard.lsh)
-                   else np.zeros((0, shard.dim)))
-        want = quantize_rows(vectors)
+        want = quantize_rows(shard.lsh.vectors())
         got = shard.lsh.quantized_arrays()
         for got_arr, want_arr in zip(got, want):
             assert np.array_equal(got_arr, want_arr)

@@ -10,6 +10,7 @@ path must decide on the global candidate total, never per shard.
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +241,18 @@ class TestRouting:
         _single, sharded = build_pair(2, {"a": gaussian(rng)})
         with pytest.raises(ValueError, match="at least 1"):
             sharded.query_vector(gaussian(rng), k=0)
+
+    def test_k_up_to_maxsize_answers_like_one_index(self):
+        """The merge over-fetches k per shard; a k the wire accepts
+        must not push that past what islice takes."""
+        rng = random.Random(2)
+        single, sharded = build_pair(2, {f"key{i}": gaussian(rng)
+                                         for i in range(6)})
+        query = gaussian(rng)
+        assert ([hit.key for hit in sharded.query_vector(query,
+                                                         k=sys.maxsize)]
+                == [hit.key for hit in single.query_vector(query,
+                                                           k=sys.maxsize)])
 
 
 class TestMergeAndRebalance:

@@ -7,6 +7,7 @@ import pytest
 from reference import cosine
 
 from repro.eval.tasks import topic_centroid
+from repro.index import VectorIndex
 from repro.retrieval import (
     CosineLSH,
     cosine_similarity,
@@ -16,6 +17,19 @@ from repro.retrieval import (
 )
 
 RNG = np.random.default_rng(9)
+
+
+def _key(i: int) -> str:
+    # Zero-padded, so key order is id order and ties break as by id.
+    return f"v{i:04d}"
+
+
+def _keyed_index(vectors, **lsh_params):
+    """A :class:`VectorIndex` over ``vectors``, row ``i`` keyed
+    :func:`_key` ``(i)`` — the query path over a bare set of vectors."""
+    index = VectorIndex(dim=vectors.shape[1], **lsh_params)
+    index.add_batch([_key(i) for i in range(len(vectors))], vectors)
+    return index
 
 
 def _top_k_cases():
@@ -145,20 +159,20 @@ class TestLSH:
         base = RNG.standard_normal((20, 12))
         noisy = base + RNG.standard_normal((20, 12)) * 0.05
         vectors = np.vstack([base, noisy])
-        lsh = CosineLSH(dim=12, n_planes=6, n_bands=8, seed=1)
-        lsh.add_all(vectors)
+        index = _keyed_index(vectors, n_planes=6, n_bands=8, seed=1)
         excludes = list(range(20))
-        got = lsh.query_many(vectors[:20], k=1, excludes=excludes)
+        got = index.query_many(vectors[:20], k=1,
+                               excludes=[_key(i) for i in excludes])
         want = top_k(vectors[:20], vectors, k=1, excludes=excludes)
-        hits = sum(g[0][0] == w[0][0] for g, w in zip(got, want))
+        hits = sum(g[0].key == _key(w[0][0]) for g, w in zip(got, want))
         assert hits >= 18  # LSH is approximate; near-duplicates must hit
 
     def test_fallback_to_bruteforce_when_few_candidates(self):
-        lsh = CosineLSH(dim=8, n_planes=10, n_bands=1, seed=0)
         vectors = RNG.standard_normal((10, 8))
-        lsh.add_all(vectors)
+        index = _keyed_index(vectors, n_planes=10, n_bands=1, seed=0)
         # Even if buckets are tiny, query returns k results.
-        assert len(lsh.query_many(vectors[:1], k=5, excludes=[0])[0]) == 5
+        assert len(index.query_many(vectors[:1], k=5,
+                                    excludes=[_key(0)])[0]) == 5
 
     def test_dimension_check(self):
         lsh = CosineLSH(dim=8)
@@ -168,18 +182,18 @@ class TestLSH:
     def test_query_partial_reports_candidates_without_fallback(self):
         from repro.retrieval import merge_ranked
 
-        lsh = CosineLSH(dim=8, n_planes=10, n_bands=1, seed=0)
         vectors = RNG.standard_normal((10, 8))
-        lsh.add_all(vectors)
-        [(n_candidates, ranked)] = lsh.query_partial_many(vectors[:1], k=5)
-        assert len(ranked) <= n_candidates          # no brute-force top-up
+        index = _keyed_index(vectors, n_planes=10, n_bands=1, seed=0)
+        [(n_candidates, hits)] = index.query_partial_many(vectors[:1], k=5)
+        assert len(hits) <= n_candidates            # no brute-force top-up
+        ranked = [(hit.key, hit.score) for hit in hits]
         assert ranked == sorted(ranked, key=lambda p: (-p[1], p[0]))
         # query_many == partial when candidates suffice, brute force otherwise
         if n_candidates >= 5:
-            assert lsh.query_many(vectors[:1], k=5) == [ranked]
+            assert index.query_many(vectors[:1], k=5) == [hits]
         else:
-            assert lsh.query_many(vectors[:1], k=5) \
-                == lsh.query_brute_many(vectors[:1], k=5)
+            assert index.query_many(vectors[:1], k=5) \
+                == index.query_brute_many(vectors[:1], k=5)
         # merging the single partial with empties reproduces it
         assert merge_ranked([ranked, [], []], 5) == ranked
 
@@ -187,37 +201,36 @@ class TestLSH:
         """Q rows in one call equal Q calls of one row: same candidates
         (shape-independent hashing kernel), same rankings, same
         per-query fallback."""
-        lsh = CosineLSH(dim=8, n_planes=6, n_bands=2, seed=0)
         vectors = RNG.standard_normal((30, 8))
-        lsh.add_all(vectors)
+        index = _keyed_index(vectors, n_planes=6, n_bands=2, seed=0)
         queries = RNG.standard_normal((6, 8))
         for k in (1, 3, 12, 35):
-            want = [lsh.query_many(q[None, :], k=k)[0] for q in queries]
-            got = lsh.query_many(queries, k=k)
-            assert [[i for i, _s in r] for r in got] == \
-                [[i for i, _s in r] for r in want]
+            want = [index.query_many(q[None, :], k=k)[0] for q in queries]
+            got = index.query_many(queries, k=k)
+            assert [[hit.key for hit in r] for r in got] == \
+                [[hit.key for hit in r] for r in want]
             for got_r, want_r in zip(got, want):
-                for (_gi, gs), (_wi, ws) in zip(got_r, want_r):
-                    assert gs == pytest.approx(ws, abs=1e-12)
+                for got_hit, want_hit in zip(got_r, want_r):
+                    assert got_hit.score == pytest.approx(want_hit.score,
+                                                          abs=1e-12)
         # candidates are bit-identical, so counts agree too
-        partials = lsh.query_partial_many(queries, 5)
+        partials = index.query_partial_many(queries, 5)
         for (count, _r), q in zip(partials, queries):
-            assert count == len(lsh.candidates_many(q[None, :])[0])
+            assert count == len(index.lsh.candidates_many(q[None, :])[0])
 
     def test_query_many_excludes_and_validation(self):
-        lsh = CosineLSH(dim=8, n_planes=4, n_bands=2, seed=0)
         vectors = RNG.standard_normal((10, 8))
-        lsh.add_all(vectors)
+        index = _keyed_index(vectors, n_planes=4, n_bands=2, seed=0)
         queries = vectors[:2]
-        got = lsh.query_many(queries, k=10, excludes=[0, None])
-        assert 0 not in [i for i, _s in got[0]]
-        assert 0 in [i for i, _s in got[1]]
+        got = index.query_many(queries, k=10, excludes=[_key(0), None])
+        assert _key(0) not in [hit.key for hit in got[0]]
+        assert _key(0) in [hit.key for hit in got[1]]
         with pytest.raises(ValueError, match="align"):
-            lsh.query_many(queries, k=2, excludes=[0])
+            index.query_many(queries, k=2, excludes=[_key(0)])
         with pytest.raises(ValueError, match="at least 1"):
-            lsh.query_many(queries, k=0)
+            index.query_many(queries, k=0)
         with pytest.raises(ValueError, match="query matrix"):
-            lsh.query_many(np.ones(8), k=2)
+            index.query_many(np.ones(8), k=2)
 
     def test_merge_ranked_global_top_k(self):
         from repro.retrieval import merge_ranked
@@ -230,12 +243,11 @@ class TestLSH:
             merge_ranked([left], 0)
 
     def test_query_k_below_one_rejected(self):
-        lsh = CosineLSH(dim=4)
-        lsh.add(np.ones(4))
+        index = _keyed_index(np.ones((1, 4)))
         with pytest.raises(ValueError, match="at least 1"):
-            lsh.query_many(np.ones((1, 4)), k=0)
+            index.query_partial_many(np.ones((1, 4)), k=0)
         with pytest.raises(ValueError, match="at least 1"):
-            lsh.query_brute_many(np.ones((1, 4)), k=0)
+            index.query_brute_many(np.ones((1, 4)), k=0)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -291,8 +303,8 @@ class TestLSH:
         matrix[:] = -100.0
         single[:] = -100.0
         assert np.allclose(lsh.vectors(), 1.0)
-        assert lsh.query_many(np.ones((1, 4)), k=3)[0][0][1] \
-            == pytest.approx(1.0)
+        assert lsh.rank_many([set(lsh.live_ids())],
+                             np.ones((1, 4)))[0][0][1] == pytest.approx(1.0)
 
     def test_vectors_accessor(self):
         lsh = CosineLSH(dim=3)

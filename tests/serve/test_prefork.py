@@ -11,8 +11,12 @@ answers.
 from __future__ import annotations
 
 import json
+import os
 import signal
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -28,7 +32,7 @@ from repro.serve.prefork import (
     write_worker_stats,
 )
 
-from preforkutil import PreforkFleet, post_query_retry
+from preforkutil import SRC, PreforkFleet, post_query_retry
 from serveutil import (
     make_corpus,
     offline_ranking,
@@ -207,6 +211,35 @@ class TestSupervisorInProcess:
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert supervisor.worker_pids == {}
+
+    def test_stop_signal_at_fork_kills_the_new_worker(self):
+        """A SIGTERM that reaches a worker between ``fork()`` and its
+        signal reset must kill it (so the slot restarts), not run the
+        supervisor's inherited handler on the child's copy.  In a
+        subprocess: an at-fork hook and a process-wide handler cannot
+        be undone in this one."""
+        script = textwrap.dedent("""
+            import os, signal, threading
+            from repro.serve.prefork import PreforkSupervisor
+
+            def worker_main(worker_id, sock):
+                threading.Event().wait(60)
+
+            supervisor = PreforkSupervisor(
+                worker_main, 1, backoff_initial=0.01, backoff_cap=0.05,
+                drain_timeout=10, log=lambda _m: None)
+            os.register_at_fork(after_in_child=lambda: os.kill(
+                os.getpid(), signal.SIGTERM))
+            threading.Timer(2.0, supervisor.request_stop).start()
+            supervisor.run()
+            print(supervisor.restarts_total)
+        """)
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) >= 1
 
     def test_port_resolves_before_fork(self):
         supervisor = PreforkSupervisor(lambda *_: 0, 1,

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ class TestParseQueryPayload:
     def test_bad_k_is_400(self):
         for k in (0, -1, 1.5, "3", True):
             assert self._err({"vector": [1, 2, 3, 4], "k": k}).status == 400
+
+    def test_k_past_maxsize_is_400(self):
+        error = self._err({"vector": [1, 2, 3, 4], "k": sys.maxsize + 1})
+        assert error.status == 400 and "'k'" in error.message
+
+    def test_integer_too_large_for_float_is_400(self):
+        error = self._err({"vector": [10 ** 400, 1, 2, 3]})
+        assert error.status == 400 and "finite" in error.message
+
+    def test_integer_past_the_digit_limit_is_400(self):
+        # 5 000 digits: past Python's default int-to-str limit (4 300),
+        # so json.loads refuses it; where it parses, float64 overflows.
+        error = self._err(b'{"vector": [' + b"1" * 5000 + b', 1, 2, 3]}')
+        assert error.status == 400
 
     def test_misaligned_excludes_are_400(self):
         error = self._err({"vectors": [[1, 2, 3, 4]], "excludes": ["a", "b"]})

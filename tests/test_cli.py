@@ -811,7 +811,7 @@ class TestIndexQuantizeCLI:
         assert main(["index", "quantize", str(path)]) == 0
         assert main(["index", "rm", str(path), "k000", "--compact"]) == 0
         reloaded = open_index(path, quantized=True)
-        want = quantize_rows(np.stack(reloaded.lsh._vectors))
+        want = quantize_rows(reloaded.lsh.vectors())
         got = reloaded.lsh.quantized_arrays()
         for got_arr, want_arr in zip(got, want):
             assert np.array_equal(got_arr, want_arr)

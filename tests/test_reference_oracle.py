@@ -34,8 +34,7 @@ REMOVED = 3
 
 
 def _keys(n: int) -> list[str]:
-    # Zero-padded, so key order is insertion order: the bare-LSH mode
-    # breaks ties by id and must agree with the key tie-break.
+    # Zero-padded, so key order is insertion order.
     return [f"t{i:05d}" for i in range(n)]
 
 
@@ -112,22 +111,13 @@ def via_query_many(index, jobs=None):
 def open_mode(mode: str, keys, vectors, tmp_path):
     """Yield ``search(matrix, k, excludes) -> [[(key, score), ...]]``
     for one front door over the corpus."""
-    if mode.startswith("lsh"):
-        lsh = CosineLSH(DIM, seed=SEED)
-        lsh.add_all(vectors)
-        lsh.remove(REMOVED)
-        id_of = {key: position for position, key in enumerate(keys)}
+    if mode == "single-rows":
+        # Q one-row calls must equal the one Q-row call of "single".
+        one_row = via_query_many(build(keys, vectors, None))
 
         def search(matrix, k, excludes):
-            ids = [id_of.get(exclude) for exclude in excludes]
-            if mode == "lsh-many":
-                rankings = lsh.query_many(matrix, k, excludes=ids)
-            else:
-                rankings = [lsh.query_many(row[None, :], k,
-                                           excludes=[exclude])[0]
-                            for row, exclude in zip(matrix, ids)]
-            return [[(keys[i], score) for i, score in ranking]
-                    for ranking in rankings]
+            return [one_row(row[None, :], k, [exclude])[0]
+                    for row, exclude in zip(matrix, excludes)]
         yield search
     elif mode == "single":
         yield via_query_many(build(keys, vectors, None))
@@ -161,7 +151,7 @@ def open_mode(mode: str, keys, vectors, tmp_path):
         raise AssertionError(mode)
 
 
-MODES = ["lsh", "lsh-many", "single", "sharded-1-1", "sharded-2-1",
+MODES = ["single-rows", "single", "sharded-1-1", "sharded-2-1",
          "sharded-2-2", "sharded-5-1", "sharded-5-2", "mmap", "quantized",
          "cached", "cluster"]
 
@@ -230,18 +220,20 @@ def _fallback_comparisons(tree: ast.AST) -> list[str]:
 
 
 def test_query_surface_lives_once():
-    """Keeps the copies from growing back: the query, table/column and
-    quantize surface is defined once for every index layout, and the
-    "fewer than k candidates -> brute force" rule lives in
+    """Keeps the copies from growing back: the query, per-shard query,
+    table/column and quantize surface is defined once for every index
+    layout (the LSH hashes, probes and ranks but answers no query), and
+    the "fewer than k candidates -> brute force" rule lives in
     ``gather_top_k`` alone — the one threshold the fallback-boundary
     corpus above pins for every mode."""
     package = Path(repro.__file__).parent
     sources = {path: path.read_text()
                for name in ("index", "cluster", "retrieval")
                for path in (package / name).rglob("*.py")}
-    for definition in ("def query_vector(", "def query_table(",
-                       "def query_column(", "def enable_quantized(",
-                       "def merge("):
+    for definition in ("def query_vector(", "def query_many(",
+                       "def query_partial_many(", "def query_brute_many(",
+                       "def query_table(", "def query_column(",
+                       "def enable_quantized(", "def merge("):
         assert sum(text.count(definition)
                    for text in sources.values()) == 1, definition
     fallbacks = [function for text in sources.values()
