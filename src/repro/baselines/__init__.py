@@ -1,4 +1,4 @@
-"""Baselines: TUTA-like, BioBERT-like, Word2Vec, DITTO-like, LLM±RAG."""
+"""Baselines: TUTA-like, BioBERT-like, Word2Vec, DITTO-like."""
 
 from .adapters import (
     corpus_tuples,
@@ -11,15 +11,6 @@ from .adapters import (
 )
 from .biobert import BioBERTLike
 from .ditto import DittoMatcher
-from .llm_rag import (
-    LLM_PROFILES,
-    LLMProfile,
-    SimulatedLLM,
-    TfidfIndex,
-    llm_column_clustering,
-    llm_table_clustering,
-)
-from .prompting import ChainOfTableLLM
 from .text_model import TextEncoder, TextMLM
 from .tuta import TutaEmbedder, TutaModel
 from .word2vec import Word2Vec
@@ -29,9 +20,6 @@ __all__ = [
     "TextEncoder", "TextMLM", "BioBERTLike",
     "TutaModel", "TutaEmbedder",
     "DittoMatcher",
-    "LLMProfile", "LLM_PROFILES", "SimulatedLLM", "TfidfIndex",
-    "ChainOfTableLLM",
-    "llm_column_clustering", "llm_table_clustering",
     "serialize_tuple", "serialize_column", "serialize_table",
     "corpus_tuples", "make_column_embedder", "make_table_embedder",
     "make_entity_embedder",

@@ -1,10 +1,10 @@
 """Adapters: plug any text embedder into the CC/TC/EC task protocol.
 
-The baselines (Word2Vec, BioBERT-like, simulated LLMs) see tables as
-text.  These helpers serialize tuples / columns / whole tables the way
-the paper feeds its text baselines ("The training set is comprised of
-table tuples"), and wrap a model exposing ``embed_text(str) ->
-np.ndarray`` into the embedding callables the task runners expect.
+The text baselines (Word2Vec, BioBERT-like) see tables as text.  These
+helpers serialize tuples / columns / whole tables the way the paper
+feeds its text baselines ("The training set is comprised of table
+tuples"), and wrap a model exposing ``embed_text(str) -> np.ndarray``
+into the embedding callables the task runners expect.
 """
 
 from __future__ import annotations

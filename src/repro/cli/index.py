@@ -114,10 +114,18 @@ def _load_query_batch(path):
     """Read a ``(Q, dim)`` query matrix (plus optional per-query exclude
     keys) from ``--batch FILE``: an ``.npz`` with a ``queries`` array,
     or JSONL where each line is a bare vector array or an object
-    ``{"vector": [...], "exclude": "key"}``."""
+    ``{"vector": [...], "exclude": "key"}``.  Every row passes the
+    checks of the server's ``POST /query`` (``parse_query_payload``),
+    so a file holds exactly the queries the wire accepts."""
     import json
 
     import numpy as np
+
+    from ..serve.protocol import (
+        ProtocolError,
+        finite_matrix,
+        parse_query_payload,
+    )
 
     path = Path(path)
     if not path.is_file():
@@ -131,37 +139,43 @@ def _load_query_batch(path):
             else:
                 raise ValueError(f"{path} holds arrays {archive.files}; "
                                  f"expected one named 'queries'")
-            queries = np.asarray(queries, float)
         if queries.ndim != 2 or not len(queries):
             raise ValueError(f"{path}: queries must be a non-empty 2-D "
                              f"matrix, got shape {queries.shape}")
-        return queries, None
-    vectors: list[list[float]] = []
+        try:
+            return finite_matrix(queries), None
+        except ProtocolError as error:
+            raise ValueError(f"{path}: {error.message}") from None
+    rows: list[np.ndarray] = []
     excludes: list[str | None] = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}:{lineno}: not valid JSON: {error}")
-        vector = record.get("vector") if isinstance(record, dict) else record
-        if (not isinstance(vector, list) or not vector
-                or not all(isinstance(x, (int, float))
-                           and not isinstance(x, bool) for x in vector)):
-            raise ValueError(f"{path}:{lineno}: each line must be a "
-                             f"non-empty numeric vector (or an object with "
-                             f"a 'vector' field)")
-        if vectors and len(vector) != len(vectors[0]):
+        except (ValueError, RecursionError) as error:
+            raise ValueError(f"{path}:{lineno}: not valid JSON: "
+                             f"{error}") from None
+        if not isinstance(record, dict):
+            record = {"vector": record}
+        vector = record.get("vector")
+        # The first query sets the batch's width; the index's own dim
+        # is checked once the whole matrix is read.
+        width = rows[0].size if rows else (
+            len(vector) if isinstance(vector, list) else 0)
+        if isinstance(vector, list) and len(vector) != width:
             raise ValueError(f"{path}:{lineno}: vector has {len(vector)} "
-                             f"dims, earlier queries have {len(vectors[0])}")
-        vectors.append(vector)
-        excludes.append(record.get("exclude")
-                        if isinstance(record, dict) else None)
-    if not vectors:
+                             f"dims, earlier queries have {width}")
+        try:
+            [row], _k, [exclude], _single = parse_query_payload(
+                {"vector": vector, "exclude": record.get("exclude")}, width)
+        except ProtocolError as error:
+            raise ValueError(f"{path}:{lineno}: {error.message}") from None
+        rows.append(row)
+        excludes.append(exclude)
+    if not rows:
         raise ValueError(f"{path} holds no queries")
-    return np.asarray(vectors, float), excludes
+    return np.stack(rows), excludes
 
 
 def _open_built(index_dir: Path, kind: str, model: bool = False):

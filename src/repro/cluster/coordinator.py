@@ -234,7 +234,7 @@ class RemoteShard:
                     self._close(conn)
                 try:
                     reply = json.loads(data)
-                except json.JSONDecodeError as error:
+                except (ValueError, RecursionError) as error:
                     raise ShardProtocolError(
                         str(self.address),
                         f"200 with undecodable body: {error}") from None

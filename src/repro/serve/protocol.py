@@ -194,9 +194,11 @@ def parse_json_object(body: bytes) -> dict:
     vectors can be checked."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
         # Bad UTF-8, bad JSON, and an integer literal past Python's
-        # int-to-str digit limit all derive from ValueError.
+        # int-to-str digit limit all derive from ValueError; arrays or
+        # objects nested past the interpreter's recursion limit raise
+        # RecursionError.
         raise ProtocolError(400, f"request body is not valid JSON: {error}")
     if not isinstance(payload, dict):
         raise ProtocolError(400, "request body must be a JSON object")
@@ -278,14 +280,30 @@ def parse_query_payload(body: bytes | dict,
             raise ProtocolError(400, "excludes must be keys (strings) "
                                 "or null")
     for q, row in enumerate(rows):
+        name = "'vector'" if single else f"query {q}"
         if (not isinstance(row, list) or not row
                 or not all(isinstance(x, (int, float))
                            and not isinstance(x, bool) for x in row)):
-            raise ProtocolError(400, f"query {q} must be a non-empty "
+            raise ProtocolError(400, f"{name} must be a non-empty "
                                 f"numeric vector")
         if len(row) != dim:
-            raise ProtocolError(400, f"query {q} has {len(row)} dims, "
+            raise ProtocolError(400, f"{name} has {len(row)} dims, "
                                 f"index expects {dim}")
+    matrix = finite_matrix(rows)
+    k = payload.get("k", 10)
+    if (not isinstance(k, int) or isinstance(k, bool)
+            or not 1 <= k <= sys.maxsize):
+        # No ranking holds more than sys.maxsize hits, and islice (the
+        # heap merge) takes no larger stop.
+        raise ProtocolError(400, f"'k' must be an integer from 1 to "
+                            f"{sys.maxsize}")
+    return matrix, k, excludes, single
+
+
+def finite_matrix(rows) -> np.ndarray:
+    """``rows`` as a float64 query matrix, or 400 when an element is not
+    finite.  ``index query --batch`` checks its ``.npz`` matrices here
+    too, so the file and the wire refuse the same values."""
     try:
         matrix = np.asarray(rows, dtype=float)
     except OverflowError:
@@ -295,14 +313,7 @@ def parse_query_payload(body: bytes | dict,
         # json.loads accepts NaN/Infinity literals; a non-finite query
         # would poison every similarity it touches.
         raise ProtocolError(400, "query vectors must be finite")
-    k = payload.get("k", 10)
-    if (not isinstance(k, int) or isinstance(k, bool)
-            or not 1 <= k <= sys.maxsize):
-        # No ranking holds more than sys.maxsize hits, and islice (the
-        # heap merge) takes no larger stop.
-        raise ProtocolError(400, f"'k' must be an integer from 1 to "
-                            f"{sys.maxsize}")
-    return matrix, k, excludes, single
+    return matrix
 
 
 def format_hits(hits) -> list[dict]:

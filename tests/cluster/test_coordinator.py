@@ -227,8 +227,11 @@ class TestMalformedReplies:
         b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n{}",
         b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]",
         b"SSH-2.0-OpenSSH_9.6\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n"
+        + b"[" * 100_000,
     ], ids=["status-not-a-number", "length-not-a-number",
-            "negative-length", "body-not-an-object", "not-http"])
+            "negative-length", "body-not-an-object", "not-http",
+            "body-nested-too-deep"])
     def test_is_a_protocol_error_without_retry(self, reply):
         """A peer that answers, but not as a shard server does, is a
         terminal :class:`ShardProtocolError` (a clean 503 behind

@@ -176,6 +176,17 @@ class TestParseQueryPayload:
         error = self._err(b'{"vector": [' + b"1" * 5000 + b', 1, 2, 3]}')
         assert error.status == 400
 
+    def test_nested_past_the_recursion_limit_is_400(self):
+        # 100 kB, far under the body cap: json.loads recurses once per
+        # "[" and raises RecursionError, which must not reach the
+        # transport's last-resort 500.
+        for body in (b"[" * 100_000,
+                     b'{"vector": ' + b"[" * 100_000 + b"]}",
+                     b'{"vector": [1, 2, 3, 4], "k": '
+                     + b"[" * 100_000 + b"]}"):
+            error = self._err(body)
+            assert error.status == 400 and "not valid JSON" in error.message
+
     def test_misaligned_excludes_are_400(self):
         error = self._err({"vectors": [[1, 2, 3, 4]], "excludes": ["a", "b"]})
         assert "align" in error.message

@@ -600,12 +600,39 @@ class TestConcurrentQueryCLI:
                      "--batch", str(batch), "--column", "0"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_batch_malformed_jsonl_rejected(self, built, tmp_path, capsys):
+    @pytest.mark.parametrize("line, fragment", [
+        ("not json", "not valid JSON"),
+        ("[NaN, 1]", "finite"),
+        ("[Infinity, 1]", "finite"),
+        ("[1" + "0" * 399 + ", 1]", "finite"),
+        ("[" * 100_000, "not valid JSON"),
+        ('{"vector": [1, 2], "exclude": ["k1"]}', "excludes must be keys"),
+        ('{"vector": [1, 2], "exclude": 3}', "excludes must be keys"),
+    ], ids=["not-json", "nan", "infinity", "integer-too-large-for-float",
+            "nested-too-deep", "exclude-list", "exclude-number"])
+    def test_batch_malformed_jsonl_rejected(self, built, tmp_path, capsys,
+                                            line, fragment):
+        """A batch line is refused as the wire's ``POST /query`` would
+        refuse it: exit 2 and one ``path:line`` message, no traceback."""
         batch = tmp_path / "bad.jsonl"
-        batch.write_text('{"vector": [1, 2]}\nnot json\n')
+        batch.write_text('{"vector": [1, 2]}\n' + line + "\n")
         assert main(["index", "query", "cancerkg", "--index", str(built),
                      "--batch", str(batch)]) == 2
-        assert "bad.jsonl:2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad.jsonl:2" in err and fragment in err
+
+    def test_batch_non_finite_npz_rejected(self, built, queries, tmp_path,
+                                           capsys):
+        import numpy as np
+
+        batch = tmp_path / "bad.npz"
+        queries = np.array(queries, dtype=float)
+        queries[1, 0] = np.nan
+        np.savez(batch, queries=queries)
+        assert main(["index", "query", "cancerkg", "--index", str(built),
+                     "--batch", str(batch)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.npz" in err and "finite" in err
 
     def test_batch_ragged_jsonl_rejected(self, built, tmp_path, capsys):
         batch = tmp_path / "ragged.jsonl"
