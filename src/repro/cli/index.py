@@ -148,7 +148,11 @@ def _load_query_batch(path):
             raise ValueError(f"{path}: {error.message}") from None
     rows: list[np.ndarray] = []
     excludes: list[str | None] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
         if not line.strip():
             continue
         try:

@@ -244,8 +244,11 @@ def flags_serve(parser: argparse.ArgumentParser) -> None:
                              "are pending (default %(default)s)")
     parser.add_argument("--max-wait-ms", type=float,
                         default=ServeConfig.max_wait_ms,
-                        help="flush a micro-batch this long after its "
-                             "first query arrives (default %(default)s)")
+                        help="on an idle server, flush a partial "
+                             "micro-batch this long after its first query "
+                             "arrives; behind a running batch, queries "
+                             "flush when it completes (default "
+                             "%(default)s: at once)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="fan per-shard work of each micro-batch over "
                              "N threads (sharded layouts)")

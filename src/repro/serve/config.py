@@ -25,10 +25,13 @@ class ServeConfig:
     Each field is the ``serve`` flag of the same name (``max_batch`` is
     ``--max-batch``; ``mmap=False`` is ``--no-mmap``):
 
-    - ``max_batch``: a micro-batch tick fires once this many queries
-      are pending (a request bigger than this overflows into the next).
-    - ``max_wait_ms``: ... or this many milliseconds after the tick's
-      first query arrived; ``0`` fires on the next loop iteration.
+    - ``max_batch``: a micro-batch tick fires at once when this many
+      queries are pending (a request bigger than this overflows into
+      the next).
+    - ``max_wait_ms``: a partial batch on an idle dispatcher fires this
+      many milliseconds after its first query arrived; ``0`` (the
+      default) fires on the next loop iteration.  While a tick runs,
+      the queries behind it fire when it completes, whatever this is.
     - ``jobs``: threads each tick's ``query_many`` fans shard work over.
     - ``max_backlog``: bound on one index's pending queries; a request
       that would overflow it is shed whole as ``429`` + ``Retry-After``.
@@ -50,7 +53,7 @@ class ServeConfig:
     """
 
     max_batch: int = 32
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     jobs: int | None = None
     max_backlog: int | None = None
     cache_size: int = 1024

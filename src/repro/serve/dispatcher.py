@@ -4,10 +4,23 @@ The serving hot path is the same observation that motivated
 ``query_many``: scoring Q queries in one similarity GEMM per shard is
 far cheaper than Q separate passes.  A server receives those Q queries
 *concurrently* rather than as one matrix, so the dispatcher coalesces
-them: requests enqueue into a pending list, and a *tick* — fired when
-``max_batch`` queries are waiting or ``max_wait_ms`` has elapsed since
-the first enqueue, whichever comes first — stacks them into one matrix
-and runs one :meth:`query_many` call per distinct ``k`` in the batch.
+them: requests enqueue into a pending list, and a *tick* stacks them
+into one matrix and runs one :meth:`query_many` call per distinct ``k``
+in the batch.
+
+When a tick fires is continuous batching:
+
+- ``max_batch`` queries pending fire a tick at once, even beside a
+  running one;
+- otherwise, on an idle dispatcher (no tick in flight), the first
+  enqueue arms a ``max_wait_ms`` timer (``0``: the next loop
+  iteration);
+- while a tick is in flight, nothing is armed: the queries that queue
+  behind it fire as one tick from its done callback.  Under load the
+  running tick is the batch window, and partial ticks never run side by
+  side (each would hold its own temporaries and contend for the cores).
+
+:meth:`flush_now` (drain, the backlog valve) fires at once.
 
 Grouping by ``k`` is a correctness requirement, not a convenience: the
 brute-force fallback triggers when a query's LSH candidate count is
@@ -26,10 +39,11 @@ each request sees exactly its own rows and nothing else (the soak tests
 hammer this with duplicate-vector ties from many threads).
 
 The dispatcher owns its index's exact result cache, on the event-loop
-thread only: rows are looked up at submit (a hit never joins a tick)
-and answers stored at demux.  A lookup that sees ``index.generation``
-move clears the cache, the generation is part of every key, and an
-answer is stored only if the index is still at its lookup's generation.
+thread only: rows are looked up at submit (a hit gets no future and
+never joins a tick) and answers stored at demux.  A lookup that sees
+``index.generation`` move clears the cache, the generation is part of
+every key, and an answer is stored only if the index is still at its
+lookup's generation.
 """
 
 from __future__ import annotations
@@ -90,11 +104,13 @@ class MicroBatchDispatcher:
         coordinator's remote index.
     config:
         The :class:`~repro.serve.config.ServeConfig` whose
-        ``max_batch``/``max_wait_ms`` fire a tick, whose ``jobs`` goes
-        to every ``query_many``, whose ``max_backlog`` bounds the
-        pending queue (see :meth:`submit_many`) and whose
-        ``cache_size``/``cache_ttl`` size the result cache (``cache``
-        is ``None`` when ``cache_size`` is 0).
+        ``max_batch`` fires a tick at once, whose ``max_wait_ms``
+        fires one on an idle dispatcher (see the module docstring),
+        whose ``jobs`` goes to every ``query_many``, whose
+        ``max_backlog`` bounds the pending queue (see
+        :meth:`submit_many`) and whose ``cache_size``/``cache_ttl``
+        size the result cache (``cache`` is ``None`` when
+        ``cache_size`` is 0).
     stats:
         Sinks whose ``record_batch(size)`` counts every tick.
     counters:
@@ -164,13 +180,13 @@ class MicroBatchDispatcher:
             self.flush_now()
             raise BacklogFull(pending, config.max_backlog, len(matrix))
         loop = asyncio.get_running_loop()
-        futures: list[asyncio.Future] = []
+        results: list = [None] * len(matrix)
+        # Row -> the future its tick resolves; hits never get one.
+        futures: dict[int, asyncio.Future] = {}
         cache = None if no_cache else self.cache
         if no_cache and self.cache is not None:
             self.counters.record("bypass", len(matrix))
-        for vector, exclude in zip(matrix, excludes):
-            future = loop.create_future()
-            futures.append(future)
+        for row, (vector, exclude) in enumerate(zip(matrix, excludes)):
             fingerprint = generation = None
             if cache is not None:
                 # Read per row: a lifecycle op between two rows of one
@@ -184,17 +200,26 @@ class MicroBatchDispatcher:
                 hits = cache.get(fingerprint)
                 if hits is not None:
                     self.counters.record("exact")
-                    future.set_result(hits)
+                    results[row] = hits
                     continue
                 self.counters.record("miss")
+            future = futures[row] = loop.create_future()
             self._pending.append(_Pending(vector, k, exclude, future,
                                           fingerprint, generation))
             if len(self._pending) >= config.max_batch:
                 self.flush_now()
-            elif self._timer is None:
+            elif self._timer is None and not self._inflight:
+                # Behind a running tick nothing is armed: its done
+                # callback fires whatever queued meanwhile.
                 self._timer = loop.call_later(config.max_wait_ms / 1000.0,
                                               self.flush_now)
-        return await asyncio.gather(*futures)
+        if futures:
+            # An all-hit request returns without a gather (one loop
+            # iteration fewer); misses land back at their rows.
+            answers = await asyncio.gather(*futures.values())
+            for row, hits in zip(futures, answers):
+                results[row] = hits
+        return results
 
     # ------------------------------------------------------------------
     # Ticks
@@ -211,7 +236,14 @@ class MicroBatchDispatcher:
         batch, self._pending = self._pending, []
         task = asyncio.get_running_loop().create_task(self._run_batch(batch))
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        task.add_done_callback(self._tick_done)
+
+    def _tick_done(self, task: asyncio.Task) -> None:
+        """The last running tick fires everything that queued behind
+        it as the next one."""
+        self._inflight.discard(task)
+        if not self._inflight:
+            self.flush_now()
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
         groups: dict[int, list[_Pending]] = {}

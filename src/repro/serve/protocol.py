@@ -25,6 +25,7 @@ import asyncio
 import json
 import sys
 from dataclasses import dataclass, field
+from http import HTTPStatus
 
 import numpy as np
 
@@ -39,15 +40,9 @@ MAX_HEADERS = 100
 #: each header line (readline past this raises, answered with 400).
 STREAM_LIMIT = 64 * 1024
 
-def _reason(status: int) -> str:
-    """Standard reason phrase (stdlib-sourced; codes only matter to
-    clients, the phrase is cosmetic)."""
-    from http import HTTPStatus
-
-    try:
-        return HTTPStatus(status).phrase
-    except ValueError:
-        return "Unknown"
+#: Standard reason phrases (stdlib-sourced; codes only matter to
+#: clients, the phrase is cosmetic), built once.
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 class ProtocolError(Exception):
@@ -172,7 +167,7 @@ def render_response(status: int, body: bytes,
     backpressure 429)."""
     extras = "".join(f"{name}: {value}\r\n"
                      for name, value in (extra_headers or {}).items())
-    head = (f"HTTP/1.1 {status} {_reason(status)}\r\n"
+    head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"{extras}"
@@ -229,6 +224,11 @@ def no_cache_flag(payload: dict) -> bool:
     return flag
 
 
+#: The element types of a query vector: JSON numbers.  ``type(True)``
+#: is ``bool``, so a boolean element is refused.
+_NUMBER_TYPES = {int, float}
+
+
 def parse_query_payload(body: bytes | dict,
                         dim: int) -> tuple[np.ndarray, int,
                                            list[str | None], bool]:
@@ -282,8 +282,7 @@ def parse_query_payload(body: bytes | dict,
     for q, row in enumerate(rows):
         name = "'vector'" if single else f"query {q}"
         if (not isinstance(row, list) or not row
-                or not all(isinstance(x, (int, float))
-                           and not isinstance(x, bool) for x in row)):
+                or not set(map(type, row)) <= _NUMBER_TYPES):
             raise ProtocolError(400, f"{name} must be a non-empty "
                                 f"numeric vector")
         if len(row) != dim:

@@ -257,8 +257,11 @@ class HttpTransport:
                 await writer.drain()
                 latency = loop.time() - started
                 self._account(status, latency, n_queries)
-                self._log(f"{request.method} {request.target} -> {status} "
-                          f"({n_queries} queries, {latency * 1000:.2f} ms)")
+                if self._log_handle is not None:
+                    # Formatted only when a log is open.
+                    self._log(f"{request.method} {request.target} -> "
+                              f"{status} ({n_queries} queries, "
+                              f"{latency * 1000:.2f} ms)")
                 connection.busy = False
                 if not keep_alive:
                     break

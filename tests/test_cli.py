@@ -600,26 +600,33 @@ class TestConcurrentQueryCLI:
                      "--batch", str(batch), "--column", "0"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line, fragment", [
-        ("not json", "not valid JSON"),
-        ("[NaN, 1]", "finite"),
-        ("[Infinity, 1]", "finite"),
-        ("[1" + "0" * 399 + ", 1]", "finite"),
-        ("[" * 100_000, "not valid JSON"),
-        ('{"vector": [1, 2], "exclude": ["k1"]}', "excludes must be keys"),
-        ('{"vector": [1, 2], "exclude": 3}', "excludes must be keys"),
+    @pytest.mark.parametrize("first, line, fragment, lineno", [
+        (b'{"vector": [1, 2]}', b"not json", "not valid JSON", 2),
+        (b'{"vector": [1, 2]}', b"[NaN, 1]", "finite", 2),
+        (b'{"vector": [1, 2]}', b"[Infinity, 1]", "finite", 2),
+        (b'{"vector": [1, 2]}', b"[1" + b"0" * 399 + b", 1]", "finite", 2),
+        (b'{"vector": [1, 2]}', b"[" * 100_000, "not valid JSON", 2),
+        (b'{"vector": [1, 2]}', b'{"vector": [1, 2], "exclude": ["k1"]}',
+         "excludes must be keys", 2),
+        (b'{"vector": [1, 2]}', b'{"vector": [1, 2], "exclude": 3}',
+         "excludes must be keys", 2),
+        (b'{"vector": [1, 2], "exclude": "\xff"}', b'{"vector": [1, 2]}',
+         "not valid UTF-8", 1),
+        (b'{"vector": [1, 2]}', b'{"vector": [1, 2], "exclude": "\xff"}',
+         "not valid UTF-8", 2),
     ], ids=["not-json", "nan", "infinity", "integer-too-large-for-float",
-            "nested-too-deep", "exclude-list", "exclude-number"])
+            "nested-too-deep", "exclude-list", "exclude-number",
+            "not-utf8-first-line", "not-utf8-later-line"])
     def test_batch_malformed_jsonl_rejected(self, built, tmp_path, capsys,
-                                            line, fragment):
+                                            first, line, fragment, lineno):
         """A batch line is refused as the wire's ``POST /query`` would
         refuse it: exit 2 and one ``path:line`` message, no traceback."""
         batch = tmp_path / "bad.jsonl"
-        batch.write_text('{"vector": [1, 2]}\n' + line + "\n")
+        batch.write_bytes(first + b"\n" + line + b"\n")
         assert main(["index", "query", "cancerkg", "--index", str(built),
                      "--batch", str(batch)]) == 2
         err = capsys.readouterr().err
-        assert "bad.jsonl:2" in err and fragment in err
+        assert f"bad.jsonl:{lineno}:" in err and fragment in err
 
     def test_batch_non_finite_npz_rejected(self, built, queries, tmp_path,
                                            capsys):
