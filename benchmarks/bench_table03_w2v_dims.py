@@ -13,6 +13,9 @@ from repro.eval import ResultsTable, collect_columns, column_clustering, table_c
 from .common import RESULTS_DIR, corpus, fmt, is_textual_column
 
 DIMS = (25, 50, 100, 200)
+#: Trainings per dim behind the timing check: one wall-clock training
+#: is too noisy to order two dims on a shared machine.
+TIMING_ROUNDS = 3
 
 
 def run_sweep():
@@ -34,6 +37,18 @@ def run_sweep():
     return out
 
 
+def fastest_train_seconds(dims, rounds=TIMING_ROUNDS):
+    """Each dim's fastest of ``rounds`` trainings, interleaved across
+    dims so a drift in the machine's load falls on every dim alike."""
+    texts = corpus_tuples(list(corpus("cancerkg")))
+    best = dict.fromkeys(dims, float("inf"))
+    for _round in range(rounds):
+        for dim in dims:
+            model = Word2Vec(dim=dim, window=3, seed=0).train(texts, epochs=3)
+            best[dim] = min(best[dim], model.train_seconds)
+    return best
+
+
 def test_table03_word2vec_dimensionality(benchmark):
     table = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     table.show()
@@ -43,5 +58,5 @@ def test_table03_word2vec_dimensionality(benchmark):
     maps = [float(table.get(f"dim={d}", "CC MAP/MRR").split("/")[0])
             for d in DIMS]
     assert abs(maps[-1] - maps[-2]) < 0.2
-    times = [float(table.get(f"dim={d}", "train_s")) for d in DIMS]
-    assert times[-1] >= times[0] * 0.8
+    best = fastest_train_seconds((DIMS[0], DIMS[-1]))
+    assert best[DIMS[-1]] >= best[DIMS[0]] * 0.8

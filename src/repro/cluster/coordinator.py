@@ -176,12 +176,12 @@ class RemoteShard:
 
     # -- requests -------------------------------------------------------
 
-    async def request(self, method: str, path: str,
-                      payload: dict | None = None,
+    async def request(self, method: str, path: str, body: bytes = b"",
                       timeout: float | None = None,
                       retries: int | None = None) -> dict:
-        """One idempotent request, retried with capped exponential
-        backoff; returns the decoded JSON body of a 200.
+        """One idempotent request with the JSON ``body`` already
+        encoded, retried with capped exponential backoff; returns the
+        decoded JSON body of a 200.
 
         Connection failures and per-attempt timeouts retry (the shard
         may be restarting — recovery must not need a coordinator
@@ -192,7 +192,6 @@ class RemoteShard:
         is :class:`ShardUnavailable`, naming the shard."""
         timeout = self.timeout if timeout is None else timeout
         retries = self.retries if retries is None else retries
-        body = b"" if payload is None else json.dumps(payload).encode()
         head = (f"{method} {path} HTTP/1.1\r\n"
                 f"Host: {self.address}\r\n"
                 f"Content-Type: application/json\r\n"
@@ -463,13 +462,14 @@ class RemoteShardedIndex(IndexSurface):
         return rankings
 
     def _scatter(self, path: str, payload: dict) -> list[dict]:
-        """POST ``payload`` to every server concurrently.  Any failure
-        fails the whole fan-out with that shard's error — the merge
-        never sees a partial result set."""
+        """POST ``payload`` to every server concurrently, encoded once.
+        Any failure fails the whole fan-out with that shard's error —
+        the merge never sees a partial result set."""
         if self._closed:
             raise ClusterError("coordinator is closed")
+        body = json.dumps(payload).encode()
         replies = self._io.run(self._gather(
-            [remote.request("POST", path, payload)
+            [remote.request("POST", path, body)
              for remote in self.remotes]))
         for position, reply in enumerate(replies):
             if isinstance(reply, BaseException):

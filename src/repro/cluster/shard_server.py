@@ -31,16 +31,15 @@ shortest forms).
 Sockets, keep-alive, error answers and the graceful drain are
 :class:`~repro.serve.transport.HttpTransport`'s — the transport the
 retrieval server also runs on, so a cluster member drains and fails
-exactly as the front-end does.  The GEMMs run in the loop's executor so
-health checks stay responsive while a fan-out computes.  The query path
-is read-only, so any number of coordinators may hit one shard server
-concurrently.
+exactly as the front-end does.  A query ranks on the event-loop thread:
+the index is local and its kernel mostly Python, so a worker thread
+would overlap nothing, and a ``/healthz`` waits for the query in
+flight.  The query path is read-only, so any number of coordinators may
+hit one shard server concurrently.
 """
 
 from __future__ import annotations
 
-import asyncio
-from functools import partial
 from pathlib import Path
 
 from ..serve.protocol import (
@@ -129,10 +128,8 @@ class ShardServer(HttpTransport):
         # cache must see the pre-answer generation (its store-drop belt
         # handles the race, same as the local engine's).
         generation = self.index.generation
-        loop = asyncio.get_running_loop()
         call = self._brute_shards if brute else self._partial_shards
-        shards = await loop.run_in_executor(
-            None, partial(call, matrix, k, excludes))
+        shards = call(matrix, k, excludes)
         return 200, {"generation": generation, "shards": shards}, len(matrix)
 
     def _partial_shards(self, matrix, k, excludes) -> list[dict]:

@@ -31,9 +31,17 @@ exactly as it would on its own (the kernels are shape-independent) —
 so a served ranking is pinned to what the offline CLI path returns, no
 matter which requests it was batched with.
 
-The actual GEMMs run in the event loop's default thread-pool executor:
-NumPy releases the GIL inside them, so the loop keeps accepting and
-coalescing the next tick's requests while the current tick computes.
+Where a tick ranks depends on what the index waits on.  A local layout
+(:class:`~repro.index.index.LocalIndex`: a single file or a sharded
+directory) ranks on the event-loop thread itself.  Its kernel is mostly
+Python (candidate tuples and sorts; the GEMM is a small share), so a
+worker thread would overlap nothing and only trade the GIL back and
+forth with the loop.  The cost is that ``/healthz``, ``/stats`` and a
+429 wait for the running tick.  An index whose query waits on sockets
+(the cluster coordinator's) ranks in the loop's default thread-pool
+executor, so a shard that stops answering cannot freeze the loop for
+its retry budget.
+
 Results are demultiplexed back onto per-request futures by position —
 each request sees exactly its own rows and nothing else (the soak tests
 hammer this with duplicate-vector ties from many threads).
@@ -54,6 +62,7 @@ from functools import partial
 import numpy as np
 
 from repro.cache import CacheCounters, TTLCache, exact_key
+from repro.index.index import LocalIndex
 
 
 class BacklogFull(RuntimeError):
@@ -249,24 +258,29 @@ class MicroBatchDispatcher:
         groups: dict[int, list[_Pending]] = {}
         for item in batch:
             groups.setdefault(item.k, []).append(item)
-        # Groups run concurrently (gather, not a sequential loop): a
-        # mixed-k tick's latency is the slowest group's GEMM, not the
-        # sum of all of them.
+        # A local index ranks each group on the loop thread, so a
+        # mixed-k tick's groups run one after another.  A remote
+        # index's groups wait on their scatters side by side (gather,
+        # not a sequential loop): the tick takes the slowest group's
+        # round trip, not the sum of them.
         await asyncio.gather(*(self._run_group(k, members)
                                for k, members in groups.items()))
 
     async def _run_group(self, k: int, members: list[_Pending]) -> None:
         """One tick's per-``k`` group: one ``query_many`` call — one
         GEMM pass — for all its members, cached or not."""
-        loop = asyncio.get_running_loop()
         matrix = np.stack([item.vector for item in members])
         excludes = [item.exclude for item in members]
         for sink in self.stats:
             sink.record_batch(len(members))
+        query = partial(self.index.query_many, matrix, k=k,
+                        excludes=excludes, jobs=self.config.jobs)
         try:
-            results = await loop.run_in_executor(
-                None, partial(self.index.query_many, matrix, k=k,
-                              excludes=excludes, jobs=self.config.jobs))
+            if isinstance(self.index, LocalIndex):
+                results = query()
+            else:
+                results = await asyncio.get_running_loop().run_in_executor(
+                    None, query)
         except Exception as error:
             for item in members:
                 if not item.future.done():
