@@ -4,6 +4,8 @@
     python3 benchmarks/pair.py --parent main --change HEAD --workload serve_hot_20k
     python3 benchmarks/pair.py --parent HEAD --change HEAD --pairs 1 \\
         --scale tiny --seconds 0 --workload serve_hot_20k     # smoke
+    python3 benchmarks/pair.py --parent HEAD \\
+        --bench benchmarks/bench_table04_cc.py                # a paper bench
 
 Each side runs from a ``git archive`` copy of its revision (``--change``
 defaults to the working tree's tracked files, staged new files included,
@@ -27,19 +29,30 @@ for neither side) and one verdict:
 - *unresolved*: anything else: worse than the bound but not
   consistently, or the parent's runs spread too widely to tell.
 
+``--bench FILE`` (repeatable) runs paper benches instead of workloads:
+one pytest session over the named files per side, the parent first,
+each timed body once (``--benchmark-disable``, as CI runs them).  It
+prints each side's wall time and, for every ``results/`` file either
+side's session wrote, whether the two are identical, with a unified diff
+where they are not.  ``--pairs``, ``--scale`` and ``--seconds`` apply to
+workloads only.
+
 The exit code is 1 when any run failed or answered wrongly, else 0: the
-verdicts inform, they do not gate.
+verdicts and the diffs inform, they do not gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,6 +103,68 @@ def run_once(copy: Path, workload: str, seed: int, scale: str,
         return None
     return {name: metric["value"]
             for name, metric in result["metrics"].items()}
+
+
+def run_bench(copy: Path, benches: list[str]) -> tuple[float, bool, dict]:
+    """One pytest session over ``benches`` in ``copy``: its wall time,
+    whether it passed (else its output tail goes to stderr), and the
+    ``results/`` files it wrote, by name."""
+
+    def contents() -> dict[str, str]:
+        return {path.name: path.read_text(errors="replace")
+                for path in sorted((copy / "results").glob("*"))
+                if path.is_file()}
+
+    before = contents()
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:randomly",
+               "-p", "no:cacheprovider", "--benchmark-disable", *benches]
+    started = time.perf_counter()
+    done = subprocess.run(command, cwd=copy, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": "src"})
+    wall = time.perf_counter() - started
+    if done.returncode:
+        tail = (done.stdout + done.stderr).splitlines()[-20:]
+        print(f"FAILED ({copy.name}, exit {done.returncode}):\n  "
+              + "\n  ".join(tail), file=sys.stderr)
+    written = {name: text for name, text in contents().items()
+               if before.get(name) != text}
+    return wall, done.returncode == 0, written
+
+
+def compare_results(parent: dict, change: dict) -> list[str]:
+    """One line per file either side wrote, each difference followed by
+    its unified diff (parent → change)."""
+    lines = []
+    for name in sorted(parent.keys() | change.keys()):
+        if name not in parent or name not in change:
+            side = "change" if name in change else "parent"
+            lines.append(f"results/{name}  written by the {side} only")
+        elif parent[name] == change[name]:
+            lines.append(f"results/{name}  identical")
+        else:
+            lines.append(f"results/{name}  differs:")
+            lines.extend("  " + line.rstrip("\n") for line in
+                         difflib.unified_diff(
+                             parent[name].splitlines(True),
+                             change[name].splitlines(True),
+                             f"parent/results/{name}",
+                             f"change/results/{name}"))
+    return lines
+
+
+def bench_pair(copies: dict, benches: list[str]) -> bool:
+    """Run ``benches`` on both sides and print the comparison; whether
+    both sessions passed."""
+    runs = {side: run_bench(copies[side], benches) for side in SIDES}
+    print(f"\n== {' '.join(benches)} ==")
+    for side in SIDES:
+        wall, passed, _written = runs[side]
+        print(f"{side:<8}{wall:>8.1f} s  {'passed' if passed else 'FAILED'}")
+    parent_s, change_s = runs["parent"][0], runs["change"][0]
+    print(f"change {change_s - parent_s:+.1f} s "
+          f"({(change_s - parent_s) / parent_s:+.1%})")
+    print("\n".join(compare_results(runs["parent"][2], runs["change"][2])))
+    return all(passed for _wall, passed, _written in runs.values())
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -152,9 +227,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="git revision")
     parser.add_argument("--change", default=None,
                         help="git revision (default: the working tree)")
-    parser.add_argument("--workload", action="append",
+    target = parser.add_mutually_exclusive_group()
+    target.add_argument("--workload", action="append",
                         choices=[w["name"] for w in declared["workloads"]],
                         help="repeatable (default: every workload)")
+    target.add_argument("--bench", action="append", metavar="FILE",
+                        help="a paper bench, benchmarks/bench_*.py, run "
+                             "once per side instead of the workloads; "
+                             "repeatable (one pytest session)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full")
     parser.add_argument("--seconds", type=float,
@@ -163,6 +243,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    benches = []
+    for bench in args.bench or ():
+        path = Path(bench).resolve()
+        if not path.is_file() or not path.is_relative_to(ROOT):
+            parser.error(f"--bench {bench}: not a file under {ROOT}")
+        benches.append(str(path.relative_to(ROOT)))
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
     commits = {}
     for side in SIDES:
@@ -176,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="pair-") as tmp:
         copies = {side: checkout(commit, Path(tmp) / side)
                   for side, commit in commits.items()}
+        if benches:
+            return 0 if bench_pair(copies, benches) else 1
         runs = {w: {side: [] for side in SIDES} for w in workloads}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]

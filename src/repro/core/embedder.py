@@ -91,11 +91,12 @@ class TabBiNEmbedder:
         stats: dict[str, PretrainStats] = {}
         for segment in SEGMENTS:
             sequences = []
-            for table in corpus:
-                sequences.extend(serializer.serialize(table, segment))
+            if steps > 0:   # only pre-training reads the serialized corpus
+                for table in corpus:
+                    sequences.extend(serializer.serialize(table, segment))
             model = TabBiNModel(config, pad_id=tokenizer.vocab.pad_id,
                                 rng=np.random.default_rng(rng.integers(1 << 31)))
-            if sequences and steps > 0:
+            if sequences:
                 trainer = TabBiNPretrainer(model, tokenizer.vocab, config,
                                            seed=int(rng.integers(1 << 31)))
                 stats[segment] = trainer.train(sequences, steps=steps)

@@ -24,14 +24,20 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or targets.ndim != 1 or logits.shape[0] != targets.shape[0]:
         raise ValueError(f"bad shapes: logits {logits.shape}, targets {targets.shape}")
-    keep = targets != ignore_index
-    count = int(keep.sum())
-    if count == 0:
+    rows = np.nonzero(targets != ignore_index)[0]
+    if rows.size == 0:
         raise ValueError("all targets are ignore_index; nothing to average")
-    log_probs = logits.log_softmax(axis=-1)
-    rows = np.nonzero(keep)[0]
-    picked = log_probs[rows, targets[keep]]
-    return -picked.sum() * (1.0 / count)
+    picked = targets[rows]
+    bad = (picked < 0) | (picked >= logits.shape[1])
+    if bad.any():
+        raise ValueError(f"target {int(picked[bad][0])} at row "
+                         f"{int(rows[bad][0])} is outside [0, "
+                         f"{logits.shape[1]}) and is not ignore_index "
+                         f"({ignore_index})")
+    # Log-softmax is row-wise: only the rows that carry a target are
+    # normalized, and the others get no gradient either way.
+    log_probs = logits[rows].log_softmax(axis=-1)
+    return -log_probs[np.arange(rows.size), picked].sum() * (1.0 / rows.size)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -56,5 +62,5 @@ def accuracy(logits: Tensor, targets: np.ndarray,
     keep = targets != ignore_index
     if not keep.any():
         return 0.0
-    pred = logits.data.argmax(axis=-1)
-    return float((pred[keep] == targets[keep]).mean())
+    pred = logits.data[keep].argmax(axis=-1)
+    return float((pred == targets[keep]).mean())

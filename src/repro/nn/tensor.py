@@ -129,8 +129,13 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        self._init_grad()
-        self.grad += grad
+        if self.grad is None:
+            # A copy, in the data's layout: later contributions add in
+            # place, and must not write into the caller's array.
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, grad)
+        else:
+            self.grad += grad
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":

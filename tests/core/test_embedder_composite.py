@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    SEGMENTS,
     TabBiNConfig,
     TabBiNEmbedder,
+    TabBiNSerializer,
     numeric_composite,
     range_composite,
 )
+from repro.datasets import load_dataset
 from repro.tables import figure1_table, table1_nested, table2_relational
 
 
@@ -22,6 +25,37 @@ class TestBuild:
         )
         assert set(stats) == {"row", "column", "hmd", "vmd"}
         assert stats["row"].steps == 2
+
+    @staticmethod
+    def serialize_calls(monkeypatch) -> list:
+        calls = []
+        serialize = TabBiNSerializer.serialize
+
+        def spy(self, table, segment):
+            calls.append(segment)
+            return serialize(self, table, segment)
+
+        monkeypatch.setattr(TabBiNSerializer, "serialize", spy)
+        return calls
+
+    def test_zero_step_build_serializes_nothing(self, monkeypatch):
+        calls = self.serialize_calls(monkeypatch)
+        embedder, stats = TabBiNEmbedder.build(
+            load_dataset("cancerkg", 8), config=TabBiNConfig.tiny(),
+            steps=0, vocab_size=300, seed=3)
+        assert calls == []
+        assert all(s.steps == 0 for s in stats.values())
+        # Untrained weights come only from the seeded RNG (no BLAS), so
+        # this digest holds on every machine; it is the one the build
+        # gave when it still serialized all four segments first.
+        assert embedder.fingerprint() == "9e70595b84e371f4a81cc4eee3db54ed"
+
+    def test_training_build_serializes_every_segment(self, monkeypatch,
+                                                     corpus):
+        calls = self.serialize_calls(monkeypatch)
+        TabBiNEmbedder.build(corpus, config=TabBiNConfig.tiny(), steps=1,
+                             vocab_size=300)
+        assert sorted(calls) == sorted(SEGMENTS * len(corpus))
 
     def test_missing_segment_model_rejected(self, embedder):
         with pytest.raises(ValueError):

@@ -193,6 +193,20 @@ class TestLosses:
         assert np.allclose(logits.grad[1], 0.0)
         assert np.abs(logits.grad[0]).sum() > 0
 
+    @pytest.mark.parametrize("bad", [-1, 3, -101])
+    def test_cross_entropy_refuses_out_of_range_targets(self, bad):
+        # Three classes: -1 used to score as the last class, 3 raised
+        # numpy's IndexError.
+        logits = Tensor(RNG.standard_normal((2, 3)))
+        with pytest.raises(ValueError, match=f"target {bad} "):
+            cross_entropy(logits, np.array([bad, 0]))
+
+    def test_cross_entropy_honours_a_custom_ignore_index(self):
+        logits = Tensor(RNG.standard_normal((2, 3)))
+        assert float(cross_entropy(logits, np.array([-1, 2]),
+                                   ignore_index=-1).data) == pytest.approx(
+            float(cross_entropy(logits[1:], np.array([2])).data))
+
     def test_cross_entropy_shape_validation(self):
         with pytest.raises(ValueError):
             cross_entropy(Tensor(np.zeros((2, 3))), np.zeros((3,), dtype=int))

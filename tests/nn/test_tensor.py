@@ -310,6 +310,21 @@ class TestGraphMechanics:
         (a * b).backward()  # d/dx (2x (x+1)) = 4x + 2
         assert x.grad.item() == pytest.approx(14.0)
 
+    def test_first_gradient_is_a_copy(self):
+        # The first contribution is stored, not added to zeros; adding
+        # the second must not write through into the first's array.
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        seed = np.full((2, 2), 0.5)
+        x.backward(seed)
+        x.backward(seed)
+        assert np.array_equal(seed, np.full((2, 2), 0.5))
+        assert np.array_equal(x.grad, np.ones((2, 2)))
+
+    def test_first_gradient_broadcasts_to_the_tensor(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        x.backward(np.arange(3.0))
+        assert np.array_equal(x.grad, [[0, 1, 2], [0, 1, 2]])
+
     def test_backward_on_nonscalar_requires_grad_arg(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(RuntimeError):

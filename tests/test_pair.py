@@ -1,4 +1,5 @@
-"""The verdicts of ``benchmarks/pair.py`` over hand-made pairs."""
+"""The verdicts of ``benchmarks/pair.py`` over hand-made pairs, and its
+``--bench`` session over a stand-in bench."""
 
 import importlib.util
 from pathlib import Path
@@ -44,3 +45,45 @@ def test_a_single_pair_has_no_spread():
     row = pair.verdict(LOWER, [4.0], [6.0])
     assert row["parent"] == (4.0, 4.0, 4.0)
     assert row["verdict"] == "worse beyond bound"
+
+
+BENCH = """
+from pathlib import Path
+
+def test_writes_a_table():
+    Path("results/table.md").write_text("| model | MAP |\\n| a | 0.50 |\\n")
+    Path("results/kept.md").write_text("kept")
+"""
+
+
+def test_a_bench_session_reports_the_files_it_wrote(tmp_path):
+    (tmp_path / "results").mkdir()
+    (tmp_path / "results" / "kept.md").write_text("kept")
+    (tmp_path / "bench_stand_in.py").write_text(BENCH)
+    wall, passed, written = pair.run_bench(tmp_path, ["bench_stand_in.py"])
+    assert passed and wall > 0
+    # kept.md was rewritten with the same text: nothing to compare.
+    assert written == {"table.md": "| model | MAP |\n| a | 0.50 |\n"}
+
+
+def test_a_failing_bench_session_is_reported(tmp_path):
+    (tmp_path / "bench_stand_in.py").write_text(
+        "def test_fails():\n    assert False\n")
+    _wall, passed, written = pair.run_bench(tmp_path, ["bench_stand_in.py"])
+    assert not passed and written == {}
+
+
+def test_compare_results_diffs_what_differs():
+    parent = {"same.md": "x\n", "moved.md": "| a | 0.50 |\n", "old.md": ""}
+    change = {"same.md": "x\n", "moved.md": "| a | 0.51 |\n", "new.md": ""}
+    assert pair.compare_results(parent, change) == [
+        "results/moved.md  differs:",
+        "  --- parent/results/moved.md",
+        "  +++ change/results/moved.md",
+        "  @@ -1 +1 @@",
+        "  -| a | 0.50 |",
+        "  +| a | 0.51 |",
+        "results/new.md  written by the change only",
+        "results/old.md  written by the parent only",
+        "results/same.md  identical",
+    ]
