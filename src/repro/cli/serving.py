@@ -73,6 +73,16 @@ def _add_listen_flags(parser: argparse.ArgumentParser, port: int) -> None:
                              "(default: $REPRO_SERVE_LOG if set)")
 
 
+def _port_refusals(args: argparse.Namespace) -> list[str]:
+    """``--port`` outside the TCP range as a refusal line, checked
+    before anything binds (a socket would overflow on it, and a
+    pre-fork supervisor's ``getaddrinfo`` would wrap it modulo 65536)."""
+    if 0 <= args.port <= 65535:
+        return []
+    return [f"--port must be in 0-65535 (0 picks an ephemeral port), "
+            f"got {args.port}"]
+
+
 def flags_serve_shard(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("path", help="saved layout this box holds: a "
                                      "single .npz shard or a sharded "
@@ -92,6 +102,8 @@ def cmd_serve_shard(args: argparse.Namespace) -> int:
     exits 0.
     """
     from ..cluster import ShardServer
+
+    _validate_counts(args, also=_port_refusals(args))
 
     def build():
         return ShardServer(open_index(args.path, mmap=not args.no_mmap),
@@ -290,9 +302,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if (args.path is None) == (args.cluster is None):
         raise CliError("serve takes exactly one target: a saved index / "
                        "catalog path, or --cluster topology.json")
-    # Every refused flag is reported in one pass: --workers here, the
-    # serve knobs by ServeConfig.
-    refused = []
+    # Every refused flag is reported in one pass: --port and --workers
+    # here, the serve knobs by ServeConfig.
+    refused = _port_refusals(args)
     try:
         config = _serve_config(args)
     except ValueError as error:

@@ -289,7 +289,7 @@ class CosineLSH:
         # score-then-key merge order.  einsum's sum-of-products loop
         # depends only on the reduction dim, so equal pairs score
         # bit-equal in every batch shape (pinned by the duplicate-tie
-        # property tests in tests/index/test_concurrent_query.py).
+        # corpora of tests/test_reference_oracle.py).
         sims = np.einsum("cd,qd->cq", cand, matrix)
         # Zero-vector convention: either norm zero -> similarity 0,
         # never a division warning.

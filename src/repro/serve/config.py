@@ -11,6 +11,7 @@ change a knob the validation did not see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -66,8 +67,9 @@ class ServeConfig:
         rules = [
             ("max_batch", self.max_batch < 1,
              "--max-batch must be at least 1"),
-            ("max_wait_ms", self.max_wait_ms < 0,
-             "--max-wait-ms must be >= 0"),
+            ("max_wait_ms", not (math.isfinite(self.max_wait_ms)
+                                 and self.max_wait_ms >= 0),
+             "--max-wait-ms must be >= 0 and finite"),
             ("jobs", self.jobs is not None and self.jobs < 1,
              "--jobs must be positive"),
             ("max_backlog",

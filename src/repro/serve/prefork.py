@@ -18,7 +18,7 @@ matter how many workers map it.  This module multiplies the processes:
 - Each worker runs the unmodified asyncio
   :class:`~repro.serve.server.RetrievalServer` — same wire contract,
   same micro-batching, same served-rankings-equal-offline guarantee
-  (``tests/serve/test_prefork.py`` checks every worker's answers).
+  (the reference oracle's ``prefork`` mode checks a fleet's answers).
 - SIGTERM/SIGINT to the supervisor fans SIGTERM out to every worker;
   each performs the server's graceful drain (in-flight requests,
   including ones parked in a micro-batch window, run to completion)

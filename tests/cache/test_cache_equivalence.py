@@ -7,7 +7,9 @@ bit-equal scores, tie order — to match the same index's plain
 ``query_many``.  Because the stream is
 zipfian, most examples serve a mix of hits and misses in one batch;
 because the corpora are duplicate-dense and the queries include exact
-corpus rows, ties are everywhere a demux bug could hide.
+corpus rows, ties are everywhere a demux bug could hide.  The
+reference oracle's ``cached`` mode replays its fixed corpora the same
+way (``tests/test_reference_oracle.py``).
 
 A dedicated class pins the brute-force fallback boundary: ``k`` right
 at the post-exclude candidate total, replayed from the cache under
@@ -17,21 +19,23 @@ off the brute-force path.
 
 import numpy as np
 import pytest
-from cacheutil import (
-    build_index,
-    make_corpus,
-    ranked_many,
-    save_layout,
-    zipfian_stream,
-)
 from dispatchutil import cached, dispatch
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from testutil import build_index, make_corpus, ranked_many, save_layout
 
 from repro.index import open_index
 
 DIM = 12
 SHARD_COUNTS = (1, 2, 5)
+
+
+def zipfian_stream(rng: np.random.Generator, pool_size: int, length: int,
+                   s: float = 1.1) -> np.ndarray:
+    """``length`` indices into a pool of ``pool_size`` queries, drawn
+    zipfian: P(rank r) ∝ 1/r^s — a few hot queries, a long cold tail."""
+    weights = 1.0 / np.arange(1, pool_size + 1) ** s
+    return rng.choice(pool_size, size=length, p=weights / weights.sum())
 
 
 class TestCachedEqualsUncached:

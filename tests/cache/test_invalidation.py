@@ -19,13 +19,13 @@ import urllib.request
 
 import numpy as np
 import pytest
-from cacheutil import build_index, make_corpus, ranked_many, save_layout
 from dispatchutil import cached, dispatch
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from testutil import build_index, make_corpus, ranked_many, save_layout
 
 from repro.catalog import Catalog, CatalogEntry, CatalogHandle
-from repro.index import IndexSpec, ShardedIndex, VectorIndex, open_index
+from repro.index import ShardedIndex, VectorIndex, open_index
 from repro.serve import ServeConfig, ServerThread
 
 DIM = 12

@@ -10,7 +10,7 @@ lifecycle commands follow.
 import json
 
 import pytest
-from catutil import make_corpus, save_layout
+from testutil import make_corpus, save_layout
 
 from repro.catalog import CATALOG_NAME, Catalog
 from repro.cli import main

@@ -9,9 +9,9 @@ insertion order or shard assignment would scramble a ranking.
 """
 
 import pytest
-from catutil import make_corpus, save_layout, write_catalog
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from testutil import make_corpus, save_layout, write_catalog
 
 import numpy as np
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from catutil import make_corpus, save_layout, write_catalog
+from testutil import make_corpus, save_layout, write_catalog
 
 from repro.catalog import Catalog, CatalogHandle
 from repro.serve import ServeConfig, ServerThread

@@ -1,50 +1,15 @@
-"""Shared helpers for the cluster test layer.
+"""Shared helper for the cluster test layer (corpora, layouts, rankings
+and HTTP calls come from ``tests/testutil.py``).
 
-Corpora are the serving layer's tie-dense regime (every vector
-appears ``DUP_EVERY`` times under distinct keys) — exactly where a
-wrong merge order, a float that did not survive the wire, or a
-half-merged fan-out would scramble rankings.  The load-bearing
-comparison everywhere is *distributed equals local*: whatever a
-:class:`~repro.cluster.RemoteShardedIndex` returns must be bit-equal —
-keys, scores, tie order — to the local :class:`~repro.index.
+The load-bearing comparison everywhere is *distributed equals local*:
+whatever a :class:`~repro.cluster.RemoteShardedIndex` returns must be
+bit-equal — keys, scores, tie order — to the local :class:`~repro.index.
 ShardedIndex` over the same flat shard sequence.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
-
 import numpy as np
-
-from repro.index import IndexSpec, ShardedIndex, VectorIndex
-
-#: Each distinct vector appears this many times (distinct keys).
-DUP_EVERY = 3
-
-
-def make_corpus(n: int = 120, dim: int = 16, seed: int = 0):
-    """``(keys, vectors)`` with every vector duplicated ``DUP_EVERY``
-    times under different keys."""
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal(((n + DUP_EVERY - 1) // DUP_EVERY, dim))
-    vectors = np.repeat(base, DUP_EVERY, axis=0)[:n]
-    keys = [f"t{i:05d}" for i in range(n)]
-    return keys, vectors
-
-
-def save_layout(tmp_path, keys, vectors, n_shards: int, seed: int = 0):
-    """Persist the corpus as a single ``.npz`` (``n_shards == 1``) or a
-    sharded directory; returns the saved path."""
-    dim = vectors.shape[1]
-    if n_shards == 1:
-        index = VectorIndex(dim=dim, seed=seed)
-        index.add_batch(keys, vectors)
-        return index.save(tmp_path / "index.npz")
-    sharded = ShardedIndex.create(
-        IndexSpec(kind="vector", dim=dim, seed=seed), n_shards)
-    sharded.add_batch(keys, vectors)
-    return sharded.save(tmp_path / f"sharded-{n_shards}")
 
 
 def query_pool(vectors: np.ndarray, n_fresh: int = 4, seed: int = 11):
@@ -53,41 +18,3 @@ def query_pool(vectors: np.ndarray, n_fresh: int = 4, seed: int = 11):
     rng = np.random.default_rng(seed)
     fresh = rng.standard_normal((n_fresh, vectors.shape[1]))
     return np.vstack([vectors[:4], fresh])
-
-
-def ranked(hits) -> list[tuple[str, float]]:
-    """Offline ``SearchHit`` lists to comparable ``(key, score)``
-    pairs — exact equality, never approximate."""
-    return [(hit.key, hit.score) for hit in hits]
-
-
-def ranked_wire(hits: list[dict]) -> list[tuple[str, float]]:
-    """Wire-shape hits to the same comparable pairs (JSON round-trips
-    floats exactly, so equality against offline scores is exact)."""
-    return [(hit["key"], hit["score"]) for hit in hits]
-
-
-def http_request(port: int, method: str, path: str,
-                 body: bytes | None = None, timeout: float = 30.0):
-    """One request against a local server; returns ``(status, headers,
-    bytes)`` — headers included so tests can assert on Retry-After."""
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        headers = {"Content-Type": "application/json"} if body else {}
-        conn.request(method, path, body=body, headers=headers)
-        response = conn.getresponse()
-        return response.status, dict(response.getheaders()), response.read()
-    finally:
-        conn.close()
-
-
-def post_json(port: int, path: str, payload: dict, timeout: float = 30.0):
-    """POST a JSON payload; returns ``(status, parsed_body)``."""
-    status, _headers, data = http_request(
-        port, "POST", path, json.dumps(payload).encode(), timeout=timeout)
-    return status, json.loads(data)
-
-
-def get_json(port: int, path: str, timeout: float = 30.0):
-    status, _headers, data = http_request(port, "GET", path, timeout=timeout)
-    return status, json.loads(data)

@@ -12,16 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from clusterutil import (
-    get_json,
-    make_corpus,
-    post_json,
-    query_pool,
-    ranked,
-    ranked_wire,
-    save_layout,
-)
+from clusterutil import query_pool
+from testutil import get_json, make_corpus, post_json, ranked, save_layout
 
+from repro.cli import main
 from repro.cluster import ClusterHarness, split_layout
 from repro.index import open_index
 from repro.serve import ServeConfig, ServerThread
@@ -54,16 +48,6 @@ def stack(tmp_path_factory):
 
 
 class TestServedCluster:
-    def test_served_equals_offline_local(self, stack):
-        local, _harness, _remote, server, vectors = stack
-        matrix = query_pool(vectors)
-        status, payload = post_json(server.port, "/query",
-                                    {"vectors": matrix.tolist(), "k": 7})
-        assert status == 200
-        offline = local.query_many(matrix, k=7)
-        for entry, hits in zip(payload["results"], offline):
-            assert ranked_wire(entry["hits"]) == ranked(hits)
-
     def test_single_query_shape(self, stack):
         local, _harness, _remote, server, vectors = stack
         status, payload = post_json(
@@ -72,7 +56,7 @@ class TestServedCluster:
         assert status == 200
         offline = local.query_many(vectors[0][None, :], k=3,
                                    excludes=["t00000"])[0]
-        assert ranked_wire(payload["hits"]) == ranked(offline)
+        assert ranked(payload["hits"]) == ranked(offline)
 
     def test_healthz_aggregates_cluster(self, stack):
         _local, harness, remote, server, _vectors = stack
@@ -155,7 +139,7 @@ class TestCLI:
         assert status == 200
         for entry, hits in zip(payload["results"],
                                local.query_many(matrix, k=5)):
-            assert ranked_wire(entry["hits"]) == ranked(hits)
+            assert ranked(entry["hits"]) == ranked(hits)
 
     def test_cli_healthz_sees_both_shards(self, cli_cluster):
         _path, _vectors, _proc, port, _banner = cli_cluster
@@ -231,6 +215,25 @@ class TestCLIValidation:
         (line,) = result.stderr.splitlines()
         assert line.startswith(f"cannot bind 127.0.0.1:{port}: ")
         assert "in use" in line.lower()
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    @pytest.mark.parametrize("command", [
+        ("serve",), ("serve-shard",), ("serve", "--workers", "2")],
+        ids=" ".join)
+    def test_port_out_of_range_is_one_line_and_exit_2(self, tmp_path,
+                                                      capsys, command, port):
+        """A port outside 0-65535 is refused before anything is opened
+        or bound (the layout path does not even exist): one stderr line
+        naming the range, exit 2, and no banner (a pre-fork supervisor
+        would otherwise listen on the port modulo 65536).  In process:
+        nothing here boots."""
+        argv = [command[0], str(tmp_path / "absent.npz"), *command[1:],
+                "--port", port]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"--port must be in 0-65535 (0 picks "
+                                    f"an ephemeral port), got {port}"]
+        assert out == ""
 
     def test_serve_shard_sigterm_drains_cleanly(self, tmp_path):
         keys, vectors = make_corpus(n=30, dim=DIM, seed=41)

@@ -1,28 +1,21 @@
-"""The coordinator's load-bearing property: **distributed equals
-local, bit for bit**.
+"""The coordinator's surfaces around its load-bearing property.
 
-Hypothesis drives query batches through every (shard count × server
-split × mmap) cluster shape and requires `RemoteShardedIndex.
-query_many` to return exactly what the local `ShardedIndex` over the
-same flat shard sequence returns — keys, scores, tie order — including
-at the brute-force fallback boundary ``k ∈ {total-1, total, total+1}``
-around each query's global candidate total, where a coordinator that
-decided the fallback on a *per-server* count instead of the global one
-would flip queries on or off the brute path.
-
-A second class pins the composition surfaces: generation propagation
-(restart-monotonic), the exact-tier result cache over a remote index,
-and the identity checks `connect()` performs.
+*Distributed equals local, bit for bit* — every ``(n_shards,
+n_servers)`` split, duplicate ties and ``k`` around the global
+fallback threshold — is the reference oracle's ``cluster`` and
+``cluster-served-*`` modes (``tests/test_reference_oracle.py``).  This
+file pins the rest: the remote index's identity surface and refusals,
+generation propagation (restart-monotonic), the exact-tier result
+cache over a remote index, malformed shard replies, and the identity
+checks ``connect()`` performs.
 """
 
 import asyncio
 
 import numpy as np
 import pytest
-from clusterutil import make_corpus, query_pool, ranked, save_layout
 from dispatchutil import cached, dispatch
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from testutil import make_corpus, ranked, save_layout
 
 from repro.cluster import (
     ClusterHarness,
@@ -35,84 +28,25 @@ from repro.cluster import (
     TopologyError,
     split_layout,
 )
-from repro.index import IndexSpec, ShardedIndex, VectorIndex, open_index
+from repro.index import ShardedIndex, VectorIndex, open_index
 
 DIM = 16
-#: (n_shards, n_servers) — every split of the tier-1 shard counts.
-SHAPES = [(1, 1), (2, 1), (2, 2), (5, 1), (5, 2), (5, 5)]
 
 
 @pytest.fixture(scope="module")
-def clusters(tmp_path_factory):
-    """One running cluster per shape, shared by every hypothesis
-    example: {(n_shards, n_servers): (local_path, coordinator)}."""
-    built = {}
-    stack = []
-    for n_shards, n_servers in SHAPES:
-        tmp = tmp_path_factory.mktemp(f"coord-{n_shards}x{n_servers}")
-        keys, vectors = make_corpus(n=75, dim=DIM, seed=5)
-        local_path = save_layout(tmp, keys, vectors, n_shards, seed=5)
-        paths = (split_layout(local_path, tmp / "split", n_servers)
-                 if n_shards > 1 else [local_path])
-        harness = ClusterHarness(paths).start()
-        stack.append(harness)
-        built[(n_shards, n_servers)] = (local_path, vectors,
-                                        harness.connect(retries=1))
-    yield built
-    for harness in stack:
-        harness.stop()
+def cluster(tmp_path_factory):
+    """Five shards over two running servers: ``(local_path, vectors,
+    coordinator)``."""
+    tmp = tmp_path_factory.mktemp("coord")
+    keys, vectors = make_corpus(n=75, dim=DIM, seed=5)
+    local_path = save_layout(tmp, keys, vectors, 5, seed=5)
+    with ClusterHarness(split_layout(local_path, tmp / "split", 2)) as harness:
+        yield local_path, vectors, harness.connect(retries=1)
 
 
 class TestDistributedEqualsLocal:
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.function_scoped_fixture])
-    @given(shape=st.sampled_from(SHAPES), mmap=st.booleans(),
-           seed=st.integers(0, 2**16), k=st.integers(1, 80),
-           n_queries=st.integers(1, 6), with_excludes=st.booleans())
-    def test_query_many_bit_identical(self, clusters, shape, mmap, seed,
-                                      k, n_queries, with_excludes):
-        local_path, vectors, remote = clusters[shape]
-        local = open_index(local_path, mmap=mmap)
-        rng = np.random.default_rng(seed)
-        pool = query_pool(vectors, n_fresh=4, seed=seed)
-        matrix = pool[rng.integers(0, len(pool), size=n_queries)]
-        excludes = None
-        if with_excludes:
-            excludes = [f"t{rng.integers(0, 75):05d}"
-                        if rng.random() < 0.5 else None
-                        for _ in range(n_queries)]
-        served = remote.query_many(matrix, k=k, excludes=excludes)
-        offline = local.query_many(matrix, k=k, excludes=excludes)
-        assert [ranked(hits) for hits in served] == \
-               [ranked(hits) for hits in offline]
-
-    @settings(max_examples=20, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.function_scoped_fixture])
-    @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**16))
-    def test_brute_force_fallback_boundary(self, clusters, shape, seed):
-        """k right at {total-1, total, total+1} around the query's
-        *global* LSH candidate total — the exact points where the
-        fallback decision flips."""
-        local_path, vectors, remote = clusters[shape]
-        local = open_index(local_path, mmap=True)
-        rng = np.random.default_rng(seed)
-        pool = query_pool(vectors, n_fresh=4, seed=seed)
-        matrix = pool[rng.integers(0, len(pool))][None, :]
-        shards = (list(local.shards) if isinstance(local, ShardedIndex)
-                  else [local])
-        total = sum(shard.query_partial_many(matrix, 1,
-                                             excludes=[None])[0][0]
-                    for shard in shards)
-        for k in {max(1, total - 1), max(1, total), total + 1}:
-            served = remote.query_many(matrix, k=k)
-            offline = local.query_many(matrix, k=k)
-            assert [ranked(h) for h in served] == \
-                   [ranked(h) for h in offline], (total, k)
-
-    def test_query_vector_and_surface(self, clusters):
-        local_path, vectors, remote = clusters[(5, 2)]
+    def test_query_vector_and_surface(self, cluster):
+        local_path, vectors, remote = cluster
         local = open_index(local_path, mmap=True)
         assert remote.kind == local.kind
         assert remote.dim == local.dim
@@ -126,8 +60,8 @@ class TestDistributedEqualsLocal:
                                    excludes=["t00000"])[0]
         assert ranked(hit_lists) == ranked(offline)
 
-    def test_bad_params_rejected(self, clusters):
-        _path, vectors, remote = clusters[(2, 2)]
+    def test_bad_params_rejected(self, cluster):
+        _path, vectors, remote = cluster
         with pytest.raises(ValueError, match="k must be"):
             remote.query_many(vectors[:1], k=0)
         with pytest.raises(ValueError):

@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 import pytest
-from clusterutil import make_corpus, query_pool, ranked, save_layout
+from clusterutil import query_pool
+from testutil import make_corpus, ranked, save_layout
 
 from repro.cluster import (
     ClusterError,

@@ -6,16 +6,14 @@ order, plus the generation stamp the coordinator's cache keys on."""
 
 import json
 
-import numpy as np
 import pytest
-from clusterutil import (
+from clusterutil import query_pool
+from testutil import (
     get_json,
     http_request,
     make_corpus,
     post_json,
-    query_pool,
     ranked,
-    ranked_wire,
     save_layout,
 )
 
@@ -72,7 +70,7 @@ def test_partial_query_matches_local_per_shard(layout, server):
         assert len(wire["queries"]) == len(matrix)
         for (count, hits), entry in zip(local, wire["queries"]):
             assert entry["count"] == count
-            assert ranked_wire(entry["hits"]) == ranked(hits)
+            assert ranked(entry["hits"]) == ranked(hits)
 
 
 def test_brute_query_matches_local_per_shard(layout, server):
@@ -88,7 +86,7 @@ def test_brute_query_matches_local_per_shard(layout, server):
                                        excludes=[None] * len(matrix))
         for hits, entry in zip(local, wire["queries"]):
             assert "count" not in entry
-            assert ranked_wire(entry["hits"]) == ranked(hits)
+            assert ranked(entry["hits"]) == ranked(hits)
 
 
 def test_excludes_are_honored(layout, server):
@@ -104,7 +102,7 @@ def test_excludes_are_honored(layout, server):
         local = shard.query_partial_many(matrix, 6, excludes=excludes)
         for (count, hits), entry in zip(local, wire["queries"]):
             assert entry["count"] == count
-            assert ranked_wire(entry["hits"]) == ranked(hits)
+            assert ranked(entry["hits"]) == ranked(hits)
     served_keys = {hit["key"]
                    for entry in payload["shards"][0]["queries"][:1]
                    for hit in entry["hits"]}

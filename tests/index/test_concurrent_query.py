@@ -7,8 +7,10 @@ reproduce the serial single-query results exactly — rankings, tie
 breaks, and the globally-decided brute-force fallback included.
 
 Property-based layer (hypothesis): random corpora × shard counts
-{1, 2, 5} × jobs {1, 2, 4}, plus deliberate duplicate-vector ties and
-queries pinned to the exact brute-force threshold boundary.
+{1, 2, 5} × jobs {1, 2, 4}, and per-query excludes.  Duplicate-vector
+ties and the exact brute-force threshold boundary are the reference
+oracle's ``duplicate-ties`` and ``fallback-boundary`` corpora, for
+every layout and ``jobs`` (``tests/test_reference_oracle.py``).
 
 The read path is documented immutable (``repro/index/sharded.py``), so
 a stress test hammers one ``ShardedIndex`` from many threads and
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from testutil import ranked, ranked_many
 
 from repro.index import IndexSpec, ShardedIndex, VectorIndex
 
@@ -33,14 +36,6 @@ JOBS_COUNTS = (1, 2, 4)
 
 def gaussian(rng: random.Random, dim: int = DIM) -> np.ndarray:
     return np.array([rng.gauss(0, 1) for _ in range(dim)])
-
-
-def ranked(hits) -> list[tuple[str, float]]:
-    return [(h.key, round(h.score, 9)) for h in hits]
-
-
-def ranked_many(hits_per_query) -> list[list[tuple[str, float]]]:
-    return [ranked(hits) for hits in hits_per_query]
 
 
 def build_pair(n_shards: int, live: dict[str, np.ndarray], seed: int = 0):
@@ -84,56 +79,6 @@ class TestQueryManyProperty:
         threaded = [ranked(sharded.query_vector(q, k, jobs=jobs))
                     for q in queries]
         assert threaded == want
-
-    @settings(max_examples=20, deadline=None)
-    @given(data=st.data())
-    def test_duplicate_vector_ties_break_by_key(self, data):
-        """Exact score ties (duplicate embeddings) must resolve by key in
-        every mode, even at the k boundary."""
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        n_shards = data.draw(st.sampled_from(SHARD_COUNTS), label="n_shards")
-        jobs = data.draw(st.sampled_from(JOBS_COUNTS), label="jobs")
-        n_ties = data.draw(st.integers(2, 8), label="n_ties")
-        rng = random.Random(seed)
-        shared = gaussian(rng)
-        live = {f"tie{i}": shared.copy() for i in range(n_ties)}
-        live.update({f"key{i}": gaussian(rng) for i in range(5)})
-        single, sharded = build_pair(n_shards, live)
-        queries = np.stack([shared, gaussian(rng)])
-        for k in (1, n_ties - 1, n_ties, len(live)):
-            want = serial_baseline(single, queries, k)
-            assert ranked_many(single.query_many(queries, k)) == want
-            assert ranked_many(sharded.query_many(queries, k,
-                                                  jobs=jobs)) == want
-
-    @settings(max_examples=20, deadline=None)
-    @given(data=st.data())
-    def test_fallback_threshold_boundary(self, data):
-        """k pinned to the *global* candidate total: one below (no
-        fallback), exactly at (no fallback), one above (fallback over
-        every live entry) — all three must match serial, in both
-        layouts, threaded or not."""
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        n_shards = data.draw(st.sampled_from(SHARD_COUNTS), label="n_shards")
-        jobs = data.draw(st.sampled_from(JOBS_COUNTS), label="jobs")
-        rng = random.Random(seed)
-        live = {f"key{i:03d}": gaussian(rng) for i in range(24)}
-        single, sharded = build_pair(n_shards, live)
-        query = gaussian(rng)
-        total = sum(shard.query_partial_many(query[None, :], 1)[0][0]
-                    for shard in sharded.shards)
-        [(single_total, _)] = single.query_partial_many(query[None, :], 1)
-        assert total == single_total    # same blocking, layout-independent
-        boundary_ks = {max(1, total - 1), max(1, total), total + 1}
-        queries = query[None, :]
-        for k in sorted(boundary_ks):
-            want = serial_baseline(single, queries, k)
-            assert ranked_many(single.query_many(queries, k)) == want
-            assert ranked_many(sharded.query_many(queries, k,
-                                                  jobs=jobs)) == want
-            # Above the total the fallback must deliver every live entry
-            # (capped at k), exactly like the serial path.
-            assert len(want[0]) == min(k, len(live))
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())

@@ -6,7 +6,9 @@ an eager load, on both layouts and on legacy v1/v2 files that predate
 the saved band keys.  The mapped arrays are write-protected, so these
 tests also pin the "flag a writeback attempt" contract: nothing in the
 query or lifecycle paths mutates a loaded matrix, and a deliberate
-write raises instead of corrupting the file.
+write raises instead of corrupting the file.  The rankings of mapped
+single-file and quantized layouts are the reference oracle's modes
+(``tests/test_reference_oracle.py``).
 """
 
 import json
@@ -49,17 +51,6 @@ def _rankings(index, queries, k=6, excludes=None):
 
 
 class TestSingleFileEquivalence:
-    def test_mmap_matches_eager_bit_for_bit(self, tmp_path):
-        index, _keys, vectors = _make_index()
-        path = index.save(tmp_path / "one.npz")
-        eager = open_index(path)
-        mapped = open_index(path, mmap=True)
-        rng = np.random.default_rng(1)
-        queries = np.vstack([vectors[:5], rng.standard_normal((5, 16))])
-        assert _rankings(mapped, queries) == _rankings(eager, queries)
-        assert _rankings(mapped, queries, k=500) == \
-            _rankings(eager, queries, k=500)   # brute-force fallback path
-
     def test_mmap_buckets_equal_fresh_build(self, tmp_path):
         """The band keys persisted by save() rebuild exactly the
         buckets a from-scratch hash would."""
@@ -309,18 +300,6 @@ class TestQuantizedUnderMmap:
         norms = _mmap_npz_member(path, "q_norms.npy")
         assert norms.dtype == np.float32
         assert np.array_equal(norms, want_norms)
-
-    def test_quantized_rankings_identical_under_mmap(self, tmp_path):
-        path, index, _keys, vectors = self._quantized_path(tmp_path)
-        queries = np.vstack([vectors[:4],
-                             np.random.default_rng(3).standard_normal(
-                                 (4, 16))])
-        want = _rankings(index, queries)
-        for mmap in (False, True):
-            loaded = open_index(path, mmap=mmap, quantized=True)
-            assert loaded.use_quantized
-            assert _rankings(loaded, queries) == want
-
 
 class TestTypedIndexesUnderMmap:
     def test_table_and_column_indexes_serve_mapped(self, tmp_path, embedder,

@@ -6,7 +6,9 @@ so every quantized query must reproduce the unquantized ranking bit
 for bit — across both layouts, mmap on/off, shard counts, duplicate-
 vector tie-dense corpora, and k values straddling the brute-force
 fallback boundary.  The property layer (hypothesis) drives exactly
-that grid.
+that grid, beside the reference oracle's ``quantized``,
+``quantized-mmap`` and ``served-quantized`` modes
+(``tests/test_reference_oracle.py``).
 
 The lifecycle layer pins the freshness invariant: an attached sidecar
 is *always* consistent with the fp vectors — add/remove/compact/merge/
@@ -177,8 +179,7 @@ class TestEquivalence:
         # total): in that regime equivalence is a hard guarantee, not a
         # statistical one, and hypothesis can't manufacture a near-tie
         # that slips past a zero-slack cut.  Shortlists that actually
-        # prune are covered by the fixed-seed mmap test and the recall
-        # monitor.
+        # prune are watched by the recall monitor below.
         vectors = tie_dense_corpus(n, seed=seed, dup_every=dup_every)
         keys = [f"k{i:04d}" for i in range(n)]
 

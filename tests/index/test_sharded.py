@@ -6,7 +6,9 @@ random lifecycles): a :class:`ShardedIndex` and a single
 :class:`VectorIndex` over the same corpus return the *same hits with
 the same scores* for every query — including when LSH blocking
 under-delivers and the brute-force fallback kicks in, which the sharded
-path must decide on the global candidate total, never per shard.
+path must decide on the global candidate total, never per shard.  The
+reference oracle pins the same over its fixed corpora for every shard
+count and ``jobs`` (``tests/test_reference_oracle.py``).
 """
 
 import random
@@ -14,6 +16,7 @@ import sys
 
 import numpy as np
 import pytest
+from testutil import ranked
 
 from repro.index import (
     ColumnIndex,
@@ -33,10 +36,6 @@ def gaussian(rng: random.Random, dim: int = DIM) -> np.ndarray:
     # Distinct gaussians: exact score ties (where single- and sharded-
     # index tie-breaks could legitimately differ) have measure zero.
     return np.array([rng.gauss(0, 1) for _ in range(dim)])
-
-
-def ranked(hits) -> list[tuple[str, float]]:
-    return [(h.key, round(h.score, 9)) for h in hits]
 
 
 def build_pair(n_shards: int, live: dict[str, np.ndarray], seed: int = 0):

@@ -16,7 +16,6 @@ exactly that: every request eventually gets a correct answer.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -24,9 +23,9 @@ import sys
 import time
 from pathlib import Path
 
-from serveutil import http_request, post_query
+from testutil import get_json, post_query
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class PreforkFleet:
@@ -105,16 +104,14 @@ class PreforkFleet:
 
     # ------------------------------------------------------------------
     def healthz(self, timeout: float = 10.0) -> dict:
-        status, data = http_request(self.port, "GET", "/healthz",
-                                    timeout=timeout)
-        assert status == 200, (status, data)
-        return json.loads(data)
+        status, payload = get_json(self.port, "/healthz", timeout=timeout)
+        assert status == 200, (status, payload)
+        return payload
 
     def stats(self, timeout: float = 10.0) -> dict:
-        status, data = http_request(self.port, "GET", "/stats",
-                                    timeout=timeout)
-        assert status == 200, (status, data)
-        return json.loads(data)
+        status, payload = get_json(self.port, "/stats", timeout=timeout)
+        assert status == 200, (status, payload)
+        return payload
 
     def sample_workers(self, attempts: int = 60,
                        want: int | None = None) -> dict[int, int]:

@@ -13,13 +13,7 @@ import json
 import threading
 
 import pytest
-from serveutil import (
-    http_request,
-    http_request_full,
-    make_corpus,
-    post_query,
-    save_layout,
-)
+from testutil import http_request, make_corpus, post_query, save_layout
 
 from repro.index import open_index
 from repro.serve import ServeConfig, ServerThread
@@ -98,8 +92,8 @@ class TestServedBackpressure:
         _path, vectors = layout
         body = json.dumps({"vectors": vectors[:5].tolist(),
                            "k": 3}).encode()
-        status, headers, data = http_request_full(server.port, "POST",
-                                                  "/query", body)
+        status, headers, data = http_request(server.port, "POST",
+                                             "/query", body)
         assert status == 429
         assert headers.get("Retry-After") == "1"
         payload = json.loads(data)
@@ -121,8 +115,8 @@ class TestServedBackpressure:
         body = json.dumps({"vectors": vectors[:6].tolist(),
                            "k": 3}).encode()
         http_request(server.port, "POST", "/query", body)
-        status, _headers, data = http_request_full(server.port, "GET",
-                                                   "/stats")
+        status, _headers, data = http_request(server.port, "GET",
+                                              "/stats")
         assert status == 200
         stats = json.loads(data)
         assert stats["dispatcher"]["max_backlog"] == 4
@@ -138,8 +132,8 @@ class TestServedBackpressure:
 
         def fire(rows):
             body = json.dumps({"vectors": rows.tolist(), "k": 3}).encode()
-            status, _h, _d = http_request_full(server.port, "POST",
-                                               "/query", body)
+            status, _h, _d = http_request(server.port, "POST",
+                                          "/query", body)
             with lock:
                 statuses.append(status)
 
@@ -156,12 +150,12 @@ class TestServedBackpressure:
 
 
 def test_http_request_exposes_headers(layout):
-    """serveutil.http_request returns only (status, body); the header
-    variant lives here so the Retry-After assertions read naturally."""
+    """testutil.http_request returns (status, headers, body), so the
+    Retry-After assertions read naturally."""
     # Covered implicitly above; this test pins the helper contract.
     path, vectors = layout
     with ServerThread(open_index(path, mmap=True)) as handle:
-        status, headers, _data = http_request_full(handle.port, "GET",
-                                                    "/healthz")
+        status, headers, _data = http_request(handle.port, "GET",
+                                              "/healthz")
         assert status == 200
         assert "Content-Type" in headers or "content-type" in headers

@@ -11,7 +11,7 @@ import threading
 import time
 
 import numpy as np
-from serveutil import http_request, make_corpus, post_query, save_layout
+from testutil import http_request, make_corpus, post_query, save_layout
 
 from repro.cluster import RemoteShardedIndex, ShardServerThread, Topology
 from repro.cluster.shard_server import local_shards
@@ -167,8 +167,8 @@ def test_remote_tick_leaves_the_loop_answering(tmp_path):
                 try:
                     assert entered.wait(timeout=10)
                     started = time.monotonic()
-                    status, _data = http_request(front.port, "GET",
-                                                 "/stats", timeout=2)
+                    status, _headers, _data = http_request(front.port, "GET",
+                                                           "/stats", timeout=2)
                     outcome["stats_s"] = time.monotonic() - started
                 finally:
                     gate.set()

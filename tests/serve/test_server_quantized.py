@@ -6,7 +6,9 @@ are bit-identical to the fp path.  These tests pin that end to end: a
 server over a quantized layout (``open_index(..., quantized=True)``,
 the ``serve --quantized`` path) answers every query with exactly the
 hits an offline unquantized index produces, and /healthz + /stats
-report the quantization state.
+report the quantization state.  The reference oracle's
+``served-quantized`` mode checks the same over its fixed corpora
+(``tests/test_reference_oracle.py``).
 """
 
 from __future__ import annotations
@@ -15,26 +17,20 @@ import json
 
 import numpy as np
 import pytest
+from testutil import http_request, make_corpus, post_query, ranked, save_layout
 
 from repro.index import open_index
 from repro.serve import ServeConfig, ServerThread
 
-from serveutil import http_request, make_corpus, save_layout
-
 
 def offline_rankings(path, queries, k):
-    index = open_index(path)
-    return [[(hit.key, round(hit.score, 9)) for hit in hits]
-            for hits in index.query_many(queries, k=k)]
+    return [ranked(hits) for hits in open_index(path).query_many(queries, k=k)]
 
 
-def post_query(port, vector, k, **extra):
-    payload = {"vector": list(map(float, vector)), "k": k, **extra}
-    status, body = http_request(port, "POST", "/query",
-                                json.dumps(payload).encode())
-    assert status == 200, body
-    return [(hit["key"], round(hit["score"], 9))
-            for hit in json.loads(body)["hits"]]
+def served_ranking(port, vector, k):
+    status, payload = post_query(port, {"vector": vector.tolist(), "k": k})
+    assert status == 200, payload
+    return ranked(payload["hits"])
 
 
 @pytest.mark.parametrize("n_shards", [1, 3])
@@ -52,9 +48,9 @@ def test_served_quantized_equals_offline_unquantized(tmp_path, n_shards):
     target = open_index(path, mmap=True, quantized=True)
     assert target.use_quantized
     with ServerThread(target, config=ServeConfig(max_wait_ms=1.0)) as handle:
-        got = [post_query(handle.port, query, 6) for query in queries]
+        got = [served_ranking(handle.port, query, 6) for query in queries]
         # Cache hit path must serve the same (identical) ranking.
-        again = post_query(handle.port, queries[0], 6)
+        again = served_ranking(handle.port, queries[0], 6)
     assert got == want
     assert again == want[0]
 
@@ -68,13 +64,13 @@ def test_healthz_and_stats_report_quantization(tmp_path):
 
     with ServerThread(open_index(path, mmap=True, quantized=True),
                       config=ServeConfig(max_wait_ms=1.0)) as handle:
-        status, body = http_request(handle.port, "GET", "/healthz")
+        status, _headers, body = http_request(handle.port, "GET", "/healthz")
         assert status == 200
         health = json.loads(body)
         assert health["quantized"] is True
         assert health["quantized_scoring"] is True
-        post_query(handle.port, vectors[0], 3)
-        status, body = http_request(handle.port, "GET", "/stats")
+        served_ranking(handle.port, vectors[0], 3)
+        status, _headers, body = http_request(handle.port, "GET", "/stats")
         assert status == 200
         sections = json.loads(body)["indexes"]
         assert all(section["quantized"] and section["quantized_scoring"]
@@ -86,7 +82,7 @@ def test_unquantized_server_reports_false(tmp_path):
     path = save_layout(tmp_path, keys, vectors, 1, seed=0)
     with ServerThread(open_index(path, mmap=True),
                       config=ServeConfig(max_wait_ms=1.0)) as handle:
-        status, body = http_request(handle.port, "GET", "/healthz")
+        status, _headers, body = http_request(handle.port, "GET", "/healthz")
         assert status == 200
         health = json.loads(body)
         assert health["quantized"] is False
@@ -104,10 +100,10 @@ def test_sidecar_without_opt_in_serves_fp_path(tmp_path):
     want = offline_rankings(path, vectors[:3], k=5)
     with ServerThread(open_index(path, mmap=True),
                       config=ServeConfig(max_wait_ms=1.0)) as handle:
-        health = json.loads(http_request(handle.port, "GET", "/healthz")[1])
+        health = json.loads(http_request(handle.port, "GET", "/healthz")[2])
         assert health["quantized"] is True
         assert health["quantized_scoring"] is False
-        got = [post_query(handle.port, query, 5) for query in vectors[:3]]
+        got = [served_ranking(handle.port, query, 5) for query in vectors[:3]]
     assert got == want
 
 

@@ -25,14 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from serveutil import (
-    http_request,
-    make_corpus,
-    offline_ranking,
-    post_query,
-    save_layout,
-    served_ranking,
-)
+from testutil import http_request, make_corpus, post_query, ranked, save_layout
 
 from repro.index import open_index
 from repro.serve import ServeConfig, ServerThread
@@ -44,7 +37,7 @@ KS = (1, 4, 9)
 
 def _expected(index, queries):
     """Offline truth per (query position, k)."""
-    return {(q, k): offline_ranking(hits)
+    return {(q, k): ranked(hits)
             for k in KS
             for q, hits in enumerate(index.query_many(queries, k=k))}
 
@@ -105,7 +98,7 @@ class TestHypothesisCompositions:
                     {"vectors": [queries[q].tolist() for q in members],
                      "k": k})
                 assert status == 200
-                return [(q, k, served_ranking(result["hits"]))
+                return [(q, k, ranked(result["hits"]))
                         for q, result in zip(members, payload["results"])]
         else:
             jobs = specs
@@ -115,7 +108,7 @@ class TestHypothesisCompositions:
                 status, payload = post_query(
                     handle.port, {"vector": queries[q].tolist(), "k": k})
                 assert status == 200
-                return [(q, k, served_ranking(payload["hits"]))]
+                return [(q, k, ranked(payload["hits"]))]
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             outcomes = [entry for result in pool.map(run_one, jobs)
@@ -180,7 +173,7 @@ class TestTwoIndexSoak:
                 handle.port, {"vector": queries[q].tolist(), "k": k,
                               "index": name})
             assert status == 200
-            return name, q, k, served_ranking(payload["hits"])
+            return name, q, k, ranked(payload["hits"])
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(run_one, jobs))
@@ -224,7 +217,7 @@ class TestThreadSweep:
                     payload = json.loads(response.read())
                     if response.status != 200:
                         failures.append(f"status {response.status}")
-                    elif served_ranking(payload["hits"]) != expected[(q, k)]:
+                    elif ranked(payload["hits"]) != expected[(q, k)]:
                         failures.append(f"bleed at query {q} k={k}")
             finally:
                 conn.close()
@@ -238,7 +231,7 @@ class TestThreadSweep:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
-            status, data = http_request(handle.port, "GET", "/stats")
+            status, _headers, data = http_request(handle.port, "GET", "/stats")
         assert not failures, failures[:5]
         assert status == 200
         snapshot = json.loads(data)

@@ -10,7 +10,7 @@ import socket
 from pathlib import Path
 
 import pytest
-from serveutil import http_request_full, make_corpus, save_layout
+from testutil import http_request, make_corpus, save_layout
 
 import repro
 from repro.cluster import RemoteShardedIndex, ShardServerThread, Topology
@@ -75,12 +75,12 @@ def test_retry_after_comes_from_the_failure_not_the_status(layout):
                 return 200, {"shards": "not a list"}, 0
 
             shard.server._respond = nonsense
-            status, headers, data = http_request_full(
+            status, headers, data = http_request(
                 front.port, "POST", "/query", body)
             assert status == 503, data
             assert "Retry-After" not in headers
             shard.stop()
-            status, headers, data = http_request_full(
+            status, headers, data = http_request(
                 front.port, "POST", "/query", body)
             assert status == 503, data
             assert headers.get("Retry-After") == "1"

@@ -23,6 +23,10 @@ BAD = [
     ("max_batch", {"max_batch": 0}, "--max-batch must be at least 1"),
     ("max_batch", {"max_batch": -4}, "--max-batch must be at least 1"),
     ("max_wait_ms", {"max_wait_ms": -1.0}, "--max-wait-ms must be >= 0"),
+    ("max_wait_ms", {"max_wait_ms": float("inf")},
+     "--max-wait-ms must be >= 0"),
+    ("max_wait_ms", {"max_wait_ms": float("nan")},
+     "--max-wait-ms must be >= 0"),
     ("jobs", {"jobs": 0}, "--jobs must be positive"),
     ("max_backlog", {"max_backlog": 0}, "--max-backlog must be at least 1"),
     ("max_backlog", {"max_backlog": -1}, "--max-backlog must be at least 1"),
