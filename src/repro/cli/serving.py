@@ -10,6 +10,7 @@ import sys
 from ..catalog import Catalog
 from ..index import open_index, read_index_spec
 from ..serve import RetrievalServer, ServeConfig
+from ..serve.config import MAX_WAIT_CEILING_MS
 from . import CliError, _validate_counts, refusing
 
 
@@ -259,7 +260,8 @@ def flags_serve(parser: argparse.ArgumentParser) -> None:
                         help="on an idle server, flush a partial "
                              "micro-batch this long after its first query "
                              "arrives; behind a running batch, queries "
-                             "flush when it completes (default "
+                             "flush when it completes; at most "
+                             f"{MAX_WAIT_CEILING_MS:g} (default "
                              "%(default)s: at once)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="fan per-shard work of each micro-batch over "

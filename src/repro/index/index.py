@@ -153,6 +153,20 @@ def _load_member(path: Path, name: str, mmap: bool) -> np.ndarray:
         return archive[name]
 
 
+def require_finite(matrix: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first row of ``matrix`` that
+    holds a NaN or an infinity.  A non-finite vector scores NaN against
+    everything: stored, it ranks wherever the sort happens to put it;
+    queried, it returns NaN scores, which are not JSON.  Loads skip
+    this check, since a memory-mapped open must not read vector data."""
+    finite = np.isfinite(matrix)
+    if finite.ndim > 1:
+        finite = finite.all(axis=tuple(range(1, finite.ndim)))
+    bad = np.flatnonzero(~finite)
+    if len(bad):
+        raise ValueError(f"{what} row {bad[0]} is not finite")
+
+
 @dataclass(frozen=True)
 class SearchHit:
     """One ranked neighbour: external key, cosine score, display metadata."""
@@ -296,12 +310,13 @@ class IndexSurface:
         per-query key list aligned with the rows; ``jobs=N`` fans local
         shards over N threads with bit-identical results.  ``k`` or
         ``jobs`` below 1 raises ``ValueError`` instead of silently
-        returning nothing."""
+        returning nothing; so does a query row that is not finite."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
         matrix = np.asarray(vectors, float)
+        require_finite(matrix, "query")
 
         def brute(short: list[int]) -> list[list[list[SearchHit]]]:
             return self._brute(matrix[short], k,
@@ -511,7 +526,10 @@ class VectorIndex(LocalIndex):
     # ------------------------------------------------------------------
     def add(self, key: str, vector: np.ndarray, meta: dict | None = None) -> int:
         """Index one vector under ``key``; duplicate keys are no-ops
-        (equal-content tables share a fingerprint and one entry)."""
+        (equal-content tables share a fingerprint and one entry).  A
+        vector that is not finite raises ``ValueError``."""
+        vector = np.asarray(vector, float)
+        require_finite(vector[None], "vector")
         existing = self._id_of.get(key)
         if existing is not None:
             return existing
@@ -524,11 +542,15 @@ class VectorIndex(LocalIndex):
 
     def add_batch(self, keys: list[str], vectors: np.ndarray,
                   metas: list[dict] | None = None) -> list[int]:
-        """Bulk insert distinct keys with one vectorized LSH pass."""
+        """Bulk insert distinct keys with one vectorized LSH pass.  A
+        row that is not finite raises ``ValueError`` before anything
+        is inserted."""
         if metas is None:
             metas = [{} for _ in keys]
         if not (len(keys) == len(vectors) == len(metas)):
             raise ValueError("keys, vectors and metas must align")
+        vectors = np.asarray(vectors, float)
+        require_finite(vectors, "vector")
         fresh: list[int] = []
         batch_seen: set[str] = set()
         for i, key in enumerate(keys):
@@ -536,7 +558,7 @@ class VectorIndex(LocalIndex):
                 batch_seen.add(key)
                 fresh.append(i)
         if fresh:
-            ids = self.lsh.add_all(np.asarray(vectors, float)[fresh])
+            ids = self.lsh.add_all(vectors[fresh])
             for i, idx in zip(fresh, ids):
                 self.keys.append(keys[i])
                 self.meta.append(metas[i])
@@ -610,12 +632,21 @@ class VectorIndex(LocalIndex):
         content-addressed, so equal-score order is identical no matter
         how entries were distributed or inserted — the property that
         makes sharded fan-out results exactly reproduce a single
-        index's.  (The input is already score-sorted, so the re-sort is
-        a near-linear timsort pass; hits are only built for the final
-        k.)"""
-        ranked = sorted(ranked,
-                        key=lambda pair: (-pair[1], self.keys[pair[0]]))
-        return [SearchHit(self.keys[i], score, self.meta[i])
+        index's.
+
+        The input is sorted by ``(-score, id)`` and its scores are
+        finite (inserts and queries refuse non-finite vectors), so the
+        top k by ``(-score, key)`` all lie in the prefix that ends after
+        the last entry scoring ``==`` the k-th score: only that prefix
+        is re-sorted, and hits are only built for the final k."""
+        if len(ranked) > k:
+            cut, end = ranked[k - 1][1], k
+            while end < len(ranked) and ranked[end][1] == cut:
+                end += 1
+            ranked = ranked[:end]
+        keys = self.keys
+        ranked = sorted(ranked, key=lambda pair: (-pair[1], keys[pair[0]]))
+        return [SearchHit(keys[i], score, self.meta[i])
                 for i, score in ranked[:k]]
 
     def _query_rows(self, vectors: np.ndarray, k: int,

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .index import FORMAT_VERSION, LocalIndex
+from .index import FORMAT_VERSION, LocalIndex, require_finite
 from .spec import IndexSpec
 
 
@@ -163,11 +163,14 @@ class ShardedIndex(LocalIndex):
                   metas: list[dict] | None = None) -> list[int]:
         """Group a bulk insert per holding-or-owning shard, one
         vectorized LSH pass each.  Returns shard-local ids aligned with
-        ``keys``."""
+        ``keys``.  Every row is checked before any shard inserts, so a
+        row that is not finite leaves the whole layout unchanged."""
         if metas is None:
             metas = [{} for _ in keys]
         if not (len(keys) == len(vectors) == len(metas)):
             raise ValueError("keys, vectors and metas must align")
+        vectors = np.asarray(vectors, float)
+        require_finite(vectors, "vector")
         groups: dict[int, list[int]] = {}
         for i, key in enumerate(keys):
             holder = self._holding(key)

@@ -61,6 +61,11 @@ def _append_rows(buffer: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     return buffer
 
 
+def _id_array(ids) -> np.ndarray:
+    """A collection of ids as an int64 array, in iteration order."""
+    return np.fromiter(ids, dtype=np.int64, count=len(ids))
+
+
 class CosineLSH:
     """Sign-random-projection LSH index.
 
@@ -262,10 +267,14 @@ class CosineLSH:
         first, with **one** similarity pass over the union of ids
         (``(C, dim) x (dim, Q)``) instead of one dot product per
         (query, candidate) pair.  ``matrix`` is the ``(Q, dim)`` query
-        matrix, row-aligned with ``ids_per_query``.  Each ranking is
-        whole, sorted by ``(-score, id)``: callers that re-break ties
-        by an external key truncate *after* re-sorting, or a boundary
-        tie could change membership.
+        matrix, row-aligned with ``ids_per_query``.  The union is one
+        sorted int64 array; each query finds its rows in it with
+        ``np.searchsorted`` and reads its scores as one array gather,
+        so no per-candidate dict lookup or scalar conversion runs.
+        Each ranking is whole, sorted by ``(-score, id)``: callers
+        that re-break ties by an external key cut *after* the k-th
+        score's ties (see ``VectorIndex._hits``), or a boundary tie
+        could change membership.
 
         ``shortlist=m`` (only honoured when the int8 sidecar is
         attached) prefilters each query's ids to the ``>= m`` best by
@@ -276,9 +285,10 @@ class CosineLSH:
         if shortlist is not None and self._q8 is not None:
             ids_per_query = self._shortlist_many(ids_per_query, matrix,
                                                  shortlist)
-        union = sorted(set().union(*ids_per_query)) if ids_per_query else []
-        if not union:
+        if not any(ids_per_query):
             return [[] for _ in ids_per_query]
+        id_arrays = [_id_array(ids) for ids in ids_per_query]
+        union = np.unique(np.concatenate(id_arrays))
         cand = self._vectors[union]
         # The one similarity GEMM — via einsum, NOT ``cand @ matrix.T``:
         # BLAS gemm picks shape-dependent kernels, so the same (query,
@@ -297,10 +307,10 @@ class CosineLSH:
                  * np.linalg.norm(matrix, axis=1)[None, :])
         sims = np.divide(sims, denom, out=np.zeros_like(sims),
                          where=denom != 0.0)
-        row_of = {idx: row for row, idx in enumerate(union)}
         out: list[list[tuple[int, float]]] = []
-        for q, ids in enumerate(ids_per_query):
-            scored = [(i, float(sims[row_of[i], q])) for i in ids]
+        for q, ids in enumerate(id_arrays):
+            rows = np.searchsorted(union, ids)
+            scored = list(zip(ids.tolist(), sims[rows, q].tolist()))
             scored.sort(key=lambda pair: (-pair[1], pair[0]))
             out.append(scored)
         return out
@@ -381,21 +391,19 @@ class CosineLSH:
         feed the global brute-force fallback decision)."""
         if not any(len(ids) > m for ids in ids_per_query):
             return ids_per_query
-        union = sorted(set().union(*ids_per_query))
+        id_arrays = [_id_array(ids) for ids in ids_per_query]
+        union = np.unique(np.concatenate(id_arrays))
         queries_q8, _scales, _norms = quantize_rows(matrix)
         approx = approx_scores(self._q8[union], self._qscales[union],
                                self._qnorms[union], queries_q8)
-        row_of = {idx: row for row, idx in enumerate(union)}
         out: list[set[int]] = []
-        for q, ids in enumerate(ids_per_query):
+        for q, (ids, id_array) in enumerate(zip(ids_per_query, id_arrays)):
             if len(ids) <= m:
                 out.append(ids)
                 continue
-            ordered = sorted(ids)
-            rows = np.fromiter((row_of[i] for i in ordered),
-                               dtype=np.int64, count=len(ordered))
-            keep = tie_inclusive_cut(approx[rows, q], m)
-            out.append({i for i, kept in zip(ordered, keep) if kept})
+            keep = tie_inclusive_cut(
+                approx[np.searchsorted(union, id_array), q], m)
+            out.append(set(id_array[keep].tolist()))
         return out
 
 

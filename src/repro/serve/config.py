@@ -14,6 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: Ceiling on ``max_wait_ms``: one minute.  A longer window would park
+#: a lone query for longer than any client waits for its answer.
+MAX_WAIT_CEILING_MS = 60_000.0
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -31,7 +35,8 @@ class ServeConfig:
       the next).
     - ``max_wait_ms``: a partial batch on an idle dispatcher fires this
       many milliseconds after its first query arrived; ``0`` (the
-      default) fires on the next loop iteration.  While a tick runs,
+      default) fires on the next loop iteration; at most
+      :data:`MAX_WAIT_CEILING_MS`.  While a tick runs,
       the queries behind it fire when it completes, whatever this is.
     - ``jobs``: threads each tick's ``query_many`` fans shard work over.
     - ``max_backlog``: bound on one index's pending queries; a request
@@ -70,6 +75,9 @@ class ServeConfig:
             ("max_wait_ms", not (math.isfinite(self.max_wait_ms)
                                  and self.max_wait_ms >= 0),
              "--max-wait-ms must be >= 0 and finite"),
+            ("max_wait_ms", math.isfinite(self.max_wait_ms)
+             and self.max_wait_ms > MAX_WAIT_CEILING_MS,
+             f"--max-wait-ms must be at most {MAX_WAIT_CEILING_MS:g}"),
             ("jobs", self.jobs is not None and self.jobs < 1,
              "--jobs must be positive"),
             ("max_backlog",

@@ -122,6 +122,56 @@ class TestVectorIndex:
         assert loaded.corpus == index.corpus
 
 
+@pytest.mark.parametrize("n_shards", [1, 3])
+class TestNonFiniteVectors:
+    """A NaN or inf row is refused with its row number, by inserts
+    (leaving the index as it was) and by queries alike."""
+
+    def _index(self, n_shards):
+        from repro.index import IndexSpec, ShardedIndex
+
+        index = (VectorIndex(dim=4) if n_shards == 1 else
+                 ShardedIndex.create(IndexSpec(kind="vector", dim=4),
+                                     n_shards))
+        self.vectors = np.random.default_rng(5).standard_normal((5, 4))
+        index.add_batch([f"k{i}" for i in range(5)], self.vectors)
+        return index
+
+    def _state(self, index):
+        return (len(index), index.generation, index.n_tombstones,
+                [(hit.key, hit.score)
+                 for hit in index.query_vector(self.vectors[0], k=5)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_add_batch_refuses_and_changes_nothing(self, n_shards, bad):
+        index = self._index(n_shards)
+        before = self._state(index)
+        rows = np.random.default_rng(6).standard_normal((4, 4))
+        rows[2, 1] = bad
+        rows[3, 0] = bad
+        with pytest.raises(ValueError, match="vector row 2 is not finite"):
+            index.add_batch([f"new{i}" for i in range(4)], rows)
+        assert self._state(index) == before
+        assert not any(f"new{i}" in index for i in range(4))
+
+    def test_add_refuses_and_changes_nothing(self, n_shards):
+        index = self._index(n_shards)
+        before = self._state(index)
+        with pytest.raises(ValueError, match="vector row 0 is not finite"):
+            index.add("new", np.array([0.0, np.nan, 1.0, 1.0]))
+        assert self._state(index) == before and "new" not in index
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_query_many_refuses(self, n_shards, bad):
+        index = self._index(n_shards)
+        queries = self.vectors[:3].copy()
+        queries[1, 3] = bad
+        with pytest.raises(ValueError, match="query row 1 is not finite"):
+            index.query_many(queries, k=3)
+        with pytest.raises(ValueError, match="query row 0 is not finite"):
+            index.query_vector(queries[1], k=3)
+
+
 class TestEmptyCorpus:
     def test_table_index_rejects_empty_corpus(self, embedder):
         with pytest.raises(ValueError):

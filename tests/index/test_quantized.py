@@ -210,6 +210,40 @@ class TestEquivalence:
             assert rankings(reopened, queries, max(1, total - 1)) == \
                 rankings(plain, queries, max(1, total - 1))
 
+    def test_pruning_shortlist_keeps_rankings(self, monkeypatch):
+        """Coarse blocking (two planes a band) gives candidate pools
+        far past ``shortlist_size(k)``, so the int8 cut really drops
+        candidates before the exact rerank — and the rankings, through
+        ``query_many``, still equal the unquantized ones."""
+        from repro.retrieval import CosineLSH
+
+        n, k = 600, 5
+        vectors = tie_dense_corpus(n, seed=11)
+        keys = [f"k{i:04d}" for i in range(n)]
+        plain = VectorIndex(dim=DIM, n_planes=2, n_bands=2, seed=0)
+        plain.add_batch(keys, vectors)
+        quant = VectorIndex(dim=DIM, n_planes=2, n_bands=2, seed=0)
+        quant.add_batch(keys, vectors)
+        quant.quantize()
+        quant.enable_quantized()
+
+        pools = []
+        shortlist_many = CosineLSH._shortlist_many
+
+        def recording(self, ids_per_query, matrix, m):
+            kept = shortlist_many(self, ids_per_query, matrix, m)
+            pools.extend((len(before), len(after))
+                         for before, after in zip(ids_per_query, kept))
+            return kept
+
+        monkeypatch.setattr(CosineLSH, "_shortlist_many", recording)
+        rng = np.random.default_rng(12)
+        queries = np.vstack([vectors[:4], rng.standard_normal((12, DIM))])
+        assert rankings(quant, queries, k) == rankings(plain, queries, k)
+        assert len(pools) == len(queries)
+        assert all(before > shortlist_size(k) for before, _after in pools)
+        assert all(after < before for before, after in pools)
+
     def test_recall_at_shortlist_never_misses_topk(self):
         """Monitor: at ``k * OVERFETCH``, the tie-inclusive int8
         shortlist contains every true top-k candidate (no margin, so

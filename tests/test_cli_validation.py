@@ -47,6 +47,8 @@ CASES = [
     (["serve", "x", "--max-open", "0"], "--max-open must be at least 1"),
     (["serve", "x", "--max-backlog", "0"],
      "--max-backlog must be at least 1"),
+    (["serve", "x", "--max-wait-ms", "1e9"],
+     "--max-wait-ms must be at most 60000"),
 ]
 
 

@@ -27,6 +27,7 @@ BAD = [
      "--max-wait-ms must be >= 0"),
     ("max_wait_ms", {"max_wait_ms": float("nan")},
      "--max-wait-ms must be >= 0"),
+    ("max_wait_ms", {"max_wait_ms": 1e9}, "--max-wait-ms must be at most"),
     ("jobs", {"jobs": 0}, "--jobs must be positive"),
     ("max_backlog", {"max_backlog": 0}, "--max-backlog must be at least 1"),
     ("max_backlog", {"max_backlog": -1}, "--max-backlog must be at least 1"),
@@ -68,6 +69,7 @@ def test_boundary_values_are_accepted():
                          cache_size=0, cache_ttl=0.5, max_open=1,
                          quantized=True)
     assert config.cache_size == 0 and config.quantized
+    assert ServeConfig(max_wait_ms=60_000).max_wait_ms == 60_000
 
 
 def test_config_is_frozen():
